@@ -36,7 +36,7 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Machine-readable perf record: runs the hot-path benchmarks with -benchmem
-# and converts the output to BENCH_PR10.json (current numbers plus the
+# and converts the output to BENCH.json (current numbers plus the
 # committed baseline). CI archives the file as an artifact, so the
 # repo accumulates a performance trajectory.
 # The bench output goes through a temp file, not a pipe, so a benchmark
@@ -44,9 +44,9 @@ bench-smoke:
 bench-json:
 	$(GO) test -run '^$$' -benchtime 100x -benchmem \
 		-bench 'BenchmarkEngine$$|BenchmarkEngineTyped$$|BenchmarkSimulatePipeline$$|BenchmarkReplayerReuse$$|BenchmarkReplayBT$$|BenchmarkReplayGen64Seq$$|BenchmarkReplayGen64Par4$$|BenchmarkReplayBatchWarm$$|BenchmarkSweepDenseExact$$|BenchmarkSweepDenseApprox$$' \
-		./internal/des ./internal/replay ./internal/sweep . > BENCH_PR10.txt
-	$(GO) run ./cmd/benchjson -baseline docs/bench-baseline.json -o BENCH_PR10.json < BENCH_PR10.txt
-	@echo wrote BENCH_PR10.json
+		./internal/des ./internal/replay ./internal/sweep . > BENCH.txt
+	$(GO) run ./cmd/benchjson -baseline docs/bench-baseline.json -o BENCH.json < BENCH.txt
+	@echo wrote BENCH.json
 
 # Perf gate: diff the fresh record against the committed baseline and fail
 # on regressions. allocs/op is machine-independent and near-deterministic,
@@ -54,7 +54,7 @@ bench-json:
 # blowups because the baseline was measured on different hardware and the
 # 100x benchtime is noisy (BenchmarkSimulatePipeline jitters ~2x).
 bench-compare: bench-json
-	$(GO) run ./cmd/benchjson compare docs/bench-baseline.json BENCH_PR10.json \
+	$(GO) run ./cmd/benchjson compare docs/bench-baseline.json BENCH.json \
 		-threshold 300% -allocs-threshold 10%
 
 # One-command local scale-out: a fault-tolerant `overlapsim campaign`

@@ -1,12 +1,12 @@
 // Command benchjson converts `go test -bench` output read from stdin into
-// a machine-readable JSON record — the format CI archives as BENCH_PR3.json
+// a machine-readable JSON record — the format CI archives as BENCH.json
 // so the repository accumulates a performance trajectory instead of
 // benchmark numbers scrolling away in build logs — and compares two such
 // records so CI can gate on regressions.
 //
 // Usage:
 //
-//	go test -run '^$' -bench . -benchmem ./... | benchjson -baseline docs/bench-baseline.json -o BENCH_PR3.json
+//	go test -run '^$' -bench . -benchmem ./... | benchjson -baseline docs/bench-baseline.json -o BENCH.json
 //	benchjson compare old.json new.json -threshold 10%
 //
 // Lines that are not benchmark results (package headers, PASS/ok trailers)

@@ -4,13 +4,13 @@
 // single instrumented run — so widening the platform coverage costs only
 // replays, the cheap stage of the pipeline.
 //
-// Results stream to stderr as points complete (unordered), while the final
-// table on stdout is in stable grid order: the contract huge platform
-// grids rely on for partial answers.
+// A tee sink feeds every result to two legs: a logger that prints each
+// point to stderr as it completes (unordered), and the batch table sink
+// that writes the final table to stdout in stable grid order — the
+// contract huge platform grids rely on for partial answers.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -40,22 +40,31 @@ func main() {
 	runner.Engine = overlapsim.SweepEngine{Workers: *workers}
 	fmt.Fprintf(os.Stderr, "%s: %d platform points, one instrumented run\n", *appName, grid.Size())
 
-	results, err := runner.RunStreamContext(context.Background(), grid,
-		func(index int, res overlapsim.SweepResult) error {
-			fmt.Fprintf(os.Stderr, "done point %d: %s: %.3fx\n", index, res.Point, res.Speedup)
-			return nil
-		})
+	table, err := overlapsim.NewBatchSweepSink(os.Stdout, "table")
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// The ordered final table; the latency and buses columns appear
-	// because the grid sweeps them.
-	if err := overlapsim.WriteSweepResults(os.Stdout, "table", results); err != nil {
+	// The table's latency and buses columns appear because the grid sweeps
+	// them.
+	sink := overlapsim.NewTeeSweepSink(progressSink{}, table)
+	if err := runner.RunSink(grid, sink); err != nil {
+		log.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
 		log.Fatal(err)
 	}
 
 	st := runner.Stats()
 	fmt.Fprintf(os.Stderr, "work: %d instrumented runs, %d replays for %d points\n",
-		st.Traces, st.Replays, len(results))
+		st.Traces, st.Replays, grid.Size())
 }
+
+// progressSink logs each completed point to stderr, in completion order.
+type progressSink struct{}
+
+func (progressSink) Accept(index int, res overlapsim.SweepResult) error {
+	fmt.Fprintf(os.Stderr, "done point %d: %s: %.3fx\n", index, res.Point, res.Speedup)
+	return nil
+}
+
+func (progressSink) Close() error { return nil }

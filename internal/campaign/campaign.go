@@ -157,7 +157,9 @@ func (w *Worker) execute(ctx context.Context, lease *Lease, drop, skipHeartbeat 
 
 	before := w.Runner.Stats()
 	indices := lease.Indices()
-	results, err := w.Runner.RunIndicesContext(runCtx, w.Grid, indices)
+	var buf bytes.Buffer
+	sink := sweep.NewShardSink(&buf, w.Signature, w.Total, sweep.Shard{K: lease.Chunk + 1, N: w.NumChunks}, indices)
+	err := w.Runner.RunIndicesSinkContext(runCtx, w.Grid, indices, sink)
 	work := w.Runner.Stats().Sub(before)
 	cancel()
 	if err != nil {
@@ -182,9 +184,7 @@ func (w *Worker) execute(ctx context.Context, lease *Lease, drop, skipHeartbeat 
 		return nil
 	}
 
-	var buf bytes.Buffer
-	shard := sweep.Shard{K: lease.Chunk + 1, N: w.NumChunks}
-	if err := sweep.WriteShard(&buf, w.Signature, w.Total, shard, indices, results); err != nil {
+	if err := sink.Close(); err != nil {
 		return err
 	}
 	if err := w.Board.Complete(ctx, lease.Chunk, work, buf.Bytes()); err != nil {

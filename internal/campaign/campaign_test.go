@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
 	"reflect"
@@ -97,7 +98,7 @@ func TestWorkerEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := testRunner(base).RunIndicesContext(context.Background(), g, allIndices(total))
+	want, err := testRunner(base).Run(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +150,11 @@ func TestWorkerChaosDropRecovers(t *testing.T) {
 		Chaos: Chaos{Rate: 1, Seed: 5, Mode: ChaosDrop},
 		Logf:  t.Logf,
 	}
-	// Rate 1 means retries drop too — run a clean worker alongside, as the
-	// CI chaos job does, so the campaign can finish.
+	// Rate 1 means retries drop too, so a clean worker finishes the
+	// campaign, as in the CI chaos job. They run one after the other: run
+	// together, either can win every retry race, and the chaotic one could
+	// drop a chunk into quarantine. The chaotic worker first takes and
+	// drops every chunk once.
 	clean := &Worker{
 		Board:     &LocalBoard{C: c, Worker: "clean"},
 		ID:        "clean",
@@ -161,17 +165,22 @@ func TestWorkerChaosDropRecovers(t *testing.T) {
 		NumChunks: numChunks(total, cfg.ChunkPoints),
 		Logf:      t.Logf,
 	}
-	var wg sync.WaitGroup
-	for _, wk := range []*Worker{w, clean} {
-		wg.Add(1)
-		go func(wk *Worker) {
-			defer wg.Done()
-			if err := wk.Run(context.Background()); err != nil {
-				t.Errorf("worker %s: %v", wk.ID, err)
-			}
-		}(wk)
+	ctx, stop := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- w.Run(ctx) }()
+	for deadline := time.Now().Add(10 * time.Second); c.Counters().Leases < w.NumChunks; {
+		if time.Now().After(deadline) {
+			t.Fatalf("chaotic worker took %d leases, want %d", c.Counters().Leases, w.NumChunks)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	wg.Wait()
+	stop()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("chaotic worker: err = %v, want context.Canceled", err)
+	}
+	if err := clean.Run(context.Background()); err != nil {
+		t.Fatalf("worker clean: %v", err)
+	}
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -235,12 +244,4 @@ func TestParseChaosMode(t *testing.T) {
 	if _, err := ParseChaosMode("entropy"); err == nil {
 		t.Error("unknown mode accepted")
 	}
-}
-
-func allIndices(total int) []int {
-	out := make([]int, total)
-	for i := range out {
-		out[i] = i
-	}
-	return out
 }

@@ -6,16 +6,9 @@ import (
 	"overlapsim/internal/units"
 )
 
-// The main benchmarks schedule typed events — the path every simulator
-// component in this repo uses since the replayer's migration. The closure
-// adapter remains supported (Event implements Target), so each benchmark
-// keeps a *Closure twin that pins the adapter's overhead: the adapter costs
-// one closure allocation per capture plus an indirect call, and the twins
-// make that price a measured number instead of ROADMAP folklore.
-
-// benchTick is the typed counterpart of the closure self-rescheduling load:
-// a shared counter target that reschedules itself until the run's step
-// budget is spent, mirroring the replayer's self-driving rank machines.
+// benchTick is the self-rescheduling load: a shared counter target that
+// reschedules itself until the run's step budget is spent, mirroring the
+// replayer's self-driving rank machines.
 type benchTick struct {
 	eng   *Engine
 	steps int64
@@ -48,32 +41,6 @@ func BenchmarkEngine(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineClosure is BenchmarkEngine through the legacy closure
-// adapter: same load, every event scheduled as a func(). The delta against
-// BenchmarkEngine is the adapter's price.
-func BenchmarkEngineClosure(b *testing.B) {
-	const population = 256
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := New()
-		steps := int64(0)
-		const total = population * 64
-		var tick func()
-		tick = func() {
-			steps++
-			if steps < total {
-				e.ScheduleAfter(units.Duration(1+steps%7)*units.Microsecond, tick)
-			}
-		}
-		for j := 0; j < population; j++ {
-			e.ScheduleAfter(units.Duration(j)*units.Microsecond, tick)
-		}
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // nopTarget is an inert typed target for pure-queue measurements.
 type nopTarget struct{}
 
@@ -92,25 +59,6 @@ func BenchmarkEngineSchedule(b *testing.B) {
 			// timestamps without rand.
 			at := units.Time(uint32(j) * 2654435761 % batch)
 			e.ScheduleEvent(at, nop, 0)
-		}
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineScheduleClosure is the pure-queue microbench through the
-// closure adapter — the historical shape of this benchmark, kept to track
-// what closure-heavy users pay.
-func BenchmarkEngineScheduleClosure(b *testing.B) {
-	const batch = 4096
-	nop := func() {}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := New()
-		for j := 0; j < batch; j++ {
-			at := units.Time(uint32(j) * 2654435761 % batch)
-			e.Schedule(at, nop)
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)

@@ -14,20 +14,10 @@ type Kind uint8
 // Target receives typed events. Implementations are usually small state
 // machines (a rank, a transfer): scheduling a typed event copies only a
 // (target, kind) pair into the queue, so the hot path performs no heap
-// allocation — unlike a closure, which allocates per capture.
+// allocation — unlike a closure, which would allocate per capture.
 type Target interface {
 	HandleEvent(k Kind)
 }
-
-// Event is a callback scheduled to run at a simulated instant. It is the
-// legacy closure form of scheduling, kept as a thin adapter over the typed
-// model: an Event is itself a Target that ignores the kind and calls the
-// function. Closures allocate per capture; hot paths should implement
-// Target instead.
-type Event func()
-
-// HandleEvent makes Event a Target, dispatching to the function itself.
-func (f Event) HandleEvent(Kind) { f() }
 
 // scheduled is one pending event. Entries are stored by value inside the
 // engine's heap slice: no per-event node allocation, no heap-index
@@ -182,25 +172,6 @@ func (e *Engine) ScheduleEventAfter(d units.Duration, t Target, k Kind) {
 		d = 0
 	}
 	e.ScheduleEvent(e.now.Add(d), t, k)
-}
-
-// Schedule runs fn at the given absolute instant. This is the legacy
-// closure adapter over ScheduleEvent; the closure itself is the allocation,
-// so hot paths should schedule typed events instead.
-func (e *Engine) Schedule(at units.Time, fn Event) {
-	if fn == nil {
-		panic("des: scheduling nil event")
-	}
-	e.ScheduleEvent(at, fn, 0)
-}
-
-// ScheduleAfter runs fn after delay d from the current time. Negative
-// delays are clamped to zero.
-func (e *Engine) ScheduleAfter(d units.Duration, fn Event) {
-	if d < 0 {
-		d = 0
-	}
-	e.Schedule(e.now.Add(d), fn)
 }
 
 // Stop makes Run return after the currently executing event completes.

@@ -9,12 +9,18 @@ import (
 	"overlapsim/internal/units"
 )
 
+// fn adapts a closure to Target, for tests where a closure reads clearer
+// than a dedicated state machine.
+type fn func()
+
+func (f fn) HandleEvent(Kind) { f() }
+
 func TestEngineRunsInTimeOrder(t *testing.T) {
 	e := New()
 	var order []int
-	e.Schedule(30, func() { order = append(order, 3) })
-	e.Schedule(10, func() { order = append(order, 1) })
-	e.Schedule(20, func() { order = append(order, 2) })
+	e.ScheduleEvent(30, fn(func() { order = append(order, 3) }), 0)
+	e.ScheduleEvent(10, fn(func() { order = append(order, 1) }), 0)
+	e.ScheduleEvent(20, fn(func() { order = append(order, 2) }), 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +40,7 @@ func TestEngineTieBreakByInsertion(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(5, func() { order = append(order, i) })
+		e.ScheduleEvent(5, fn(func() { order = append(order, i) }), 0)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -49,12 +55,12 @@ func TestEngineTieBreakByInsertion(t *testing.T) {
 func TestEngineScheduleDuringRun(t *testing.T) {
 	e := New()
 	var trace []units.Time
-	e.Schedule(10, func() {
+	e.ScheduleEvent(10, fn(func() {
 		trace = append(trace, e.Now())
-		e.ScheduleAfter(5, func() {
+		e.ScheduleEventAfter(5, fn(func() {
 			trace = append(trace, e.Now())
-		})
-	})
+		}), 0)
+	}), 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +71,14 @@ func TestEngineScheduleDuringRun(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := New()
-	e.Schedule(10, func() {
+	e.ScheduleEvent(10, fn(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past should panic")
 			}
 		}()
-		e.Schedule(5, func() {})
-	})
+		e.ScheduleEvent(5, fn(func() {}), 0)
+	}), 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +90,14 @@ func TestEngineNilEventPanics(t *testing.T) {
 			t.Error("nil event should panic")
 		}
 	}()
-	New().Schedule(0, nil)
+	New().ScheduleEventAfter(0, nil, 0)
 }
 
 func TestEngineStop(t *testing.T) {
 	e := New()
 	ran := 0
-	e.Schedule(1, func() { ran++; e.Stop() })
-	e.Schedule(2, func() { ran++ })
+	e.ScheduleEvent(1, fn(func() { ran++; e.Stop() }), 0)
+	e.ScheduleEvent(2, fn(func() { ran++ }), 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +112,9 @@ func TestEngineStop(t *testing.T) {
 func TestEngineStepLimit(t *testing.T) {
 	e := New()
 	e.SetStepLimit(100)
-	var tick func()
-	tick = func() { e.ScheduleAfter(1, tick) }
-	e.Schedule(0, tick)
+	var tick fn
+	tick = func() { e.ScheduleEventAfter(1, tick, 0) }
+	e.ScheduleEvent(0, tick, 0)
 	if err := e.Run(); err == nil {
 		t.Error("expected step-limit error for self-perpetuating schedule")
 	}
@@ -117,9 +123,9 @@ func TestEngineStepLimit(t *testing.T) {
 func TestEngineNegativeDelayClamped(t *testing.T) {
 	e := New()
 	var at units.Time
-	e.Schedule(10, func() {
-		e.ScheduleAfter(-5, func() { at = e.Now() })
-	})
+	e.ScheduleEvent(10, fn(func() {
+		e.ScheduleEventAfter(-5, fn(func() { at = e.Now() }), 0)
+	}), 0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +146,7 @@ func TestPropertyEngineMonotoneClock(t *testing.T) {
 		for i := 0; i < count; i++ {
 			at := units.Time(rng.Int63n(1000))
 			want = append(want, at)
-			e.Schedule(at, func() { got = append(got, e.Now()) })
+			e.ScheduleEvent(at, fn(func() { got = append(got, e.Now()) }), 0)
 		}
 		if err := e.Run(); err != nil {
 			return false
@@ -286,7 +292,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := New()
 		for j := 0; j < 1000; j++ {
-			e.Schedule(units.Time(j%97), func() {})
+			e.ScheduleEvent(units.Time(j%97), nopTarget{}, 0)
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)

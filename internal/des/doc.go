@@ -19,10 +19,8 @@
 // a 4-ary min-heap of inline 32-byte values (the insertion sequence and
 // the kind share one packed word), with no per-event heap allocation and
 // no heap-index bookkeeping, because queue churn dominates replay hot
-// loops. The legacy closure form (Schedule/ScheduleAfter with a func) is
-// kept as a thin adapter — Event itself implements Target — for tests,
-// examples and call sites where a per-schedule closure allocation does not
-// matter.
+// loops. Typed events are the only way to schedule: there is no closure
+// form, so no call site can reintroduce a per-event allocation.
 //
 // Engines are reusable: Reset rewinds the clock and step counter while
 // keeping the queue's backing array, so a replayer that runs many traces

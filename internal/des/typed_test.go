@@ -1,6 +1,7 @@
 package des
 
 import (
+	"fmt"
 	"testing"
 
 	"overlapsim/internal/units"
@@ -44,19 +45,28 @@ func TestScheduleEventDispatchesKinds(t *testing.T) {
 	}
 }
 
+// logTarget is a typed target that logs each received kind into a slice
+// shared with other targets, so one log shows the cross-target order.
+type logTarget struct{ order *[]string }
+
+func (t logTarget) HandleEvent(k Kind) { *t.order = append(*t.order, fmt.Sprintf("typed-%d", k)) }
+
 func TestTypedAndClosureEventsInterleaveDeterministically(t *testing.T) {
 	e := New()
 	var order []string
-	ct := Event(func() { order = append(order, "typed-adapter") })
-	e.Schedule(10, func() { order = append(order, "closure") })
-	e.ScheduleEvent(10, ct, 0)
-	e.ScheduleEvent(5, ct, 0)
+	lt := logTarget{order: &order}
+	e.ScheduleEvent(10, fn(func() { order = append(order, "closure") }), 0)
+	e.ScheduleEvent(10, lt, 1)
+	e.ScheduleEvent(5, lt, 2)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Same-instant events run in insertion order: the closure was scheduled
-	// at t=10 before the typed event at t=10.
-	want := []string{"typed-adapter", "closure", "typed-adapter"}
+	// Same-instant events run in insertion order: the closure target was
+	// scheduled at t=10 before the typed event at t=10.
+	want := []string{"typed-2", "closure", "typed-1"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
@@ -71,15 +81,6 @@ func TestScheduleEventNilTargetPanics(t *testing.T) {
 		}
 	}()
 	New().ScheduleEvent(0, nil, 0)
-}
-
-func TestScheduleNilClosurePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on nil closure")
-		}
-	}()
-	New().Schedule(0, nil)
 }
 
 func TestEngineResetReusesQueue(t *testing.T) {

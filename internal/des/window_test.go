@@ -21,8 +21,8 @@ func TestPeekTime(t *testing.T) {
 	if _, ok := e.PeekTime(); ok {
 		t.Fatal("PeekTime on empty engine reported an event")
 	}
-	e.Schedule(30, func() {})
-	e.Schedule(10, func() {})
+	e.ScheduleEvent(30, fn(func() {}), 0)
+	e.ScheduleEvent(10, fn(func() {}), 0)
 	if at, ok := e.PeekTime(); !ok || at != 10 {
 		t.Fatalf("PeekTime = %v,%v, want 10,true", at, ok)
 	}
@@ -33,7 +33,7 @@ func TestRunWindowStopsAtLimit(t *testing.T) {
 	var fired []units.Time
 	for _, at := range []units.Time{0, 5, 10, 15} {
 		at := at
-		e.Schedule(at, func() { fired = append(fired, at) })
+		e.ScheduleEvent(at, fn(func() { fired = append(fired, at) }), 0)
 	}
 	if err := e.RunWindow(10); err != nil {
 		t.Fatal(err)
@@ -54,8 +54,8 @@ func TestRunWindowStopsAtLimit(t *testing.T) {
 
 func TestRunWindowPreservesStop(t *testing.T) {
 	e := New()
-	e.Schedule(0, func() { e.Stop() })
-	e.Schedule(1, func() { t.Error("event after Stop executed") })
+	e.ScheduleEvent(0, fn(func() { e.Stop() }), 0)
+	e.ScheduleEvent(1, fn(func() { t.Error("event after Stop executed") }), 0)
 	if err := e.RunWindow(100); err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +176,8 @@ func TestWindowsPostBelowBarrierPanics(t *testing.T) {
 	withWorkers(t) // the panic must cross from a worker to the coordinator
 	engines := []*Engine{New(), New()}
 	w := NewWindows(engines)
-	bad := Event(func() {})
-	offender := Event(func() {
+	bad := fn(func() {})
+	offender := fn(func() {
 		// Barrier for this round is 0+lookahead(10); posting at 5 violates it.
 		w.Post(1, 5, bad, 0)
 	})
@@ -197,8 +197,8 @@ func TestWindowsPostBelowBarrierPanics(t *testing.T) {
 func TestWindowsStopAborts(t *testing.T) {
 	engines := []*Engine{New(), New()}
 	w := NewWindows(engines)
-	engines[0].ScheduleEvent(0, Event(func() { engines[0].Stop() }), 0)
-	engines[1].ScheduleEvent(100, Event(func() { t.Error("event in later window ran after a shard stopped") }), 0)
+	engines[0].ScheduleEvent(0, fn(func() { engines[0].Stop() }), 0)
+	engines[1].ScheduleEvent(100, fn(func() { t.Error("event in later window ran after a shard stopped") }), 0)
 	if _, err := w.Run(10); err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +212,13 @@ func TestWindowsStepLimit(t *testing.T) {
 	engines := []*Engine{New(), New()}
 	engines[0].SetStepLimit(3)
 	w := NewWindows(engines)
-	var chain func()
+	var chain fn
 	n := 0
 	chain = func() {
 		n++
-		engines[0].ScheduleAfter(1, chain)
+		engines[0].ScheduleEventAfter(1, chain, 0)
 	}
-	engines[0].Schedule(0, chain)
+	engines[0].ScheduleEvent(0, chain, 0)
 	if _, err := w.Run(1000); err == nil {
 		t.Fatal("step limit did not surface from Run")
 	}
@@ -237,7 +237,7 @@ func TestWindowsReuse(t *testing.T) {
 		counts := make([]int, len(engines))
 		for i, e := range engines {
 			i := i
-			e.ScheduleEvent(units.Time(i), Event(func() { counts[i]++ }), 0)
+			e.ScheduleEvent(units.Time(i), fn(func() { counts[i]++ }), 0)
 		}
 		if _, err := w.Run(5); err != nil {
 			t.Fatal(err)

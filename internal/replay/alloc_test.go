@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"overlapsim/internal/machine"
 	"overlapsim/internal/trace"
 )
 
@@ -102,7 +103,7 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 
 // TestSummarySteadyStateAllocs tightens the guard to zero for the warm
 // summary path — what every batched sweep point pays. Result assembly is
-// the only allocation Simulate makes when warm, and SimulateSummary skips
+// the only allocation Simulate makes when warm, and SimulateBatch skips
 // it; the parallel engine must hold the same line once its shard state
 // exists.
 func TestSummarySteadyStateAllocs(t *testing.T) {
@@ -110,27 +111,27 @@ func TestSummarySteadyStateAllocs(t *testing.T) {
 		t.Skip("race-detector instrumentation allocates; budget is pinned by the non-race run")
 	}
 	ts := pipelineSet() // collective-free: eligible for the parallel engine
-	cfg := testConfig()
+	cfgs := []machine.Config{testConfig()}
+	out := make([]Summary, 1)
 	for _, par := range []int{0, 4} {
 		r := NewReplayer()
 		r.Parallel = par
 		r.ParThreshold = 2
 		for i := 0; i < 3; i++ {
-			sum, err := r.SimulateSummary(ts, cfg)
-			if err != nil {
+			if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
 				t.Fatal(err)
 			}
-			if par > 0 && sum.Windows == 0 {
+			if par > 0 && out[0].Windows == 0 {
 				t.Fatal("parallel engine did not engage")
 			}
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := r.SimulateSummary(ts, cfg); err != nil {
+			if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if allocs > 0 {
-			t.Errorf("par=%d: warm SimulateSummary allocates %.1f/run, budget 0", par, allocs)
+			t.Errorf("par=%d: warm single-config SimulateBatch allocates %.1f/run, budget 0", par, allocs)
 		}
 	}
 }

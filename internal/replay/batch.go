@@ -21,22 +21,6 @@ type Summary struct {
 	Windows int64      // conservative-window rounds (0 when sequential)
 }
 
-// SimulateSummary runs one replay and reports only the summary — the warm
-// path with no per-run result assembly. Semantics match Simulate exactly.
-func (s *Replayer) SimulateSummary(ts *trace.Set, cfg machine.Config) (Summary, error) {
-	if ts == nil || ts.NRanks() == 0 {
-		return Summary{}, fmt.Errorf("replay: empty trace set")
-	}
-	if err := cfg.Validate(); err != nil {
-		return Summary{}, err
-	}
-	if err := s.validate(ts); err != nil {
-		return Summary{}, err
-	}
-	defer s.dropRecs()
-	return s.simulateSummaryPrepared(ts, cfg)
-}
-
 // simulateSummaryPrepared runs one prepared point and summarizes it from
 // the replayer's struct-of-arrays finish state and the still-open timeline
 // builders (StateDurations reads them without closing or copying).

@@ -80,20 +80,20 @@ func benchmarkGen64(b *testing.B, par int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := gen64Config()
+	cfgs := []machine.Config{gen64Config()}
+	out := make([]Summary, 1)
 	r := NewReplayer()
 	r.Parallel = par
-	warm, err := r.SimulateSummary(ts, cfg)
-	if err != nil {
+	if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
 		b.Fatal(err)
 	}
-	if par > 0 && warm.Windows == 0 {
+	if par > 0 && out[0].Windows == 0 {
 		b.Fatal("parallel engine did not engage")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := r.SimulateSummary(ts, cfg); err != nil {
+		if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
 			b.Fatal(err)
 		}
 	}

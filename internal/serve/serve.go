@@ -438,6 +438,12 @@ func (s *Server) runJob(w http.ResponseWriter, jb *job, ctx context.Context) {
 	case err != nil:
 		jb.finish(JobFailed, err.Error(), work)
 		status = "failed"
+		// A recovered panic fails only this job; its stack goes to the log
+		// rather than into the one-line status.
+		var pe *sweep.PanicError
+		if errors.As(err, &pe) {
+			s.logf("%s: %v\n%s", jb.id, err, pe.Stack)
+		}
 	default:
 		jb.finish(JobDone, "", work)
 	}

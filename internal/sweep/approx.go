@@ -126,7 +126,7 @@ func approxFamilyKey(a approxAxis, p Point) Point {
 	return p
 }
 
-// normPoint applies the same chunk-count default RunPoint applies, so
+// normPoint applies the same chunk-count default runPoint applies, so
 // family grouping and predicted results agree with the exact path.
 func normPoint(p Point) Point {
 	if p.Chunks == 0 {
@@ -174,22 +174,16 @@ type famPlan struct {
 }
 
 // approxResults is the surrogate planner's entry point: given the
-// expanded grid (and optionally the index subset a shard runs), it
-// returns exact-or-predicted results for every point it resolved, keyed
-// by expanded-grid index, or nil when the fast path does not apply. The
-// execution paths consult the map before RunPoint; points absent from
-// the map run exactly as always. Planning is serial and deterministic:
-// for a given grid and index set the same points are predicted, spot-
-// checked and demoted regardless of worker count or cache state.
+// expanded grid and the indices the run covers, it returns exact-or-
+// predicted results for every point it resolved, keyed by expanded-grid
+// index, or nil when the fast path does not apply. The execution path
+// consults the map before runPoint; points absent from the map run
+// exactly as always. Planning is serial and deterministic: for a given
+// grid and index set the same points are predicted, spot-checked and
+// demoted regardless of worker count or cache state.
 func (r *Runner) approxResults(pts []Point, indices []int) map[int]Result {
 	if !r.Approx {
 		return nil
-	}
-	if indices == nil {
-		indices = make([]int, len(pts))
-		for i := range indices {
-			indices[i] = i
-		}
 	}
 	axis := chooseApproxAxis(pts, indices)
 	if axis == axisNone {
@@ -249,7 +243,7 @@ func (r *Runner) approxResults(pts []Point, indices []int) map[int]Result {
 	if len(plans) == 0 {
 		return nil
 	}
-	r.prefillIndices(pts, warm)
+	r.prefill(pts, warm, nil)
 
 	out := map[int]Result{}
 	var demoted []int
@@ -261,9 +255,7 @@ func (r *Runner) approxResults(pts []Point, indices []int) map[int]Result {
 	}
 	// A demoted family's remaining points replay exactly on the engine;
 	// prefill them so they still batch through a warm replayer.
-	if len(demoted) > 0 {
-		r.prefillIndices(pts, demoted)
-	}
+	r.prefill(pts, demoted, nil)
 	return out
 }
 
@@ -284,7 +276,7 @@ func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[
 	anchors := append([]int(nil), pl.anchors...)
 	ares := make([]Result, 0, len(anchors))
 	for _, pos := range anchors {
-		res, err := r.RunPoint(pts[pl.members[pos].idx])
+		res, err := r.runPoint(pts[pl.members[pos].idx])
 		if err != nil {
 			return
 		}
@@ -315,7 +307,7 @@ func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[
 			if pos < 0 || risk <= maxErr/2 {
 				break
 			}
-			res, err := r.RunPoint(pts[pl.members[pos].idx])
+			res, err := r.runPoint(pts[pl.members[pos].idx])
 			if err != nil {
 				return
 			}
@@ -358,7 +350,7 @@ func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[
 		if !present[pos] || !results[pos].Approx {
 			continue // eager bracket disagreement left it exact
 		}
-		exact, err := r.RunPoint(pts[pl.members[pos].idx])
+		exact, err := r.runPoint(pts[pl.members[pos].idx])
 		if err != nil {
 			return
 		}
@@ -469,7 +461,7 @@ func (r *Runner) predictEagerSteps(pl famPlan, anchors []int, ares []Result, res
 }
 
 // predictedResult assembles a surrogate Result for a point from predicted
-// field values: the platform bandwidth resolves exactly as RunPoint's,
+// field values: the platform bandwidth resolves exactly as runPoint's,
 // the speedup is recomputed from the rounded times, and Approx marks the
 // row for downstream consumers.
 func (r *Runner) predictedResult(p Point, nranks int, tOrig, tOver, blocked, steps float64) Result {
@@ -535,40 +527,6 @@ func (r *Runner) kneePosition(axis approxAxis, rep Point, xs []float64) (int, bo
 		}
 	}
 	return best, best >= 0
-}
-
-// prefillRemaining batch-prefills the points the surrogate planner did
-// not already resolve; with the planner inactive (nil map) it is the
-// plain prefill pass, byte-identical to earlier releases. Excluding
-// predicted points here is what converts predictions into replays saved:
-// the prefill would otherwise warm exactly the platforms the planner
-// just avoided.
-func (r *Runner) prefillRemaining(pts []Point, indices []int, approx map[int]Result) {
-	if approx == nil {
-		if indices == nil {
-			r.prefillBatches(pts)
-		} else {
-			r.prefillIndices(pts, indices)
-		}
-		return
-	}
-	var rest []int
-	if indices == nil {
-		for i := range pts {
-			if _, ok := approx[i]; !ok {
-				rest = append(rest, i)
-			}
-		}
-	} else {
-		for _, i := range indices {
-			if _, ok := approx[i]; !ok {
-				rest = append(rest, i)
-			}
-		}
-	}
-	if len(rest) > 0 {
-		r.prefillIndices(pts, rest)
-	}
 }
 
 // anchorFields projects the anchor results into the field slices the

@@ -26,17 +26,24 @@ type batchKey struct {
 	opts overlap.Options
 }
 
-// prefillBatches routes platform-axis replay work through the batch path.
-// It is best-effort by design: any error (tracing, transformation, a batch
-// point) simply leaves the affected memo entries unfilled, and the normal
-// per-point path rediscovers and reports the error with full context.
-func (r *Runner) prefillBatches(pts []Point) {
+// prefill routes the platform-axis replay work of the expanded points at
+// the given indices through the batch path, skipping the points in
+// resolved (the surrogate planner's results): the prefill would otherwise
+// warm exactly the platforms the planner just avoided. It is best-effort
+// by design: any error (tracing, transformation, a batch point) simply
+// leaves the affected memo entries unfilled, and the normal per-point path
+// rediscovers and reports the error with full context.
+func (r *Runner) prefill(pts []Point, indices []int, resolved map[int]Result) {
 	if r.DisableBatch {
 		return
 	}
 	groups := map[batchKey][]Point{}
 	var order []batchKey // deterministic group order (first appearance)
-	for _, p := range pts {
+	for _, i := range indices {
+		if _, ok := resolved[i]; ok {
+			continue
+		}
+		p := pts[i]
 		if p.Chunks == 0 {
 			p.Chunks = DefaultChunks
 		}
@@ -56,19 +63,6 @@ func (r *Runner) prefillBatches(pts []Point) {
 		}
 		r.prefillGroup(k, group)
 	}
-}
-
-// prefillIndices is prefillBatches over only the expanded points a shard
-// will run.
-func (r *Runner) prefillIndices(pts []Point, indices []int) {
-	if r.DisableBatch {
-		return
-	}
-	sel := make([]Point, len(indices))
-	for j, i := range indices {
-		sel[j] = pts[i]
-	}
-	r.prefillBatches(sel)
 }
 
 // prefillGroup batches one workload-variant group: trace (or load) the
@@ -134,7 +128,7 @@ func (r *Runner) prefillSet(ts *trace.Set, machines []machine.Config) {
 	out := make([]replay.Summary, len(missing))
 	n, _ := replay.SimulateBatch(ts, missing, out, r.ReplayPar)
 	// On error the completed prefix is still valid; the failing point's
-	// entry stays unfilled so RunPoint reports the error in context.
+	// entry stays unfilled so runPoint reports the error in context.
 	for i := 0; i < n; i++ {
 		m, sum := missing[i], out[i]
 		r.ctReplays.Add(1)
@@ -155,14 +149,7 @@ func (r *Runner) prefillSet(ts *trace.Set, machines []machine.Config) {
 		r.mu.Unlock()
 		if r.Store != nil {
 			sk := r.Store.Key(key.app, key.ranks, r.Size, r.Iters, key.variant, key.platform)
-			err := r.Store.Store(sk, replaystore.Result{Total: sum.Total, Steps: sum.Steps, Blocked: blocked})
-			if err != nil {
-				r.mu.Lock()
-				if r.storeErr == nil {
-					r.storeErr = err
-				}
-				r.mu.Unlock()
-			}
+			r.noteStoreErr(r.Store.Store(sk, replaystore.Result{Total: sum.Total, Steps: sum.Steps, Blocked: blocked}))
 		}
 	}
 }

@@ -126,7 +126,7 @@ func TestBatchPrefillShardPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner(machine.Default())
-	got, err := r.RunIndices(g, []int{0, 2})
+	got, err := runIndices(r, g, []int{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,35 @@ import (
 	"overlapsim/internal/units"
 )
 
+// benchSweep times b.N sweeps of g, each on a fresh runner from newRunner
+// over a trace cache primed in a temporary directory. A fresh runner starts
+// with an empty replay memo, so the timed loop pays every replay — not memo
+// hits — while the instrumented runs stay outside the timer. An iteration
+// that replays nothing fails the benchmark: it would be timing the memo.
+func benchSweep(b *testing.B, g Grid, newRunner func() *Runner) {
+	cache := &TraceCache{Dir: b.TempDir()}
+	prime := newRunner()
+	prime.Cache = cache
+	if _, err := prime.Run(g); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := newRunner()
+		r.Cache = cache
+		if _, err := r.Run(g); err != nil {
+			b.Fatal(err)
+		}
+		if r.Stats().Replays == 0 {
+			b.Fatal("sweep iteration did no replays")
+		}
+	}
+}
+
 // BenchmarkSweep measures a representative bandwidth × chunk × mechanism
-// sweep at several worker counts. The trace caches are primed before the
-// timer so the numbers isolate the fanned-out replay work — the stage the
-// worker pool parallelizes.
+// sweep at several worker counts: the fanned-out replay work, the stage
+// the worker pool parallelizes.
 func BenchmarkSweep(b *testing.B) {
 	g := Grid{
 		Apps: []string{"pingpong"},
@@ -30,42 +55,23 @@ func BenchmarkSweep(b *testing.B) {
 	}
 	for _, workers := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			r := NewRunner(machine.Default())
-			r.Size = 512
-			r.Iters = 2
-			r.Engine = Engine{Workers: workers}
-			if _, err := r.Run(g); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := r.Run(g); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchSweep(b, g, func() *Runner {
+				r := NewRunner(machine.Default())
+				r.Size = 512
+				r.Iters = 2
+				r.Engine = Engine{Workers: workers}
+				return r
+			})
 		})
 	}
 }
 
 // benchDense runs the acceptance-criterion 512-point dense grid with the
-// surrogate fast path on or off. The trace cache is primed outside the
-// timer, so the pair isolates what the surrogate actually saves: replay
-// work. The two benchmarks exist as a pair — the recorded ratio between
-// them is the fast path's headline speedup on its target workload shape.
+// surrogate fast path on or off. The pair isolates what the surrogate
+// actually saves — replay work — and the recorded ratio between them is
+// the fast path's headline speedup on its target workload shape.
 func benchDense(b *testing.B, approx bool) {
-	g := denseGrid()
-	r := denseRunner(approx)
-	if _, err := r.Run(g); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Run(g); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSweep(b, denseGrid(), func() *Runner { return denseRunner(approx) })
 }
 
 // BenchmarkSweepDenseExact is the exact-mode half of the surrogate pair:

@@ -20,9 +20,18 @@
 // reported in point order — so the output of a sweep is byte-identical
 // regardless of the worker count, the shard split, or which caches were
 // warm. Everything below is an optimization that must not (and, by test,
-// does not) change a single output byte. StreamContext and the Runner's
-// Run*Stream variants additionally deliver each result as it completes
-// (unordered, serialized) without touching the ordered final output.
+// does not) change a single output byte.
+//
+// # One execution path
+//
+// Every sweep — Run, RunSink, RunSinkContext, RunIndicesSinkContext —
+// wraps one core: validate and expand the grid, resolve the expanded-
+// point indices to run (nil means all), plan surrogate predictions and
+// batch-prefill replays serially, then fan the rest out on EachContext,
+// which hands each result to a Sink as it completes (unordered,
+// serialized). Map is EachContext collecting into a slice. A panicking
+// job fails only its own index, as a *JobError wrapping a *PanicError; a
+// panic in the serial planning stage fails the run with a *PanicError.
 //
 // # The results pipeline
 //
@@ -32,8 +41,9 @@
 // the longest finished prefix of grid order incrementally (an interrupted
 // sweep keeps a well-formed ordered partial file; a completed one is
 // byte-identical to the batch path), and ShardSink writes the merge
-// envelope. Runner.RunSink feeds any sink while retaining nothing, so a
-// campaign-scale grid streams through constant memory.
+// envelope; TeeSink fans one run out to several sinks. Runner.RunSink
+// feeds any sink while retaining nothing, so a campaign-scale grid
+// streams through constant memory.
 //
 // # The work-avoidance layers
 //

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -16,7 +17,8 @@ type Engine struct {
 	// Progress, when non-nil, is called once per completed job with the
 	// completed count and the total. Calls are serialized and the completed
 	// count is strictly increasing, so a callback can print a running
-	// "done/total" without its own locking. It must not call back into Map.
+	// "done/total" without its own locking. It must not call back into the
+	// engine.
 	Progress func(done, total int)
 }
 
@@ -29,8 +31,9 @@ func (e Engine) WorkerCount() int {
 }
 
 // JobError reports the failure of one job, identified by its index in the
-// expanded point order. Map always surfaces the error of the lowest failing
-// index, so the reported failure is independent of the worker count.
+// expanded point order. The engine always surfaces the error of the lowest
+// failing index, so the reported failure is independent of the worker
+// count.
 type JobError struct {
 	Index int
 	Err   error
@@ -40,6 +43,18 @@ func (e *JobError) Error() string { return fmt.Sprintf("sweep: job %d: %v", e.In
 
 // Unwrap exposes the underlying job failure.
 func (e *JobError) Unwrap() error { return e.Err }
+
+// PanicError is a job that panicked. The engine recovers the panic on the
+// worker and reports it as that index's *JobError, so one crashing point
+// fails its sweep instead of the whole process (a serve daemon keeps
+// serving). Stack is the panicking goroutine's stack, kept out of Error so
+// status lines stay one line.
+type PanicError struct {
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
 // SinkError reports a failed delivery: the emit callback (typically a Sink
 // writing results somewhere) returned an error for the given index. Unlike
@@ -56,35 +71,35 @@ func (e *SinkError) Error() string { return fmt.Sprintf("sweep: emit job %d: %v"
 func (e *SinkError) Unwrap() error { return e.Err }
 
 // Map runs fn(i) for every i in [0, n) on the engine's worker pool and
-// returns the results in index order. It is MapContext without
-// cancellation.
+// returns the results in index order: EachContext collecting into a slice,
+// without cancellation.
 func Map[T any](e Engine, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapContext(context.Background(), e, n, fn)
+	out := make([]T, max(n, 0))
+	err := EachContext(context.Background(), e, n, fn, func(i int, v T) error {
+		out[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// MapContext runs fn(i) for every i in [0, n) on the engine's worker pool
-// and returns the results in index order. It is StreamContext without
-// incremental delivery.
-func MapContext[T any](ctx context.Context, e Engine, n int, fn func(i int) (T, error)) ([]T, error) {
-	return StreamContext(ctx, e, n, fn, nil)
-}
-
-// StreamContext runs fn(i) for every i in [0, n) on the engine's worker
-// pool and returns the results in index order. fn must be safe for
-// concurrent use and deterministic in i for the worker-count invariance
-// guarantee to hold.
+// EachContext runs fn(i) for every i in [0, n) on the engine's worker pool
+// and hands each successful result to emit the moment its job completes,
+// retaining nothing. fn must be safe for concurrent use and deterministic
+// in i for the worker-count invariance guarantee to hold; a panic in fn is
+// recovered and reported as that index's *JobError wrapping a *PanicError.
 //
-// emit, when non-nil, additionally receives each successful result the
-// moment its job completes — in completion order, which is unordered
-// across indices and depends on the worker count. Emit calls are
-// serialized (an emit callback needs no locking of its own) and happen
-// before the Progress callback observes the completion. The final ordered
-// result slice is assembled independently, so streaming never perturbs it.
-// An emit error stops the sweep the same way a job failure does (claimed
-// jobs finish but are no longer delivered) and is reported as a *SinkError;
-// a sink that fails mid-run therefore cannot silently drop results.
+// Emit calls arrive in completion order, which is unordered across indices
+// and depends on the worker count. They are serialized (an emit callback
+// needs no locking of its own) and happen before the Progress callback
+// observes the completion. An emit error stops the sweep the same way a
+// job failure does (claimed jobs finish but are no longer delivered) and is
+// reported as a *SinkError, so a sink that fails mid-run cannot silently
+// drop results.
 //
-// On failure StreamContext returns a *JobError wrapping the error of the
+// On failure EachContext returns a *JobError wrapping the error of the
 // lowest failing index. Jobs not yet claimed when a failure is observed
 // are skipped; jobs already claimed run to completion. Because workers
 // claim indices in ascending order, every index below the lowest failing
@@ -97,49 +112,35 @@ func MapContext[T any](ctx context.Context, e Engine, n int, fn func(i int) (T, 
 // Cancelling the context stops the sweep promptly: no new jobs are
 // claimed, already-claimed jobs run to completion — and still reach emit,
 // so an interrupted caller keeps everything that actually finished — and
-// StreamContext returns ctx.Err() with no results. Cancellation takes
-// precedence over job failures observed in the same window.
-func StreamContext[T any](ctx context.Context, e Engine, n int, fn func(i int) (T, error), emit func(i int, v T) error) ([]T, error) {
-	if n <= 0 {
-		return nil, ctx.Err()
-	}
-	out := make([]T, n)
-	if err := stream(ctx, e, n, fn, emit, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// EachContext is StreamContext without the ordered result slice: every
-// successful result reaches emit exactly once, in completion order, and
-// nothing is retained — the streaming form sinks build on, where holding
-// the whole grid in memory would defeat the point. The error contract is
-// StreamContext's.
+// EachContext returns ctx.Err(). Cancellation takes precedence over job
+// failures observed in the same window, for any worker count: one worker
+// is simply a pool of one.
 func EachContext[T any](ctx context.Context, e Engine, n int, fn func(i int) (T, error), emit func(i int, v T) error) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	return stream(ctx, e, n, fn, emit, nil)
-}
-
-// stream is the shared engine core: run every job, optionally collect into
-// out (when non-nil), optionally deliver through emit.
-func stream[T any](ctx context.Context, e Engine, n int, fn func(i int) (T, error), emit func(i int, v T) error, out []T) error {
-	workers := e.WorkerCount()
-	if workers > n {
-		workers = n
-	}
-	var mu sync.Mutex
-	completed := 0
-	var sinkErr *SinkError
+	workers := min(e.WorkerCount(), n)
+	var (
+		mu        sync.Mutex
+		completed int
+		jobErr    *JobError  // lowest failing index so far
+		sinkErr   *SinkError // first delivery failure
+		next      atomic.Int64
+		wg        sync.WaitGroup
+	)
 	// failed stops workers from claiming new jobs; both a job error and a
-	// sink error raise it (the sink's flag is also readable under mu via
-	// sinkErr, but the claim check must be lock-free).
+	// sink error raise it. The errors themselves live under mu, but the
+	// claim check must be lock-free.
 	var failed atomic.Bool
-	deliver := func(i int, v T) {
-		if emit == nil && e.Progress == nil {
-			return
+	fail := func(i int, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if jobErr == nil || i < jobErr.Index {
+			jobErr = &JobError{Index: i, Err: err}
 		}
+		failed.Store(true)
+	}
+	deliver := func(i int, v T) {
 		mu.Lock()
 		defer mu.Unlock()
 		// After a sink failure nothing more is delivered: the sink's output
@@ -148,55 +149,16 @@ func stream[T any](ctx context.Context, e Engine, n int, fn func(i int) (T, erro
 		if sinkErr != nil {
 			return
 		}
-		if emit != nil {
-			if err := emit(i, v); err != nil {
-				sinkErr = &SinkError{Index: i, Err: err}
-				failed.Store(true)
-				return
-			}
+		if err := emit(i, v); err != nil {
+			sinkErr = &SinkError{Index: i, Err: err}
+			failed.Store(true)
+			return
 		}
 		completed++
 		if e.Progress != nil {
 			e.Progress(completed, n)
 		}
 	}
-	sinkFailed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return sinkErr != nil
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if sinkFailed() {
-				break
-			}
-			v, err := fn(i)
-			if err != nil {
-				return &JobError{Index: i, Err: err}
-			}
-			if out != nil {
-				out[i] = v
-			}
-			deliver(i, v)
-		}
-		// Mirror the parallel path: a cancellation that lands during the
-		// final job still voids the run, so the outcome never depends on
-		// the worker count.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if sinkErr != nil {
-			return sinkErr
-		}
-		return nil
-	}
-
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
 	wg.Add(workers)
 	for g := 0; g < workers; g++ {
 		go func() {
@@ -214,14 +176,10 @@ func stream[T any](ctx context.Context, e Engine, n int, fn func(i int) (T, erro
 				if i >= n {
 					return
 				}
-				v, err := fn(i)
+				v, err := runJob(fn, i)
 				if err != nil {
-					errs[i] = err
-					failed.Store(true)
+					fail(i, err)
 					return
-				}
-				if out != nil {
-					out[i] = v
 				}
 				deliver(i, v)
 			}
@@ -231,13 +189,21 @@ func stream[T any](ctx context.Context, e Engine, n int, fn func(i int) (T, erro
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	for i, err := range errs {
-		if err != nil {
-			return &JobError{Index: i, Err: err}
-		}
+	if jobErr != nil {
+		return jobErr
 	}
 	if sinkErr != nil {
 		return sinkErr
 	}
 	return nil
+}
+
+// runJob calls fn(i), converting a panic into a *PanicError.
+func runJob[T any](fn func(i int) (T, error), i int) (v T, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = &PanicError{Value: p, Stack: debug.Stack()}
+		}
+	}()
+	return fn(i)
 }

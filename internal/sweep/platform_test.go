@@ -281,10 +281,10 @@ func TestWriterDynamicColumns(t *testing.T) {
 	}
 }
 
-func TestStreamContextDeliversEveryResult(t *testing.T) {
+func TestEachContextDeliversEveryResult(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var emitted []int // emit is serialized, so appends need no lock
-		out, err := StreamContext(context.Background(), Engine{Workers: workers}, 20,
+		err := EachContext(context.Background(), Engine{Workers: workers}, 20,
 			func(i int) (int, error) { return i * i, nil },
 			func(i, v int) error {
 				if v != i*i {
@@ -296,8 +296,8 @@ func TestStreamContextDeliversEveryResult(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(out) != 20 || len(emitted) != 20 {
-			t.Fatalf("workers=%d: %d results, %d emits, want 20/20", workers, len(out), len(emitted))
+		if len(emitted) != 20 {
+			t.Fatalf("workers=%d: %d emits, want 20", workers, len(emitted))
 		}
 		seen := map[int]bool{}
 		for _, i := range emitted {
@@ -309,14 +309,14 @@ func TestStreamContextDeliversEveryResult(t *testing.T) {
 	}
 }
 
-// TestStreamContextEmitsFinishedWorkOnCancel: points that completed before
+// TestEachContextEmitsFinishedWorkOnCancel: points that completed before
 // (or while) the context is cancelled still reach emit, even though the
-// final result slice is withheld — the "SIGINT flushes what finished"
+// run reports the cancellation — the "SIGINT flushes what finished"
 // contract of the CLI's -stream flag.
-func TestStreamContextEmitsFinishedWorkOnCancel(t *testing.T) {
+func TestEachContextEmitsFinishedWorkOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var emitted []int
-	out, err := StreamContext(ctx, Engine{Workers: 1}, 100,
+	err := EachContext(ctx, Engine{Workers: 1}, 100,
 		func(i int) (int, error) {
 			if i == 3 {
 				cancel() // cancel mid-job: this job still finishes and emits
@@ -327,9 +327,6 @@ func TestStreamContextEmitsFinishedWorkOnCancel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if out != nil {
-		t.Fatal("cancelled run must not return results")
-	}
 	if len(emitted) != 4 {
 		t.Fatalf("emitted %v, want the 4 finished jobs [0 1 2 3]", emitted)
 	}
@@ -337,16 +334,20 @@ func TestStreamContextEmitsFinishedWorkOnCancel(t *testing.T) {
 
 func TestRunnerStreamMatchesOrderedResults(t *testing.T) {
 	g := scaleoutGrid()
+	results, err := newScaleoutRunner(t).Run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := newScaleoutRunner(t)
 	r.Engine = Engine{Workers: 4}
 	got := map[int]Result{}
-	results, err := r.RunStreamContext(context.Background(), g, func(index int, res Result) error {
+	err = r.RunSinkContext(context.Background(), g, sinkFunc(func(index int, res Result) error {
 		if _, dup := got[index]; dup {
 			t.Errorf("point %d streamed twice", index)
 		}
 		got[index] = res
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,10 +367,10 @@ func TestRunnerIndicesStreamReportsGridIndices(t *testing.T) {
 	indices := sh.Indices(g.Size())
 	r := newScaleoutRunner(t)
 	var streamed []int
-	_, err := r.RunIndicesStreamContext(context.Background(), g, indices, func(index int, res Result) error {
+	err := r.RunIndicesSinkContext(context.Background(), g, indices, sinkFunc(func(index int, res Result) error {
 		streamed = append(streamed, index)
 		return nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

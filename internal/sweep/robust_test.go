@@ -101,7 +101,7 @@ func TestReplayStoreServesSiblingShards(t *testing.T) {
 		sh := Shard{K: k, N: 2}
 		indices := sh.Indices(total)
 		r := warmRunner(t, dir, &warnings)
-		results, err := r.RunIndices(g, indices)
+		results, err := runIndices(r, g, indices)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -214,6 +214,7 @@ func (r *Runner) pipelineFor(key pipeKey) *pipeline {
 func (r *Runner) profiled(key pipeKey) (*overlap.ProfiledSet, error) {
 	p := r.pipelineFor(key)
 	p.once.Do(func() {
+		defer recordPanic(&p.err, "trace")
 		var cacheKey string
 		if r.Cache != nil {
 			cacheKey = r.Cache.Key(key.app, key.ranks, key.chunks, r.Size, r.Iters)
@@ -236,13 +237,7 @@ func (r *Runner) profiled(key pipeKey) (*overlap.ProfiledSet, error) {
 		r.ctTraces.Add(1)
 		p.ps, p.err = tracer.Trace(app, tracer.Options{Chunks: key.chunks})
 		if p.err == nil && r.Cache != nil {
-			if err := r.Cache.Store(cacheKey, p.ps); err != nil {
-				r.mu.Lock()
-				if r.storeErr == nil {
-					r.storeErr = err
-				}
-				r.mu.Unlock()
-			}
+			r.noteStoreErr(r.Cache.Store(cacheKey, p.ps))
 		}
 	})
 	return p.ps, p.err
@@ -256,6 +251,19 @@ func (r *Runner) CacheStoreErr() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.storeErr
+}
+
+// noteStoreErr records a failed cache write, keeping the first; nil is a
+// successful write and is ignored.
+func (r *Runner) noteStoreErr(err error) {
+	if err == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.storeErr == nil {
+		r.storeErr = err
+	}
 }
 
 // memoKey identifies one replay semantically: the traced workload (its
@@ -319,6 +327,7 @@ func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (*memoEntry, error)
 		r.ctMemoHits.Add(1)
 	}
 	e.once.Do(func() {
+		defer recordPanic(&e.err, "replay")
 		var storeKey string
 		if r.Store != nil {
 			storeKey = r.Store.Key(key.app, key.ranks, r.Size, r.Iters, key.variant, key.platform)
@@ -331,7 +340,7 @@ func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (*memoEntry, error)
 			}
 		}
 		r.ctReplays.Add(1)
-		res, err := replay.SimulatePar(ts, m, r.ReplayPar)
+		res, err := simulate(ts, m, r.ReplayPar)
 		if err != nil {
 			e.err = err
 			return
@@ -341,19 +350,26 @@ func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (*memoEntry, error)
 		e.steps = res.Steps
 		e.blocked = res.MeanBlockedFraction()
 		if r.Store != nil {
-			err := r.Store.Store(storeKey, replaystore.Result{
+			r.noteStoreErr(r.Store.Store(storeKey, replaystore.Result{
 				Total: e.total, Steps: e.steps, Blocked: e.blocked,
-			})
-			if err != nil {
-				r.mu.Lock()
-				if r.storeErr == nil {
-					r.storeErr = err
-				}
-				r.mu.Unlock()
-			}
+			}))
 		}
 	})
 	return e, e.err
+}
+
+// simulate is the replay a memo fill runs; tests swap it to inject a
+// panicking replay.
+var simulate = replay.SimulatePar
+
+// recordPanic, deferred inside a sync.Once fill, stores a panic as the
+// slot's error before re-raising it: Once counts a panicking fill as done,
+// and a reused Runner must not read its zero result as a success.
+func recordPanic(err *error, what string) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("%s panicked: %v", what, p)
+		panic(p)
+	}
 }
 
 // machineFor applies the point's platform overrides to the base config: the
@@ -378,9 +394,9 @@ func (r *Runner) machineFor(p Point, nranks int) machine.Config {
 	return m
 }
 
-// RunPoint simulates one grid point: the original replay, the overlapped
+// runPoint simulates one grid point: the original replay, the overlapped
 // replay, and the derived speedup.
-func (r *Runner) RunPoint(p Point) (Result, error) {
+func (r *Runner) runPoint(p Point) (Result, error) {
 	if p.Chunks == 0 {
 		p.Chunks = DefaultChunks
 	}
@@ -417,44 +433,17 @@ func (r *Runner) RunPoint(p Point) (Result, error) {
 	return res, nil
 }
 
-// Run expands the grid and simulates every point on the worker pool.
-// Results come back in expansion order, bit-identical for any worker
-// count; the first error (in point order) aborts the sweep.
+// Run simulates every point of the grid on the worker pool. Results come
+// back in expansion order, bit-identical for any worker count; the first
+// error (in point order) aborts the sweep, and no partial results are
+// returned, so callers cannot mistake an interrupted sweep for a complete
+// one.
 func (r *Runner) Run(g Grid) ([]Result, error) {
-	return r.RunContext(context.Background(), g)
-}
-
-// RunContext is Run with cancellation: cancelling the context stops the
-// sweep promptly (claimed points finish, no new ones start) and returns
-// ctx.Err(). No partial results are returned, so callers cannot mistake an
-// interrupted sweep for a complete one.
-func (r *Runner) RunContext(ctx context.Context, g Grid) ([]Result, error) {
-	return r.RunStreamContext(ctx, g, nil)
-}
-
-// RunStreamContext is RunContext with incremental delivery: emit, when
-// non-nil, receives each point's result (with its expanded-point index)
-// the moment it completes — in completion order, unordered across indices.
-// Emit calls are serialized; an emit error aborts the sweep (reported as a
-// *SinkError), following the StreamContext contract. The returned slice is
-// still in expansion order and byte-identical through the writers for any
-// worker count, so streaming consumers get partial answers early without
-// giving up the ordered final output. On cancellation, points that were
-// already claimed finish and still reach emit before RunStreamContext
-// returns ctx.Err().
-func (r *Runner) RunStreamContext(ctx context.Context, g Grid, emit func(index int, res Result) error) ([]Result, error) {
-	if err := g.Validate(); err != nil {
+	out := make(resultSlice, g.Size())
+	if err := r.run(context.Background(), g, nil, out); err != nil {
 		return nil, err
 	}
-	pts := g.Expand()
-	approx := r.approxResults(pts, nil)
-	r.prefillRemaining(pts, nil, approx)
-	return StreamContext(ctx, r.Engine, len(pts), func(i int) (Result, error) {
-		if res, ok := approx[i]; ok {
-			return res, nil
-		}
-		return r.RunPoint(pts[i])
-	}, emit)
+	return out, nil
 }
 
 // RunSink runs the grid and delivers every result to the sink, retaining
@@ -462,7 +451,7 @@ func (r *Runner) RunStreamContext(ctx context.Context, g Grid, emit func(index i
 // result sets should not live in memory. It is RunSinkContext without
 // cancellation.
 func (r *Runner) RunSink(g Grid, sink Sink) error {
-	return r.RunSinkContext(context.Background(), g, sink)
+	return r.run(context.Background(), g, nil, sink)
 }
 
 // RunSinkContext runs the grid, feeding each result to sink.Accept as it
@@ -470,94 +459,66 @@ func (r *Runner) RunSink(g Grid, sink Sink) error {
 // sink: on success the caller Closes to finalize the encoding, and on
 // cancellation the caller chooses — an OrderedSink Closed after an
 // interrupt keeps the flushed grid-order prefix, which is the partial-
-// results contract of `overlapsim sweep -stream-ordered`.
+// results contract of `overlapsim sweep -stream-ordered`. Cancelling the
+// context stops the sweep promptly (claimed points finish and still reach
+// the sink, no new ones start) and returns ctx.Err().
 func (r *Runner) RunSinkContext(ctx context.Context, g Grid, sink Sink) error {
+	return r.run(ctx, g, nil, sink)
+}
+
+// RunIndicesSinkContext is RunSinkContext over only the given expanded-
+// point indices — the shard execution path; nil means every point. The
+// sink sees expanded-grid indices (not positions), so shard and unsharded
+// runs feed any sink identically, and errors follow the indices slice the
+// way a full run follows the expansion.
+func (r *Runner) RunIndicesSinkContext(ctx context.Context, g Grid, indices []int, sink Sink) error {
+	return r.run(ctx, g, indices, sink)
+}
+
+// run is the single sweep execution path behind every entry point:
+// validate and expand the grid, resolve and bounds-check the requested
+// indices, let the surrogate planner and the batch prefill do their serial
+// work, then fan the remaining points out on the engine.
+func (r *Runner) run(ctx context.Context, g Grid, indices []int, sink Sink) error {
 	if err := g.Validate(); err != nil {
 		return err
 	}
 	pts := g.Expand()
-	approx := r.approxResults(pts, nil)
-	r.prefillRemaining(pts, nil, approx)
-	return EachContext(ctx, r.Engine, len(pts), func(i int) (Result, error) {
-		if res, ok := approx[i]; ok {
-			return res, nil
+	if indices == nil {
+		indices = make([]int, len(pts))
+		for i := range indices {
+			indices[i] = i
 		}
-		return r.RunPoint(pts[i])
-	}, func(i int, res Result) error { return sink.Accept(i, res) })
-}
-
-// RunIndicesSinkContext is RunSinkContext over only the given expanded-
-// point indices — the shard execution path. The sink sees expanded-grid
-// indices (not positions), so shard and unsharded runs feed any sink
-// identically.
-func (r *Runner) RunIndicesSinkContext(ctx context.Context, g Grid, indices []int, sink Sink) error {
-	pts, err := expandChecked(g, indices)
-	if err != nil {
-		return err
 	}
-	approx := r.approxResults(pts, indices)
-	r.prefillRemaining(pts, indices, approx)
+	for _, i := range indices {
+		if i < 0 || i >= len(pts) {
+			return fmt.Errorf("sweep: point index %d out of range [0,%d)", i, len(pts))
+		}
+	}
+	// The planner and the prefill replay on this goroutine, outside the
+	// workers, so runJob turns a panic there into this run's error.
+	approx, err := runJob(func(int) (map[int]Result, error) {
+		approx := r.approxResults(pts, indices)
+		r.prefill(pts, indices, approx)
+		return approx, nil
+	}, 0)
+	if err != nil {
+		return fmt.Errorf("sweep: planning: %w", err)
+	}
 	return EachContext(ctx, r.Engine, len(indices), func(j int) (Result, error) {
 		if res, ok := approx[indices[j]]; ok {
 			return res, nil
 		}
-		return r.RunPoint(pts[indices[j]])
+		return r.runPoint(pts[indices[j]])
 	}, func(j int, res Result) error { return sink.Accept(indices[j], res) })
 }
 
-// expandChecked validates the grid, expands it, and bounds-checks the
-// requested indices against the expansion — the shared preamble of every
-// indices-based entry point, kept in one place so the two execution paths
-// cannot diverge in what they accept.
-func expandChecked(g Grid, indices []int) ([]Point, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	pts := g.Expand()
-	for _, i := range indices {
-		if i < 0 || i >= len(pts) {
-			return nil, fmt.Errorf("sweep: point index %d out of range [0,%d)", i, len(pts))
-		}
-	}
-	return pts, nil
-}
+// resultSlice is the sink behind Run: each result lands at its expanded-
+// grid index.
+type resultSlice []Result
 
-// RunIndices simulates only the given expanded-point indices of the grid —
-// the shard execution path. results[j] is the outcome of point indices[j];
-// ordering and error reporting follow the indices slice the same way Run
-// follows the full expansion.
-func (r *Runner) RunIndices(g Grid, indices []int) ([]Result, error) {
-	return r.RunIndicesContext(context.Background(), g, indices)
-}
-
-// RunIndicesContext is RunIndices with cancellation, following the
-// RunContext contract.
-func (r *Runner) RunIndicesContext(ctx context.Context, g Grid, indices []int) ([]Result, error) {
-	return r.RunIndicesStreamContext(ctx, g, indices, nil)
-}
-
-// RunIndicesStreamContext is RunIndicesContext with incremental delivery,
-// following the RunStreamContext contract. emit receives the expanded-point
-// index (indices[j], not j), so shard and unsharded streams label points
-// identically.
-func (r *Runner) RunIndicesStreamContext(ctx context.Context, g Grid, indices []int, emit func(index int, res Result) error) ([]Result, error) {
-	pts, err := expandChecked(g, indices)
-	if err != nil {
-		return nil, err
-	}
-	approx := r.approxResults(pts, indices)
-	r.prefillRemaining(pts, indices, approx)
-	var emitGrid func(j int, res Result) error
-	if emit != nil {
-		emitGrid = func(j int, res Result) error { return emit(indices[j], res) }
-	}
-	return StreamContext(ctx, r.Engine, len(indices), func(j int) (Result, error) {
-		if res, ok := approx[indices[j]]; ok {
-			return res, nil
-		}
-		return r.RunPoint(pts[indices[j]])
-	}, emitGrid)
-}
+func (s resultSlice) Accept(index int, r Result) error { s[index] = r; return nil }
+func (resultSlice) Close() error                       { return nil }
 
 // Result is the outcome of one grid point.
 type Result struct {

@@ -53,7 +53,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 			indices := sh.Indices(total)
 			// Each shard runs in its own runner, as it would in its own
 			// process or CI job.
-			results, err := newScaleoutRunner(t).RunIndices(g, indices)
+			results, err := runIndices(newScaleoutRunner(t), g, indices)
 			if err != nil {
 				t.Fatal(err)
 			}

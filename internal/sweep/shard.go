@@ -75,9 +75,10 @@ func (s Shard) Contains(index int) bool {
 }
 
 // Indices returns the shard's point indices in ascending order for a grid
-// of the given total size.
+// of the given total size. A shard that owns no point gets an empty, non-
+// nil slice: to the runner nil means every point.
 func (s Shard) Indices(total int) []int {
-	var out []int
+	out := []int{}
 	for i := 0; i < total; i++ {
 		if s.Contains(i) {
 			out = append(out, i)

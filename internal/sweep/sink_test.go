@@ -205,7 +205,7 @@ func TestShardSinkMatchesWriteShard(t *testing.T) {
 	total := g.Size()
 	sh := Shard{K: 1, N: 2}
 	indices := sh.Indices(total)
-	results, err := newScaleoutRunner(t).RunIndices(g, indices)
+	results, err := runIndices(newScaleoutRunner(t), g, indices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestRunIndicesSinkContextShardEnvelope(t *testing.T) {
 	indices := sh.Indices(total)
 	sig := Signature(g, machine.Default(), 512, 2)
 
-	results, err := newScaleoutRunner(t).RunIndices(g, indices)
+	results, err := runIndices(newScaleoutRunner(t), g, indices)
 	if err != nil {
 		t.Fatal(err)
 	}

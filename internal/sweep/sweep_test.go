@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -146,6 +147,20 @@ func testRunner(workers int) *Runner {
 	return r
 }
 
+// runIndices runs the given expanded-point indices through the shard path
+// and returns results[j] for point indices[j].
+func runIndices(r *Runner, g Grid, indices []int) ([]Result, error) {
+	all := make(resultSlice, g.Size())
+	if err := r.RunIndicesSinkContext(context.Background(), g, indices, all); err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(indices))
+	for j, i := range indices {
+		out[j] = all[i]
+	}
+	return out, nil
+}
+
 func TestRunnerWorkerCountInvariance(t *testing.T) {
 	g := testGrid()
 	serial, err := testRunner(1).Run(g)
@@ -214,7 +229,7 @@ func TestRunnerErrorPropagation(t *testing.T) {
 		if i == 1 {
 			return Result{}, errors.New("injected mid-sweep failure")
 		}
-		return r.RunPoint(pts[i])
+		return r.runPoint(pts[i])
 	})
 	var je *JobError
 	if !errors.As(err, &je) || je.Index != 1 {
@@ -226,7 +241,7 @@ func TestRunnerErrorPropagation(t *testing.T) {
 }
 
 func TestRunPointUnknownApp(t *testing.T) {
-	if _, err := testRunner(1).RunPoint(Point{App: "no-such-app", Chunks: 8}); err == nil {
+	if _, err := testRunner(1).runPoint(Point{App: "no-such-app", Chunks: 8}); err == nil {
 		t.Fatal("unknown app must fail")
 	}
 }

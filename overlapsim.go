@@ -78,8 +78,9 @@ type (
 // platform point shares one instrumented run per workload); a SweepRunner
 // expands it into independent simulation jobs and fans them out over a
 // bounded worker pool, returning results in stable point order
-// (bit-identical for any worker count). RunStreamContext additionally
-// delivers each result as it completes, for partial answers on huge grids.
+// (bit-identical for any worker count). RunSink and RunSinkContext instead
+// deliver each result to a SweepSink as it completes, for partial answers
+// on huge grids; NewTeeSweepSink feeds several sinks from one run.
 type (
 	// SweepGrid declares a parameter sweep as the cross product of axes.
 	SweepGrid = sweep.Grid
