@@ -1,9 +1,10 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation, one per experiment row in DESIGN.md. Each iteration runs the
-// complete experiment — trace (cached per suite), transform, replay sweep,
-// table rendering — so `go test -bench=.` both measures the harness and
-// proves every artifact regenerates. Component-level microbenchmarks live
-// in the respective internal packages.
+// evaluation, one per entry of the experiment.All registry. Each
+// iteration runs the complete experiment — trace (cached per suite),
+// transform, replay sweep, table rendering — so `go test -bench=.` both
+// measures the harness and proves every artifact regenerates.
+// Component-level microbenchmarks live in the respective internal
+// packages.
 package overlapsim_test
 
 import (

@@ -226,6 +226,9 @@ func runExperiments(args []string) error {
 		}
 		fmt.Println()
 	}
+	if err := suite.CacheStoreErr(); err != nil {
+		fmt.Fprintf(os.Stderr, "run: warning: cache not updated (next run will recompute): %v\n", err)
+	}
 	return nil
 }
 

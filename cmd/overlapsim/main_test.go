@@ -36,6 +36,26 @@ func TestRunExperimentErrors(t *testing.T) {
 	}
 }
 
+// TestRunExperimentCacheStoreWarns: with the cache directory under a
+// regular file every trace-cache write fails. The run must still succeed,
+// and the failure must surface as the same warning `sweep` prints.
+func TestRunExperimentCacheStoreWarns(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	stderr := captureStderr(t, func() {
+		err = runExperiments([]string{"-quick", "-cache-dir", filepath.Join(file, "cache"), "f1"})
+	})
+	if err != nil {
+		t.Fatalf("an unwritable cache failed the run: %v", err)
+	}
+	if !strings.Contains(stderr, "run: warning: cache not updated (next run will recompute)") {
+		t.Errorf("failed cache write not reported; stderr:\n%s", stderr)
+	}
+}
+
 func TestRunStudy(t *testing.T) {
 	err := runStudy([]string{
 		"-app", "pingpong", "-ranks", "2", "-size", "128", "-iters", "1",

@@ -27,7 +27,7 @@ func main() {
 	flag.Parse()
 
 	suite := experiment.NewSuite()
-	pl, err := suite.PipelineFor(*appName)
+	study, err := suite.Study(*appName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,7 +40,11 @@ func main() {
 	fmt.Printf("%s: ideal-pattern automatic-overlap speedup vs bandwidth (%d points, %d workers)\n\n",
 		*appName, len(bws), engine.WorkerCount())
 	speedups, err := sweep.Map(engine, len(bws), func(i int) (float64, error) {
-		return pl.Speedup(suite.Machine.WithBandwidth(bws[i]), overlapsim.IdealOverlap())
+		cmp, err := study.Compare(suite.Machine.WithBandwidth(bws[i]), overlapsim.IdealOverlap())
+		if err != nil {
+			return 0, err
+		}
+		return cmp.Speedup(), nil
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -51,9 +55,9 @@ func main() {
 	}
 
 	// The iso-performance point needs a bisection, not a grid: reuse the
-	// same traced pipeline for the search.
+	// same traced study for the search.
 	ref := 32 * units.GBPerSec
-	iso, ok, err := pl.IsoBandwidth(suite.Machine, ref, overlapsim.IdealOverlap(), 0.02)
+	iso, ok, err := experiment.IsoBandwidth(study, suite.Machine, ref, overlapsim.IdealOverlap(), 0.02)
 	if err != nil {
 		log.Fatal(err)
 	}

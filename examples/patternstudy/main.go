@@ -8,6 +8,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"overlapsim"
 	"overlapsim/internal/experiment"
@@ -19,27 +21,27 @@ func main() {
 	flag.Parse()
 
 	suite := experiment.NewSuite()
-	pl, err := experiment.NewPipeline(*appName, suite.AppConfig(*appName), 8)
+	study, err := suite.Study(*appName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bw, err := pl.IntermediateBandwidth(suite.Machine)
+	bw, err := experiment.IntermediateBandwidth(study, suite.Machine)
 	if err != nil {
 		log.Fatal(err)
 	}
 	m := suite.Machine.WithBandwidth(bw)
 
-	real, err := pl.Speedup(m, overlapsim.MeasuredOverlap())
+	real, err := study.Compare(m, overlapsim.MeasuredOverlap())
 	if err != nil {
 		log.Fatal(err)
 	}
-	ideal, err := pl.Speedup(m, overlapsim.IdealOverlap())
+	ideal, err := study.Compare(m, overlapsim.IdealOverlap())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%s at intermediate bandwidth %s:\n", *appName, bw)
-	fmt.Printf("  real (measured) patterns: %+.1f%%\n", stats.PercentGain(real))
-	fmt.Printf("  ideal (sequential) patterns: %+.1f%%\n\n", stats.PercentGain(ideal))
+	fmt.Printf("  real (measured) patterns: %+.1f%%\n", stats.PercentGain(real.Speedup()))
+	fmt.Printf("  ideal (sequential) patterns: %+.1f%%\n\n", stats.PercentGain(ideal.Speedup()))
 
 	// Show why: the measured per-chunk production points of the first few
 	// annotated sends, as fractions of their burst. Values near 1.0 mean
@@ -47,8 +49,11 @@ func main() {
 	// late to send anything early.
 	fmt.Println("measured production points (fraction of burst, first 5 annotated sends):")
 	shown := 0
-	for rank, ann := range pl.Profiled.Annotations {
-		for idx, a := range ann {
+	for rank, ann := range study.Profiled.Annotations {
+		// Annotations are keyed by record index; walk them in record order
+		// so the output is deterministic.
+		for _, idx := range slices.Sorted(maps.Keys(ann)) {
+			a := ann[idx]
 			if a.Production == nil || shown >= 5 {
 				continue
 			}

@@ -21,27 +21,18 @@ func main() {
 	flag.Parse()
 
 	suite := experiment.NewSuite()
-	env := overlapsim.NewEnvironment()
-	app, err := overlapsim.NewApp(*appName, suite.AppConfig(*appName))
-	if err != nil {
-		log.Fatal(err)
-	}
-	study, err := env.Trace(app)
+	study, err := suite.Study(*appName)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Pick the bandwidth where communication is comparable to computation
 	// so the qualitative difference is at its clearest.
-	pl, err := experiment.NewPipeline(*appName, suite.AppConfig(*appName), 8)
+	bw, err := experiment.IntermediateBandwidth(study, suite.Machine)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bw, err := pl.IntermediateBandwidth(suite.Machine)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m := env.Machine.WithBandwidth(bw)
+	m := suite.Machine.WithBandwidth(bw)
 
 	cmp, err := study.Compare(m, overlapsim.IdealOverlap())
 	if err != nil {

@@ -11,6 +11,11 @@
 //	cmp, _ := study.Compare(env.Machine, opts)  // replay original vs overlapped
 //	fmt.Println(cmp.Speedup())
 //	cmp.RenderGantt(os.Stdout, 80)              // qualitative comparison
+//
+// Study is the one traced-study type: the experiment harness
+// (internal/experiment) runs every paper experiment on it, and it caches
+// variants in the same overlap.VariantCache the sweep Runner keeps per
+// traced workload.
 package core
 
 import (
@@ -47,7 +52,7 @@ func (e *Environment) Trace(app tracer.App) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Study{env: e, Profiled: ps, variants: map[string]*trace.Set{}}, nil
+	return &Study{Profiled: ps}, nil
 }
 
 // FromProfiled wraps an already-obtained profiled set (for example, one
@@ -59,7 +64,7 @@ func (e *Environment) FromProfiled(ps *overlap.ProfiledSet) (*Study, error) {
 	if err := trace.Validate(ps.Original); err != nil {
 		return nil, err
 	}
-	return &Study{env: e, Profiled: ps, variants: map[string]*trace.Set{}}, nil
+	return &Study{Profiled: ps}, nil
 }
 
 // FromTrace wraps a bare original trace with no measured profiles; the
@@ -73,29 +78,21 @@ func (e *Environment) FromTrace(ts *trace.Set) (*Study, error) {
 	return e.FromProfiled(&overlap.ProfiledSet{Original: ts, Annotations: ann, Chunks: e.Chunks})
 }
 
-// Study is one traced application with cached overlapped variants.
+// Study is one traced application with cached overlapped variants. Every
+// method is safe for concurrent use, so sweep workers can replay one study
+// on many platforms at once. A literal with Profiled set is ready to use.
 type Study struct {
-	env      *Environment
 	Profiled *overlap.ProfiledSet
-	variants map[string]*trace.Set
+	variants overlap.VariantCache
 }
 
 // Original returns the non-overlapped trace.
 func (s *Study) Original() *trace.Set { return s.Profiled.Original }
 
-// Variant returns (building and caching) the overlapped trace for the
-// given transformation options.
+// Variant returns (building and caching on first use) the overlapped trace
+// for the given transformation options.
 func (s *Study) Variant(opts overlap.Options) (*trace.Set, error) {
-	key := opts.Variant(s.Profiled.Chunks)
-	if ts, ok := s.variants[key]; ok {
-		return ts, nil
-	}
-	ts, err := overlap.Transform(s.Profiled, opts)
-	if err != nil {
-		return nil, err
-	}
-	s.variants[key] = ts
-	return ts, nil
+	return s.variants.Get(s.Profiled, opts)
 }
 
 // SimulateOriginal replays the original trace on the platform.
@@ -133,7 +130,7 @@ type Comparison struct {
 	Overlapped *replay.Result
 }
 
-// Speedup returns T_original / T_overlapped.
+// Speedup returns T_original / T_overlapped (1 when T_overlapped <= 0).
 func (c *Comparison) Speedup() float64 {
 	if c.Overlapped.Total <= 0 {
 		return 1

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"overlapsim/internal/machine"
@@ -98,6 +99,58 @@ func TestStudyVariantCaching(t *testing.T) {
 	}
 	if a != b {
 		t.Error("variants should be cached")
+	}
+	c, err := study.Variant(overlap.Options{Mechanisms: overlap.BothMechanisms, Pattern: overlap.PatternReal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == c {
+		t.Error("different options must give different variants")
+	}
+}
+
+// TestStudyConcurrentUse shares one study between goroutines that build,
+// replay and compare variants at once, the way sweep workers use it.
+// Under -race it checks the variant cache is synchronised; every caller
+// must also get the single cached variant for its options.
+func TestStudyConcurrentUse(t *testing.T) {
+	env := NewEnvironment()
+	env.Machine = balancedMachine()
+	study, err := env.Trace(chainApp{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []overlap.Options{
+		{Mechanisms: overlap.BothMechanisms, Pattern: overlap.PatternLinear},
+		{Mechanisms: overlap.BothMechanisms, Pattern: overlap.PatternReal},
+		{Mechanisms: overlap.EarlySend, Pattern: overlap.PatternLinear},
+	}
+	const goroutines = 12
+	got := make([]*trace.Set, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := opts[g%len(opts)]
+			if got[g], errs[g] = study.Variant(o); errs[g] != nil {
+				return
+			}
+			if _, errs[g] = study.SimulateVariant(env.Machine, o); errs[g] != nil {
+				return
+			}
+			_, errs[g] = study.Compare(env.Machine, o)
+		}()
+	}
+	wg.Wait()
+	for g := 0; g < goroutines; g++ {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if got[g] != got[g%len(opts)] {
+			t.Errorf("goroutine %d got a second copy of variant %s", g, got[g].Variant)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@
 // overlapping mechanism separately, chunk granularity, network parameters)
 // and the comparison against the Sancho et al. analytical baseline.
 //
-// Experiment identifiers follow DESIGN.md:
+// Experiment identifiers are the ids of the All registry, in its order:
 //
 //	F1  — the Fig. 1 pipeline, end to end, with visual comparison
 //	E1  — real vs ideal computation patterns (finding 1)
@@ -15,6 +15,12 @@
 //	A2  — chunk-count ablation
 //	A3  — network-parameter ablation (buses, eager threshold)
 //	B1  — analytic baseline vs simulation
+//	S1  — extension: wavefront overlap benefit vs process-grid size
+//
+// Every experiment runs on core.Study, the one traced-study type:
+// Suite.Study traces each application once per suite (through the suite's
+// trace cache, when one is set), and IntermediateBandwidth and
+// IsoBandwidth are plain functions over a study and a base platform.
 package experiment
 
 import (
@@ -23,103 +29,13 @@ import (
 	"sync"
 
 	"overlapsim/internal/apps"
+	"overlapsim/internal/core"
 	"overlapsim/internal/machine"
 	"overlapsim/internal/overlap"
-	"overlapsim/internal/replay"
 	"overlapsim/internal/sweep"
-	"overlapsim/internal/trace"
 	"overlapsim/internal/tracer"
 	"overlapsim/internal/units"
 )
-
-// Pipeline is one application traced once, with cached transformations and
-// replays so bandwidth sweeps do not repeat work. The caches are safe for
-// concurrent use: sweep workers replaying different grid points share one
-// pipeline.
-type Pipeline struct {
-	AppName  string
-	Cfg      apps.Config
-	Chunks   int
-	Profiled *overlap.ProfiledSet
-
-	variants sweep.VariantCache
-
-	bwMu    sync.Mutex
-	interBW map[machine.Config]*bwSlot
-}
-
-// bwSlot makes concurrent IntermediateBandwidth calls for one platform run
-// the bandwidth-grid search exactly once; latecomers wait for the result.
-type bwSlot struct {
-	once sync.Once
-	bw   units.Bandwidth
-	err  error
-}
-
-// NewPipeline traces the application once (the single real run of the
-// paper's methodology) and prepares the transformation cache.
-func NewPipeline(appName string, cfg apps.Config, chunks int) (*Pipeline, error) {
-	a, err := apps.New(appName, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ps, err := tracer.Trace(a, tracer.Options{Chunks: chunks})
-	if err != nil {
-		return nil, err
-	}
-	return NewPipelineFromProfiled(appName, cfg, ps), nil
-}
-
-// NewPipelineFromProfiled wraps an already-profiled trace set — e.g. one
-// loaded from a sweep.TraceCache — in a pipeline, skipping the
-// instrumented run.
-func NewPipelineFromProfiled(appName string, cfg apps.Config, ps *overlap.ProfiledSet) *Pipeline {
-	return &Pipeline{
-		AppName:  appName,
-		Cfg:      cfg,
-		Chunks:   ps.Chunks,
-		Profiled: ps,
-	}
-}
-
-// OriginalSet returns the non-overlapped trace.
-func (pl *Pipeline) OriginalSet() *trace.Set { return pl.Profiled.Original }
-
-// VariantSet returns (building and caching on first use) the overlapped
-// trace for the given options. Safe for concurrent sweep workers.
-func (pl *Pipeline) VariantSet(opts overlap.Options) (*trace.Set, error) {
-	return pl.variants.Get(pl.Profiled, opts)
-}
-
-// Original replays the non-overlapped trace on the platform.
-func (pl *Pipeline) Original(m machine.Config) (*replay.Result, error) {
-	return replay.Simulate(pl.Profiled.Original, m)
-}
-
-// Overlapped replays an overlapped variant on the platform.
-func (pl *Pipeline) Overlapped(m machine.Config, opts overlap.Options) (*replay.Result, error) {
-	ts, err := pl.VariantSet(opts)
-	if err != nil {
-		return nil, err
-	}
-	return replay.Simulate(ts, m)
-}
-
-// Speedup replays both executions and returns T_original / T_overlapped.
-func (pl *Pipeline) Speedup(m machine.Config, opts overlap.Options) (float64, error) {
-	orig, err := pl.Original(m)
-	if err != nil {
-		return 0, err
-	}
-	over, err := pl.Overlapped(m, opts)
-	if err != nil {
-		return 0, err
-	}
-	if over.Total <= 0 {
-		return 1, nil
-	}
-	return float64(orig.Total) / float64(over.Total), nil
-}
 
 // bandwidthGrid returns the logarithmic bandwidth grid shared by the
 // sweeps: powers of two from 1 MB/s to 64 GB/s.
@@ -134,53 +50,35 @@ func bandwidthGrid() []units.Bandwidth {
 // IntermediateBandwidth locates the paper's "intermediate" regime: the
 // bandwidth at which the original execution spends a time in communication
 // comparable to computation (mean blocked fraction closest to 0.5). The
-// search is a deterministic sweep over the logarithmic grid, memoized per
-// base platform: every experiment anchors on the same regime, so the grid
-// of original replays is paid once per (pipeline, platform) even when many
-// sweep workers ask concurrently.
-func (pl *Pipeline) IntermediateBandwidth(base machine.Config) (units.Bandwidth, error) {
-	pl.bwMu.Lock()
-	if pl.interBW == nil {
-		pl.interBW = map[machine.Config]*bwSlot{}
-	}
-	slot, ok := pl.interBW[base]
-	if !ok {
-		slot = &bwSlot{}
-		pl.interBW[base] = slot
-	}
-	pl.bwMu.Unlock()
-
-	slot.once.Do(func() {
-		best := units.Bandwidth(0)
-		bestDist := math.Inf(1)
-		for _, bw := range bandwidthGrid() {
-			res, err := pl.Original(base.WithBandwidth(bw))
-			if err != nil {
-				slot.err = err
-				return
-			}
-			d := math.Abs(res.MeanBlockedFraction() - 0.5)
-			if d < bestDist {
-				bestDist, best = d, bw
-			}
+// search is a deterministic sweep over the logarithmic grid.
+func IntermediateBandwidth(st *core.Study, base machine.Config) (units.Bandwidth, error) {
+	best := units.Bandwidth(0)
+	bestDist := math.Inf(1)
+	for _, bw := range bandwidthGrid() {
+		res, err := st.SimulateOriginal(base.WithBandwidth(bw))
+		if err != nil {
+			return 0, err
 		}
-		slot.bw = best
-	})
-	return slot.bw, slot.err
+		d := math.Abs(res.MeanBlockedFraction() - 0.5)
+		if d < bestDist {
+			bestDist, best = d, bw
+		}
+	}
+	return best, nil
 }
 
 // IsoBandwidth finds the minimum bandwidth at which the overlapped
 // execution matches (within tol) the original execution's runtime on the
 // reference bandwidth — finding 3's measurement. ok is false when even the
 // reference bandwidth cannot reach the target with overlap.
-func (pl *Pipeline) IsoBandwidth(base machine.Config, ref units.Bandwidth, opts overlap.Options, tol float64) (units.Bandwidth, bool, error) {
-	origRef, err := pl.Original(base.WithBandwidth(ref))
+func IsoBandwidth(st *core.Study, base machine.Config, ref units.Bandwidth, opts overlap.Options, tol float64) (units.Bandwidth, bool, error) {
+	origRef, err := st.SimulateOriginal(base.WithBandwidth(ref))
 	if err != nil {
 		return 0, false, err
 	}
 	target := float64(origRef.Total) * (1 + tol)
 	meets := func(bw units.Bandwidth) (bool, error) {
-		res, err := pl.Overlapped(base.WithBandwidth(bw), opts)
+		res, err := st.SimulateVariant(base.WithBandwidth(bw), opts)
 		if err != nil {
 			return false, err
 		}
@@ -230,18 +128,50 @@ type Suite struct {
 	Workers int
 	// Cache, when non-nil, persists profiled trace sets across processes,
 	// so repeated experiment runs skip the instrumented runs. Results are
-	// identical with a cold, warm or absent cache.
+	// identical with a cold, warm or absent cache. Writes are best-effort;
+	// the first failed one is reported by CacheStoreErr.
 	Cache *sweep.TraceCache
 
-	mu        sync.Mutex
-	pipelines map[string]*pipeSlot
+	studies memo[string, *core.Study]
+	interBW memo[bwKey, units.Bandwidth]
+
+	mu       sync.Mutex
+	storeErr error
 }
 
-// pipeSlot makes concurrent PipelineFor calls trace each app exactly once.
-type pipeSlot struct {
+// bwKey identifies one intermediate-bandwidth search: a study on a base
+// platform.
+type bwKey struct {
+	st   *core.Study
+	base machine.Config
+}
+
+// memo is a single-flight map, safe for concurrent use: the first caller
+// for a key computes the value, concurrent and later callers share it.
+type memo[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]*memoSlot[V]
+}
+
+type memoSlot[V any] struct {
 	once sync.Once
-	pl   *Pipeline
+	v    V
 	err  error
+}
+
+func (c *memo[K, V]) get(k K, fill func() (V, error)) (V, error) {
+	c.mu.Lock()
+	if c.m == nil {
+		c.m = map[K]*memoSlot[V]{}
+	}
+	slot, ok := c.m[k]
+	if !ok {
+		slot = &memoSlot[V]{}
+		c.m[k] = slot
+	}
+	c.mu.Unlock()
+	slot.once.Do(func() { slot.v, slot.err = fill() })
+	return slot.v, slot.err
 }
 
 // NewSuite returns a suite on the default platform.
@@ -276,55 +206,67 @@ func (s *Suite) AppConfig(name string) apps.Config {
 	return cfg
 }
 
-// PipelineFor traces the app once per suite and caches the result. It is
-// safe for concurrent use; parallel callers for the same app share one
-// instrumented run.
-func (s *Suite) PipelineFor(name string) (*Pipeline, error) {
-	s.mu.Lock()
-	if s.pipelines == nil {
-		s.pipelines = map[string]*pipeSlot{}
-	}
-	slot, ok := s.pipelines[name]
-	if !ok {
-		slot = &pipeSlot{}
-		s.pipelines[name] = slot
-	}
-	s.mu.Unlock()
-
-	slot.once.Do(func() {
-		slot.pl, slot.err = s.CachedPipeline(name, s.AppConfig(name), s.Chunks)
+// Study traces the app once per suite, at AppConfig, and caches the
+// result. It is safe for concurrent use; parallel callers for the same app
+// share one instrumented run.
+func (s *Suite) Study(name string) (*core.Study, error) {
+	return s.studies.get(name, func() (*core.Study, error) {
+		return s.cachedStudy(name, s.AppConfig(name))
 	})
-	return slot.pl, slot.err
 }
 
-// CachedPipeline builds a pipeline for an arbitrary workload through the
-// suite's trace cache: a cached profiled set skips the instrumented run, a
-// fresh trace is stored for later runs. Unlike PipelineFor it is not
-// memoized per suite — it serves experiments that scale workloads beyond
-// the suite defaults (e.g. S1's rank sweep). Load errors (a corrupt cache)
-// surface; store errors are best-effort, because a read-only or full cache
-// directory must not discard a trace that just succeeded.
-func (s *Suite) CachedPipeline(name string, cfg apps.Config, chunks int) (*Pipeline, error) {
+// cachedStudy traces an arbitrary workload through the suite's trace
+// cache: a cached profiled set skips the instrumented run, a fresh trace
+// is stored for later runs. Unlike Study it is not memoized per suite — it
+// serves experiments that scale workloads beyond the suite defaults (S1's
+// rank sweep).
+func (s *Suite) cachedStudy(name string, cfg apps.Config) (*core.Study, error) {
+	chunks := s.Chunks
 	if chunks == 0 {
 		chunks = 8
 	}
-	if s.Cache == nil {
-		return NewPipeline(name, cfg, chunks)
-	}
-	key := s.Cache.Key(name, cfg.Ranks, chunks, cfg.Size, cfg.Iterations)
-	ps, err := s.Cache.Load(key)
+	ps, _, storeErr, err := s.Cache.LoadOrTrace(name, cfg, chunks, func() (*overlap.ProfiledSet, error) {
+		app, err := apps.New(name, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return tracer.Trace(app, tracer.Options{Chunks: chunks})
+	})
+	s.noteStoreErr(storeErr)
 	if err != nil {
 		return nil, err
 	}
-	if ps != nil {
-		return NewPipelineFromProfiled(name, cfg, ps), nil
+	return &core.Study{Profiled: ps}, nil
+}
+
+// intermediate is IntermediateBandwidth on the suite's platform, memoized
+// per study: every experiment anchors on the same regime, so the grid of
+// original replays is paid once per study even when many sweep workers
+// ask concurrently.
+func (s *Suite) intermediate(st *core.Study) (units.Bandwidth, error) {
+	base := s.Machine
+	return s.interBW.get(bwKey{st, base}, func() (units.Bandwidth, error) {
+		return IntermediateBandwidth(st, base)
+	})
+}
+
+// CacheStoreErr returns the suite's first failed trace-cache write, if
+// any. A failed write does not fail the experiment — its results are
+// complete and correct — so callers surface it as a warning that the next
+// run will recompute.
+func (s *Suite) CacheStoreErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.storeErr
+}
+
+// noteStoreErr records a failed cache write, keeping the first.
+func (s *Suite) noteStoreErr(err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.storeErr == nil {
+		s.storeErr = err
 	}
-	pl, err := NewPipeline(name, cfg, chunks)
-	if err != nil {
-		return nil, err
-	}
-	_ = s.Cache.Store(key, pl.Profiled)
-	return pl, nil
 }
 
 // bothLinear and bothReal are the two headline variants.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"overlapsim/internal/apps"
+	"overlapsim/internal/core"
 	"overlapsim/internal/machine"
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/units"
@@ -17,26 +18,35 @@ func quickSuite() *Suite {
 	return s
 }
 
+// traceStudy traces one workload into a study, outside any suite memo.
+func traceStudy(t *testing.T, name string, cfg apps.Config, chunks int) *core.Study {
+	t.Helper()
+	st, err := (&Suite{Chunks: chunks}).cachedStudy(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestNewPipelineAndCaching traces a workload the way the experiments do
+// and checks its study caches overlapped variants per options.
 func TestNewPipelineAndCaching(t *testing.T) {
-	pl, err := NewPipeline("pingpong", apps.Config{Ranks: 2, Size: 256, Iterations: 2}, 4)
+	st := traceStudy(t, "pingpong", apps.Config{Ranks: 2, Size: 256, Iterations: 2}, 4)
+	if st.Original().Name != "pingpong" {
+		t.Errorf("set name = %q", st.Original().Name)
+	}
+	a, err := st.Variant(bothLinear)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.OriginalSet().Name != "pingpong" {
-		t.Errorf("set name = %q", pl.OriginalSet().Name)
-	}
-	a, err := pl.VariantSet(bothLinear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pl.VariantSet(bothLinear)
+	b, err := st.Variant(bothLinear)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("variant sets should be cached")
 	}
-	c, err := pl.VariantSet(bothReal)
+	c, err := st.Variant(bothReal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,22 +55,19 @@ func TestNewPipelineAndCaching(t *testing.T) {
 	}
 }
 
-func TestNewPipelineUnknownApp(t *testing.T) {
-	if _, err := NewPipeline("nope", apps.Config{}, 4); err == nil {
+func TestSuiteStudyUnknownApp(t *testing.T) {
+	if _, err := NewSuite().Study("nope"); err == nil {
 		t.Error("unknown app: expected error")
 	}
 }
 
 func TestSpeedupSanity(t *testing.T) {
-	pl, err := NewPipeline("ring", apps.Config{Ranks: 4, Size: 512, Iterations: 2}, 8)
+	st := traceStudy(t, "ring", apps.Config{Ranks: 4, Size: 512, Iterations: 2}, 8)
+	bw, err := IntermediateBandwidth(st, machine.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bw, err := pl.IntermediateBandwidth(machine.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := pl.Speedup(machine.Default().WithBandwidth(bw), bothLinear)
+	sp, err := speedup(st, machine.Default().WithBandwidth(bw), bothLinear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +77,8 @@ func TestSpeedupSanity(t *testing.T) {
 }
 
 func TestIntermediateBandwidthInGrid(t *testing.T) {
-	pl, err := NewPipeline("halo2d", apps.Config{Ranks: 4, Size: 64, Iterations: 2}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bw, err := pl.IntermediateBandwidth(machine.Default())
+	st := traceStudy(t, "halo2d", apps.Config{Ranks: 4, Size: 64, Iterations: 2}, 4)
+	bw, err := IntermediateBandwidth(st, machine.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +95,10 @@ func TestIntermediateBandwidthInGrid(t *testing.T) {
 }
 
 func TestIsoBandwidthMeetsTarget(t *testing.T) {
-	pl, err := NewPipeline("specfem", apps.Config{Ranks: 4, Size: 1024, Iterations: 2}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := traceStudy(t, "specfem", apps.Config{Ranks: 4, Size: 1024, Iterations: 2}, 8)
 	base := machine.Default()
 	ref := 32 * units.GBPerSec
-	iso, ok, err := pl.IsoBandwidth(base, ref, bothLinear, 0.02)
+	iso, ok, err := IsoBandwidth(st, base, ref, bothLinear, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +110,11 @@ func TestIsoBandwidthMeetsTarget(t *testing.T) {
 	}
 	// Verify the claim: the overlapped run at iso bandwidth meets the
 	// original's runtime at the reference bandwidth (within tolerance).
-	origRef, err := pl.Original(base.WithBandwidth(ref))
+	origRef, err := st.SimulateOriginal(base.WithBandwidth(ref))
 	if err != nil {
 		t.Fatal(err)
 	}
-	overIso, err := pl.Overlapped(base.WithBandwidth(iso), bothLinear)
+	overIso, err := st.SimulateVariant(base.WithBandwidth(iso), bothLinear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,31 +208,28 @@ func TestSuiteAppConfigQuickShrinks(t *testing.T) {
 	}
 }
 
-func TestSuitePipelineCaching(t *testing.T) {
+func TestSuiteStudyCaching(t *testing.T) {
 	s := quickSuite()
-	a, err := s.PipelineFor("bt")
+	a, err := s.Study("bt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.PipelineFor("bt")
+	b, err := s.Study("bt")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Error("suite should cache pipelines")
+		t.Error("suite should cache studies")
 	}
 }
 
 func TestMechanismSubsetsOrdering(t *testing.T) {
 	// Both mechanisms together must be at least as good as either alone
 	// (on a contention-free platform with linear patterns).
-	pl, err := NewPipeline("specfem", apps.Config{Ranks: 4, Size: 1024, Iterations: 2}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := traceStudy(t, "specfem", apps.Config{Ranks: 4, Size: 1024, Iterations: 2}, 8)
 	m := machine.Default().WithBandwidth(128 * units.MBPerSec)
 	get := func(mech overlap.Mechanism) float64 {
-		sp, err := pl.Speedup(m, overlap.Options{Mechanisms: mech, Pattern: overlap.PatternLinear})
+		sp, err := speedup(st, m, overlap.Options{Mechanisms: mech, Pattern: overlap.PatternLinear})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,20 +24,20 @@ func TestFindingsShapeFullScale(t *testing.T) {
 	}
 	results := map[string]appResult{}
 	for _, name := range paperAppsOf(s) {
-		pl, err := s.PipelineFor(name)
+		st, err := s.Study(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bw, err := pl.IntermediateBandwidth(s.Machine)
+		bw, err := s.intermediate(st)
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := s.Machine.WithBandwidth(bw)
-		real, err := pl.Speedup(m, bothReal)
+		real, err := speedup(st, m, bothReal)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ideal, err := pl.Speedup(m, bothLinear)
+		ideal, err := speedup(st, m, bothLinear)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,8 +81,11 @@ func TestFindingsShapeFullScale(t *testing.T) {
 	// bandwidth with overlap to match the original at the high reference.
 	ref := 32 * units.GBPerSec
 	for _, name := range paperAppsOf(s) {
-		pl, _ := s.PipelineFor(name)
-		iso, ok, err := pl.IsoBandwidth(s.Machine, ref, bothLinear, 0.02)
+		st, err := s.Study(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iso, ok, err := IsoBandwidth(st, s.Machine, ref, bothLinear, 0.02)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,18 +106,15 @@ func TestFindingsShapeFullScale(t *testing.T) {
 // blocking rendezvous sends (ring-topology codes like specfem legitimately
 // do — the replayer reports that as a deadlock, as Dimemas would).
 func TestPrepostHelpsUnderRendezvous(t *testing.T) {
-	pl, err := NewPipeline("sweep3d", apps.Config{Ranks: 4, Size: 512, Iterations: 1}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := traceStudy(t, "sweep3d", apps.Config{Ranks: 4, Size: 512, Iterations: 1}, 8)
 	m := NewSuite().Machine.WithBandwidth(128 * units.MBPerSec)
 	m.EagerThreshold = 0 // rendezvous for every chunk
-	plain, err := pl.Speedup(m, overlap.Options{
+	plain, err := speedup(st, m, overlap.Options{
 		Mechanisms: overlap.BothMechanisms, Pattern: overlap.PatternLinear})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := pl.Speedup(m, overlap.Options{
+	pre, err := speedup(st, m, overlap.Options{
 		Mechanisms: overlap.BothMechanisms | overlap.PrepostRecv, Pattern: overlap.PatternLinear})
 	if err != nil {
 		t.Fatal(err)

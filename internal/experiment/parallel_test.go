@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"overlapsim/internal/core"
 )
 
 // TestExperimentsWorkerCountInvariant is the determinism contract of the
@@ -37,29 +39,29 @@ func TestExperimentsWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestPipelineForConcurrent hammers the suite's pipeline cache: every
-// goroutine must get the same traced pipeline, with the trace run once.
-func TestPipelineForConcurrent(t *testing.T) {
+// TestSuiteStudyConcurrent hammers the suite's study cache: every
+// goroutine must get the same traced study, with the trace run once.
+func TestSuiteStudyConcurrent(t *testing.T) {
 	s := NewSuite()
 	s.Quick = true
 	const goroutines = 16
-	pls := make([]*Pipeline, goroutines)
+	sts := make([]*core.Study, goroutines)
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
 	for i := 0; i < goroutines; i++ {
 		go func() {
 			defer wg.Done()
-			pl, err := s.PipelineFor("pingpong")
+			st, err := s.Study("pingpong")
 			if err != nil {
-				panic(fmt.Sprintf("PipelineFor: %v", err))
+				panic(fmt.Sprintf("Study: %v", err))
 			}
-			pls[i] = pl
+			sts[i] = st
 		}()
 	}
 	wg.Wait()
 	for i := 1; i < goroutines; i++ {
-		if pls[i] != pls[0] {
-			t.Fatal("concurrent PipelineFor returned distinct pipelines")
+		if sts[i] != sts[0] {
+			t.Fatal("concurrent Study calls returned distinct studies")
 		}
 	}
 }

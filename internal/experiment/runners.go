@@ -7,9 +7,9 @@ import (
 
 	"overlapsim/internal/analytic"
 	"overlapsim/internal/apps"
+	"overlapsim/internal/core"
 	"overlapsim/internal/machine"
 	"overlapsim/internal/overlap"
-	"overlapsim/internal/paraver"
 	"overlapsim/internal/stats"
 	"overlapsim/internal/sweep"
 	"overlapsim/internal/trace"
@@ -23,7 +23,8 @@ type Def struct {
 	Run   func(s *Suite, w io.Writer) error
 }
 
-// All lists every experiment in DESIGN.md order.
+// All is the experiment registry: every experiment, in the order
+// `overlapsim run all` runs them.
 var All = []Def{
 	{"f1", "Fig.1 pipeline: trace -> simulate -> visualize, original vs overlapped", RunF1},
 	{"e1", "Finding 1: real vs ideal computation patterns", RunE1},
@@ -55,32 +56,26 @@ func Find(id string) (Def, error) {
 // RunF1 exercises the full Fig. 1 pipeline on the pingpong kernel and
 // renders the qualitative comparison the Paraver stage provides.
 func RunF1(s *Suite, w io.Writer) error {
-	pl, err := s.PipelineFor("pingpong")
+	name := "pingpong"
+	st, err := s.Study(name)
 	if err != nil {
 		return err
 	}
-	bw, err := pl.IntermediateBandwidth(s.Machine)
+	bw, err := s.intermediate(st)
 	if err != nil {
 		return err
 	}
 	m := s.Machine.WithBandwidth(bw)
-	orig, err := pl.Original(m)
+	cmp, err := st.Compare(m, bothLinear)
 	if err != nil {
 		return err
 	}
-	over, err := pl.Overlapped(m, bothLinear)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "F1: tracing tool -> Dimemas-like replay -> Paraver-like view (%s, %s)\n\n", pl.AppName, m)
-	if err := paraver.RenderComparison(w, orig.Timelines, over.Timelines, paraver.GanttOptions{Width: 72, Legend: true}); err != nil {
+	fmt.Fprintf(w, "F1: tracing tool -> Dimemas-like replay -> Paraver-like view (%s, %s)\n\n", name, m)
+	if err := cmp.RenderGantt(w, 72); err != nil {
 		return err
 	}
 	fmt.Fprintln(w)
-	if err := paraver.WriteSummary(w, paraver.Summarize(orig.Timelines)); err != nil {
-		return err
-	}
-	return paraver.WriteSummary(w, paraver.Summarize(over.Timelines))
+	return cmp.WriteSummaries(w)
 }
 
 // RunE1 reproduces finding 1: with real (measured) patterns the potential
@@ -90,20 +85,20 @@ func RunE1(s *Suite, w io.Writer) error {
 	fmt.Fprintln(w, "E1: speedup of automatic overlap at intermediate bandwidth, real vs ideal patterns")
 	tb := stats.NewTable("app", "bandwidth", "real-pattern", "ideal-pattern", "verdict")
 	for _, name := range paperAppsOf(s) {
-		pl, err := s.PipelineFor(name)
+		st, err := s.Study(name)
 		if err != nil {
 			return err
 		}
-		bw, err := pl.IntermediateBandwidth(s.Machine)
+		bw, err := s.intermediate(st)
 		if err != nil {
 			return err
 		}
 		m := s.Machine.WithBandwidth(bw)
-		real, err := pl.Speedup(m, bothReal)
+		real, err := speedup(st, m, bothReal)
 		if err != nil {
 			return err
 		}
-		ideal, err := pl.Speedup(m, bothLinear)
+		ideal, err := speedup(st, m, bothLinear)
 		if err != nil {
 			return err
 		}
@@ -125,27 +120,21 @@ func RunE2(s *Suite, w io.Writer) error {
 	names := paperAppsOf(s)
 	rows, err := sweep.Map(s.engine(), len(names), func(i int) ([]string, error) {
 		name := names[i]
-		pl, err := s.PipelineFor(name)
+		st, err := s.Study(name)
 		if err != nil {
 			return nil, err
 		}
-		bw, err := pl.IntermediateBandwidth(s.Machine)
+		bw, err := s.intermediate(st)
 		if err != nil {
 			return nil, err
 		}
-		m := s.Machine.WithBandwidth(bw)
-		orig, err := pl.Original(m)
+		cmp, err := st.Compare(s.Machine.WithBandwidth(bw), bothLinear)
 		if err != nil {
 			return nil, err
 		}
-		over, err := pl.Overlapped(m, bothLinear)
-		if err != nil {
-			return nil, err
-		}
-		sp := float64(orig.Total) / float64(over.Total)
 		return []string{name, fmtBW(bw),
-			units.Duration(orig.Total).String(), units.Duration(over.Total).String(),
-			fmtPct(stats.PercentGain(sp)), fmtPct(PaperE2[name])}, nil
+			units.Duration(cmp.Original.Total).String(), units.Duration(cmp.Overlapped.Total).String(),
+			fmtPct(stats.PercentGain(cmp.Speedup())), fmtPct(PaperE2[name])}, nil
 	})
 	if err != nil {
 		return err
@@ -169,11 +158,11 @@ func RunE2f(s *Suite, w io.Writer) error {
 	pts := sweep.Grid{Apps: names, Bandwidths: grid}.Expand()
 	cells, err := sweep.Map(s.engine(), len(pts), func(i int) (string, error) {
 		p := pts[i]
-		pl, err := s.PipelineFor(p.App)
+		st, err := s.Study(p.App)
 		if err != nil {
 			return "", err
 		}
-		sp, err := pl.Speedup(s.Machine.WithBandwidth(p.Bandwidth), bothLinear)
+		sp, err := speedup(st, s.Machine.WithBandwidth(p.Bandwidth), bothLinear)
 		if err != nil {
 			return "", err
 		}
@@ -203,15 +192,15 @@ func RunE3(s *Suite, w io.Writer) error {
 	names := paperAppsOf(s)
 	rows, err := sweep.Map(s.engine(), len(names), func(i int) ([]string, error) {
 		name := names[i]
-		pl, err := s.PipelineFor(name)
+		st, err := s.Study(name)
 		if err != nil {
 			return nil, err
 		}
-		origRef, err := pl.Original(s.Machine.WithBandwidth(ref))
+		origRef, err := st.SimulateOriginal(s.Machine.WithBandwidth(ref))
 		if err != nil {
 			return nil, err
 		}
-		iso, ok, err := pl.IsoBandwidth(s.Machine, ref, bothLinear, 0.02)
+		iso, ok, err := IsoBandwidth(st, s.Machine, ref, bothLinear, 0.02)
 		if err != nil {
 			return nil, err
 		}
@@ -240,15 +229,15 @@ func RunA1(s *Suite, w io.Writer) error {
 	pts := sweep.Grid{Apps: names, Mechanisms: mechs}.Expand()
 	cells, err := sweep.Map(s.engine(), len(pts), func(i int) (string, error) {
 		p := pts[i]
-		pl, err := s.PipelineFor(p.App)
+		st, err := s.Study(p.App)
 		if err != nil {
 			return "", err
 		}
-		bw, err := pl.IntermediateBandwidth(s.Machine)
+		bw, err := s.intermediate(st)
 		if err != nil {
 			return "", err
 		}
-		sp, err := pl.Speedup(s.Machine.WithBandwidth(bw),
+		sp, err := speedup(st, s.Machine.WithBandwidth(bw),
 			overlap.Options{Mechanisms: p.Mechanisms, Pattern: overlap.PatternLinear})
 		if err != nil {
 			return "", err
@@ -277,17 +266,17 @@ func RunA2(s *Suite, w io.Writer) error {
 		pts := sweep.Grid{Apps: names, Chunks: chunkCounts}.Expand()
 		cells, err := sweep.Map(s.engine(), len(pts), func(i int) (string, error) {
 			p := pts[i]
-			pl, err := s.PipelineFor(p.App)
+			st, err := s.Study(p.App)
 			if err != nil {
 				return "", err
 			}
-			bw, err := pl.IntermediateBandwidth(s.Machine)
+			bw, err := s.intermediate(st)
 			if err != nil {
 				return "", err
 			}
 			m := s.Machine.WithBandwidth(bw)
 			m.CPUOverhead = ovh
-			sp, err := pl.Speedup(m, overlap.Options{
+			sp, err := speedup(st, m, overlap.Options{
 				Mechanisms: overlap.BothMechanisms, Pattern: overlap.PatternLinear, Chunks: p.Chunks})
 			if err != nil {
 				return "", err
@@ -315,14 +304,14 @@ func RunA2(s *Suite, w io.Writer) error {
 }
 
 // RunA3 sweeps the Dimemas network parameters: bus count and eager
-// threshold, on the sweep3d pipeline.
+// threshold, on the sweep3d study.
 func RunA3(s *Suite, w io.Writer) error {
 	name := "sweep3d"
-	pl, err := s.PipelineFor(name)
+	st, err := s.Study(name)
 	if err != nil {
 		return err
 	}
-	bw, err := pl.IntermediateBandwidth(s.Machine)
+	bw, err := s.intermediate(st)
 	if err != nil {
 		return err
 	}
@@ -332,17 +321,12 @@ func RunA3(s *Suite, w io.Writer) error {
 	// variants: fan the replays out, then render rows in axis order.
 	paramSweep := func(n int, machineAt func(i int) machine.Config, labelAt func(i int) string) ([][]string, error) {
 		return sweep.Map(s.engine(), n, func(i int) ([]string, error) {
-			m := machineAt(i)
-			orig, err := pl.Original(m)
+			cmp, err := st.Compare(machineAt(i), bothLinear)
 			if err != nil {
 				return nil, err
 			}
-			over, err := pl.Overlapped(m, bothLinear)
-			if err != nil {
-				return nil, err
-			}
-			return []string{labelAt(i), units.Duration(orig.Total).String(), units.Duration(over.Total).String(),
-				fmtPct(stats.PercentGain(float64(orig.Total) / float64(over.Total)))}, nil
+			return []string{labelAt(i), units.Duration(cmp.Original.Total).String(),
+				units.Duration(cmp.Overlapped.Total).String(), fmtPct(stats.PercentGain(cmp.Speedup()))}, nil
 		})
 	}
 	renderParam := func(header string, rows [][]string) error {
@@ -413,25 +397,25 @@ func RunB1(s *Suite, w io.Writer) error {
 	fmt.Fprintln(w, "B1: analytic (Sancho et al.) vs simulated overlap benefit, intermediate bandwidth")
 	tb := stats.NewTable("app", "bandwidth", "analytic", "simulated-ideal", "simulated-real")
 	for _, name := range paperAppsOf(s) {
-		pl, err := s.PipelineFor(name)
+		st, err := s.Study(name)
 		if err != nil {
 			return err
 		}
-		bw, err := pl.IntermediateBandwidth(s.Machine)
+		bw, err := s.intermediate(st)
 		if err != nil {
 			return err
 		}
 		m := s.Machine.WithBandwidth(bw)
 		mips := m.MIPS
 		if mips == 0 {
-			mips = pl.OriginalSet().MIPS
+			mips = st.Original().MIPS
 		}
-		model := analytic.FromStats(trace.Stats(pl.OriginalSet()), mips)
-		ideal, err := pl.Speedup(m, bothLinear)
+		model := analytic.FromStats(trace.Stats(st.Original()), mips)
+		ideal, err := speedup(st, m, bothLinear)
 		if err != nil {
 			return err
 		}
-		real, err := pl.Speedup(m, bothReal)
+		real, err := speedup(st, m, bothReal)
 		if err != nil {
 			return err
 		}
@@ -458,20 +442,15 @@ func RunS1(s *Suite, w io.Writer) error {
 	}
 	tb := stats.NewTable("ranks", "grid", "bandwidth", "T-original", "T-overlap", "speedup")
 	for _, ranks := range rankCounts {
-		pl, err := s.CachedPipeline("sweep3d", apps.Config{Ranks: ranks, Size: size, Iterations: iters}, s.Chunks)
+		st, err := s.cachedStudy("sweep3d", apps.Config{Ranks: ranks, Size: size, Iterations: iters})
 		if err != nil {
 			return err
 		}
-		bw, err := pl.IntermediateBandwidth(s.Machine)
+		bw, err := IntermediateBandwidth(st, s.Machine)
 		if err != nil {
 			return err
 		}
-		m := s.Machine.WithBandwidth(bw)
-		orig, err := pl.Original(m)
-		if err != nil {
-			return err
-		}
-		over, err := pl.Overlapped(m, bothLinear)
+		cmp, err := st.Compare(s.Machine.WithBandwidth(bw), bothLinear)
 		if err != nil {
 			return err
 		}
@@ -480,10 +459,20 @@ func RunS1(s *Suite, w io.Writer) error {
 			side++
 		}
 		tb.AddRow(fmt.Sprint(ranks), fmt.Sprintf("%dx%d", side, side), fmtBW(bw),
-			units.Duration(orig.Total).String(), units.Duration(over.Total).String(),
-			fmtPct(stats.PercentGain(float64(orig.Total)/float64(over.Total))))
+			units.Duration(cmp.Original.Total).String(), units.Duration(cmp.Overlapped.Total).String(),
+			fmtPct(stats.PercentGain(cmp.Speedup())))
 	}
 	return tb.Render(w)
+}
+
+// speedup replays the study's original and overlapped executions on m and
+// returns T_original / T_overlapped.
+func speedup(st *core.Study, m machine.Config, opts overlap.Options) (float64, error) {
+	cmp, err := st.Compare(m, opts)
+	if err != nil {
+		return 0, err
+	}
+	return cmp.Speedup(), nil
 }
 
 // paperAppsOf returns the evaluation app list, shrunk in quick mode.

@@ -210,10 +210,12 @@ func (s *Server) unregister(jb *job) {
 
 // noteFinished folds a terminal job into the lifetime accounting.
 func (s *Server) noteFinished(jb *job) {
-	st := jb.Status()
+	jb.mu.Lock()
+	state, work := jb.state, jb.work
+	jb.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch st.State {
+	switch state {
 	case JobDone:
 		s.completed++
 	case JobFailed:
@@ -221,18 +223,7 @@ func (s *Server) noteFinished(jb *job) {
 	case JobCanceled:
 		s.canceled++
 	}
-	if st.Work != nil {
-		s.work.Traces += st.Work.Traces
-		s.work.TraceCacheHits += st.Work.TraceCacheHits
-		s.work.Replays += st.Work.Replays
-		s.work.ReplayMemoHits += st.Work.ReplayMemoHits
-		s.work.ReplayStoreHits += st.Work.ReplayStoreHits
-		s.work.BatchedReplays += st.Work.BatchedReplays
-		s.work.ParallelWindows += st.Work.ParallelWindows
-		s.work.PredictedPoints += st.Work.PredictedPoints
-		s.work.SpotCheckReplays += st.Work.SpotCheckReplays
-		s.work.DemotedFamilies += st.Work.DemotedFamilies
-	}
+	s.work = s.work.Add(work)
 }
 
 // lookup finds a job by id.

@@ -659,6 +659,32 @@ func TestServeApproxRequest(t *testing.T) {
 		t.Errorf("exact job reported surrogate work: %+v", st.Work)
 	}
 
+	// /stats work is exactly the sum of both jobs' counters, the approx
+	// counters included.
+	var sum sweep.Counters
+	for _, id := range []string{"job-1", "job-2"} {
+		jb := s.lookup(id)
+		jb.mu.Lock()
+		sum = sum.Add(jb.work)
+		jb.mu.Unlock()
+	}
+	if sum.PredictedPoints == 0 || sum.SpotCheckReplays == 0 {
+		t.Errorf("approx job recorded no surrogate work: %+v", sum)
+	}
+	sresp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats StatsJSON
+	err = json.NewDecoder(sresp.Body).Decode(&stats)
+	sresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := workJSON(sum); stats.Work != want {
+		t.Errorf("/stats work %+v, want the summed job counters %+v", stats.Work, want)
+	}
+
 	// Out-of-range knob overrides fail loudly at admission.
 	resp = postSweep(t, ts.URL, grid+`,"approx_maxerr":-1}`)
 	if resp.StatusCode != http.StatusBadRequest {

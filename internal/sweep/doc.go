@@ -55,7 +55,8 @@
 //   - Runner.Cache (*TraceCache) persists profiled trace sets on disk,
 //     keyed by (app, ranks, chunks, size, iters). It works across
 //     processes: repeated sweeps and sibling shards of one campaign skip
-//     the instrumented run entirely.
+//     the instrumented run entirely. TraceCache.LoadOrTrace is the one
+//     load-else-trace-and-store path, shared with the experiment harness.
 //   - Runner's replay memo keys completed replays by (app, resolved
 //     ranks, trace variant, platform). The original trace's variant is
 //     independent of the mechanism/pattern/chunk axes, so sweeping those
@@ -65,8 +66,9 @@
 //     entries on disk under the same key (platform hashed losslessly), so
 //     a warm re-run of an identical sweep does zero replays on top of
 //     zero instrumented runs.
-//   - VariantCache memoizes overlap.Transform per variant name within a
-//     traced workload.
+//   - overlap.VariantCache memoizes overlap.Transform per variant name
+//     within a traced workload (core.Study caches its variants the same
+//     way).
 //
 // Both persistent layers are accelerators, never correctness
 // dependencies: corrupt or truncated entries warn, miss, and are

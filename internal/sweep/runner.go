@@ -185,7 +185,7 @@ type pipeline struct {
 	ps   *overlap.ProfiledSet
 	err  error
 
-	variants VariantCache
+	variants overlap.VariantCache
 }
 
 // NewRunner returns a runner on the given base platform with default scale.
@@ -215,30 +215,20 @@ func (r *Runner) profiled(key pipeKey) (*overlap.ProfiledSet, error) {
 	p := r.pipelineFor(key)
 	p.once.Do(func() {
 		defer recordPanic(&p.err, "trace")
-		var cacheKey string
-		if r.Cache != nil {
-			cacheKey = r.Cache.Key(key.app, key.ranks, key.chunks, r.Size, r.Iters)
-			ps, err := r.Cache.Load(cacheKey)
+		cfg := apps.Config{Ranks: key.ranks, Size: r.Size, Iterations: r.Iters}
+		ps, hit, storeErr, err := r.Cache.LoadOrTrace(key.app, cfg, key.chunks, func() (*overlap.ProfiledSet, error) {
+			app, err := apps.New(key.app, cfg)
 			if err != nil {
-				p.err = err
-				return
+				return nil, err
 			}
-			if ps != nil {
-				r.ctTraceHits.Add(1)
-				p.ps = ps
-				return
-			}
+			r.ctTraces.Add(1)
+			return tracer.Trace(app, tracer.Options{Chunks: key.chunks})
+		})
+		if hit {
+			r.ctTraceHits.Add(1)
 		}
-		app, err := apps.New(key.app, apps.Config{Ranks: key.ranks, Size: r.Size, Iterations: r.Iters})
-		if err != nil {
-			p.err = err
-			return
-		}
-		r.ctTraces.Add(1)
-		p.ps, p.err = tracer.Trace(app, tracer.Options{Chunks: key.chunks})
-		if p.err == nil && r.Cache != nil {
-			r.noteStoreErr(r.Cache.Store(cacheKey, p.ps))
-		}
+		r.noteStoreErr(storeErr)
+		p.ps, p.err = ps, err
 	})
 	return p.ps, p.err
 }

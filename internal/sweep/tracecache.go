@@ -12,6 +12,7 @@ import (
 	"syscall"
 	"time"
 
+	"overlapsim/internal/apps"
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/trace"
 )
@@ -108,6 +109,27 @@ func (c *TraceCache) Load(key string) (*overlap.ProfiledSet, error) {
 		return nil, nil
 	}
 	return ps, nil
+}
+
+// LoadOrTrace returns the profiled set of one workload — app at cfg,
+// profiled at chunks granularity: loaded from the cache when it holds an
+// entry (hit), otherwise produced by run — the instrumented run — and
+// stored for later runs. A nil cache always traces. A failed write does
+// not fail the call, because the trace just succeeded; it comes back as
+// storeErr so the caller can warn that the next run will recompute.
+func (c *TraceCache) LoadOrTrace(app string, cfg apps.Config, chunks int, run func() (*overlap.ProfiledSet, error)) (ps *overlap.ProfiledSet, hit bool, storeErr, err error) {
+	if c == nil {
+		ps, err = run()
+		return ps, false, nil, err
+	}
+	key := c.Key(app, cfg.Ranks, chunks, cfg.Size, cfg.Iterations)
+	if ps, err = c.Load(key); ps != nil || err != nil {
+		return ps, ps != nil, nil, err
+	}
+	if ps, err = run(); err != nil {
+		return nil, false, nil, err
+	}
+	return ps, false, c.Store(key, ps), nil
 }
 
 func (c *TraceCache) warnf(format string, args ...any) {

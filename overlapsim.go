@@ -285,7 +285,7 @@ func RemoveCacheEntry(e CacheEntry) error { return sweep.RemoveCacheEntry(e) }
 func NewReplayStore(dir string) *ReplayStore { return &replaystore.Store{Dir: dir} }
 
 // RunExperiment runs one of the paper's experiments (f1, e1, e2, e2f, e3,
-// a1, a2, a3, b1) and writes its tables to w.
+// a1, a2, a3, b1, s1) and writes its tables to w.
 func RunExperiment(id string, s *Suite, w io.Writer) error {
 	d, err := experiment.Find(id)
 	if err != nil {
