@@ -280,9 +280,7 @@ func runCampaign(args []string, stdout io.Writer) error {
 	ct := coord.Counters()
 	logf("chunks: %d total, %d done (%d adopted), %d leases, %d expired, %d failures, %d stale completions, %d duplicates, %d quarantined",
 		ct.Chunks, ct.Done, ct.Adopted, ct.Leases, ct.Expired, ct.Failures, ct.StaleCompletions, ct.Duplicates, ct.Quarantined)
-	fmt.Fprintf(os.Stderr, "campaign: work: %d instrumented runs, %d trace-cache hits, %d replays, %d replay-memo hits, %d replay-store hits, %d batched replays, %d parallel windows%s\n",
-		ct.Work.Traces, ct.Work.TraceCacheHits, ct.Work.Replays, ct.Work.ReplayMemoHits, ct.Work.ReplayStoreHits, ct.Work.BatchedReplays, ct.Work.ParallelWindows,
-		approxWorkSegment(ap.Enabled, ct.Work))
+	fmt.Fprintf(os.Stderr, "campaign: work: %s\n", workLine(ct.Work, ap.Enabled))
 
 	w, closeOut := outputTarget(stdout, *out)
 	sink := sweep.NewBatchSink(w, f)
@@ -320,9 +318,6 @@ func spawnArgs(i int, baseURL, cacheDir string, pool int, rp *cliflag.Replay, ap
 	}
 	if rp.Par != 0 {
 		args = append(args, "-replay-par", strconv.Itoa(rp.Par))
-	}
-	if !rp.Batch {
-		args = append(args, "-replay-batch=false")
 	}
 	if ap.Enabled {
 		args = append(args, "-approx",

@@ -490,10 +490,7 @@ func runSweep(args []string, stdout io.Writer) error {
 	if err := runner.CacheStoreErr(); err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: warning: cache not updated (next run will recompute): %v\n", err)
 	}
-	st := runner.Stats()
-	fmt.Fprintf(os.Stderr, "sweep: work: %d instrumented runs, %d trace-cache hits, %d replays, %d replay-memo hits, %d replay-store hits, %d batched replays, %d parallel windows%s\n",
-		st.Traces, st.TraceCacheHits, st.Replays, st.ReplayMemoHits, st.ReplayStoreHits, st.BatchedReplays, st.ParallelWindows,
-		approxWorkSegment(ap.Enabled, st))
+	fmt.Fprintf(os.Stderr, "sweep: work: %s\n", workLine(runner.Stats(), ap.Enabled))
 
 	if err := sink.Close(); err != nil {
 		return err
@@ -503,15 +500,18 @@ func runSweep(args []string, stdout io.Writer) error {
 	return closeOut()
 }
 
-// approxWorkSegment extends a work: line with the surrogate counters. The
-// segment appears only in -approx runs, so exact-mode stderr stays
-// byte-identical to earlier releases.
-func approxWorkSegment(enabled bool, st sweep.Counters) string {
-	if !enabled {
-		return ""
+// workLine renders the work counters after the "sweep: work: " and
+// "campaign: work: " prefixes. The surrogate counters appear only in
+// -approx runs, so exact-mode stderr stays byte-identical to earlier
+// releases.
+func workLine(st sweep.Counters, approx bool) string {
+	line := fmt.Sprintf("%d instrumented runs, %d trace-cache hits, %d replays, %d replay-memo hits, %d replay-store hits, %d parallel windows",
+		st.Traces, st.TraceCacheHits, st.Replays, st.ReplayMemoHits, st.ReplayStoreHits, st.ParallelWindows)
+	if approx {
+		line += fmt.Sprintf(", %d predicted points, %d spot-check replays, %d demoted families",
+			st.PredictedPoints, st.SpotCheckReplays, st.DemotedFamilies)
 	}
-	return fmt.Sprintf(", %d predicted points, %d spot-check replays, %d demoted families",
-		st.PredictedPoints, st.SpotCheckReplays, st.DemotedFamilies)
+	return line
 }
 
 // streamLogger is the -stream sink decorator: it narrates each completed

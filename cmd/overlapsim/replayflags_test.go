@@ -14,8 +14,7 @@ import (
 )
 
 // platformAxisArgs is a platform-axis-only sweep on a contention-free
-// base: the domain where both the batch path and the parallel replay
-// engine engage.
+// base: the domain where the parallel replay engine engages.
 var platformAxisArgs = []string{
 	"-apps", "ring", "-ranks", "16",
 	"-latencies", "5us,20us,50us", "-buscounts", "0",
@@ -23,14 +22,13 @@ var platformAxisArgs = []string{
 	"-size", "512", "-iters", "2",
 }
 
-// TestRunSweepReplayFlagsByteIdentical pins the tentpole's output
-// contract at the CLI: batching and the parallel engine are pure
-// performance knobs — every output format is byte-identical with them
-// off, on, and at any width.
+// TestRunSweepReplayFlagsByteIdentical pins the output contract at the
+// CLI: the parallel engine is a pure performance knob — every output
+// format is byte-identical with it off and at any width.
 func TestRunSweepReplayFlagsByteIdentical(t *testing.T) {
 	for _, format := range []string{"table", "csv", "json"} {
 		var ref bytes.Buffer
-		refArgs := append([]string{"-format", format, "-replay-batch=false"}, platformAxisArgs...)
+		refArgs := append([]string{"-format", format}, platformAxisArgs...)
 		if err := runSweep(refArgs, &ref); err != nil {
 			t.Fatal(err)
 		}
@@ -38,11 +36,9 @@ func TestRunSweepReplayFlagsByteIdentical(t *testing.T) {
 			t.Fatalf("%s: empty reference output", format)
 		}
 		for _, extra := range [][]string{
-			nil, // batching on (default)
 			{"-replay-par", "1"},
 			{"-replay-par", "2"},
 			{"-replay-par", "4"},
-			{"-replay-par", "4", "-replay-batch=false"},
 		} {
 			var got bytes.Buffer
 			args := append([]string{"-format", format}, extra...)
@@ -50,14 +46,14 @@ func TestRunSweepReplayFlagsByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), ref.Bytes()) {
-				t.Errorf("%s %v: output differs from sequential unbatched reference", format, extra)
+				t.Errorf("%s %v: output differs from the sequential reference", format, extra)
 			}
 		}
 	}
 }
 
-// TestRunSweepWorkLineCounters: the sweep: work: line reports the batched
-// and parallel-window counters, and they move when the knobs are on.
+// TestRunSweepWorkLineCounters: the sweep: work: line reports the
+// parallel-window counter, and it moves when -replay-par is on.
 func TestRunSweepWorkLineCounters(t *testing.T) {
 	stderr := captureStderr(t, func() {
 		var out bytes.Buffer
@@ -65,29 +61,26 @@ func TestRunSweepWorkLineCounters(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	line := workLine(t, stderr, "sweep: work:")
-	if strings.Contains(line, " 0 batched replays") || !strings.Contains(line, "batched replays") {
-		t.Errorf("platform-axis sweep reported no batched replays: %q", line)
-	}
+	line := stderrLine(t, stderr, "sweep: work:")
 	if strings.Contains(line, " 0 parallel windows") || !strings.Contains(line, "parallel windows") {
 		t.Errorf("-replay-par 4 sweep reported no parallel windows: %q", line)
 	}
 
 	stderr = captureStderr(t, func() {
 		var out bytes.Buffer
-		if err := runSweep(append([]string{"-format", "csv", "-replay-batch=false"}, platformAxisArgs...), &out); err != nil {
+		if err := runSweep(append([]string{"-format", "csv"}, platformAxisArgs...), &out); err != nil {
 			t.Error(err)
 		}
 	})
-	line = workLine(t, stderr, "sweep: work:")
-	if !strings.Contains(line, " 0 batched replays") || !strings.Contains(line, " 0 parallel windows") {
-		t.Errorf("sequential unbatched sweep should report zero batched replays and windows: %q", line)
+	line = stderrLine(t, stderr, "sweep: work:")
+	if !strings.Contains(line, " 0 parallel windows") {
+		t.Errorf("sequential sweep should report zero parallel windows: %q", line)
 	}
 }
 
-// workLine extracts the work-accounting line with the given prefix from
+// stderrLine extracts the work-accounting line with the given prefix from
 // captured stderr.
-func workLine(t *testing.T, stderr, prefix string) string {
+func stderrLine(t *testing.T, stderr, prefix string) string {
 	t.Helper()
 	for _, l := range strings.Split(stderr, "\n") {
 		if strings.HasPrefix(l, prefix) {
@@ -148,15 +141,12 @@ func TestRunSweepProfiles(t *testing.T) {
 // spawned workers exactly when they are non-default.
 func TestSpawnArgsForwardReplayFlags(t *testing.T) {
 	off := &cliflag.Approx{}
-	rp := &cliflag.Replay{Par: 4, Batch: false}
+	rp := &cliflag.Replay{Par: 4}
 	args := spawnArgs(0, "http://x", "", 1, rp, off, 0, "crash", 1)
 	if i := slices.Index(args, "-replay-par"); i < 0 || args[i+1] != "4" {
 		t.Errorf("spawn args missing -replay-par 4: %v", args)
 	}
-	if !slices.Contains(args, "-replay-batch=false") {
-		t.Errorf("spawn args missing -replay-batch=false: %v", args)
-	}
-	rp = &cliflag.Replay{Par: 0, Batch: true}
+	rp = &cliflag.Replay{Par: 0}
 	args = spawnArgs(0, "http://x", "", 1, rp, off, 0, "crash", 1)
 	for _, a := range args {
 		if strings.HasPrefix(a, "-replay") {
@@ -169,7 +159,7 @@ func TestSpawnArgsForwardReplayFlags(t *testing.T) {
 // to spawned workers exactly when -approx is on, so each worker applies
 // the same fast path to its chunks.
 func TestSpawnArgsForwardApproxFlags(t *testing.T) {
-	rp := &cliflag.Replay{Batch: true}
+	rp := &cliflag.Replay{}
 	ap := &cliflag.Approx{Enabled: true, MaxErr: 0.01, SpotCheck: 0.5}
 	args := spawnArgs(0, "http://x", "", 1, rp, ap, 0, "crash", 1)
 	if !slices.Contains(args, "-approx") {
@@ -198,7 +188,7 @@ func TestReplayParEnvDefault(t *testing.T) {
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if rp.Par != 3 || !rp.Batch {
+	if rp.Par != 3 {
 		t.Fatalf("env default not applied: %+v", rp)
 	}
 	fs = flag.NewFlagSet("x", flag.ContinueOnError)
@@ -212,7 +202,7 @@ func TestReplayParEnvDefault(t *testing.T) {
 }
 
 // TestRunCampaignWorkLineCounters: a campaign run with the replay knobs on
-// reports the batched and parallel-window work in its campaign: work: line,
+// reports the parallel-window work in its campaign: work: line,
 // and its merged output still matches the plain unsharded sweep.
 func TestRunCampaignWorkLineCounters(t *testing.T) {
 	var want bytes.Buffer
@@ -234,10 +224,7 @@ func TestRunCampaignWorkLineCounters(t *testing.T) {
 		t.Errorf("campaign with replay knobs diverges from plain sweep:\n%s\n---\n%s",
 			out.String(), want.String())
 	}
-	line := workLine(t, stderr, "campaign: work:")
-	if strings.Contains(line, " 0 batched replays") || !strings.Contains(line, "batched replays") {
-		t.Errorf("campaign reported no batched replays: %q", line)
-	}
+	line := stderrLine(t, stderr, "campaign: work:")
 	if strings.Contains(line, " 0 parallel windows") || !strings.Contains(line, "parallel windows") {
 		t.Errorf("campaign with -replay-par 4 reported no parallel windows: %q", line)
 	}

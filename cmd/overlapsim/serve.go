@@ -60,7 +60,6 @@ func runServe(args []string) error {
 		MaxPoints:       *maxPoints,
 		SweepWorkers:    *workers,
 		ReplayPar:       rp.Par,
-		DisableBatch:    !rp.Batch,
 		Approx:          ap.Enabled,
 		ApproxMaxErr:    ap.MaxErr,
 		ApproxSpotCheck: ap.SpotCheck,

@@ -8,15 +8,13 @@ import (
 	"overlapsim/internal/sweep"
 )
 
-// Replay collects the replay-engine performance knobs shared by every
-// sweep-running command (sweep, campaign, worker, serve). Both knobs are
-// pure performance switches: results are identical for any setting.
+// Replay collects the replay-engine performance knob shared by every
+// sweep-running command (sweep, campaign, worker, serve). It is a pure
+// performance switch: results are identical for any setting.
 type Replay struct {
 	// Par is the parallel replay width: >= 2 shards each eligible replay
 	// across that many private event queues (conservative-window DES).
 	Par int
-	// Batch routes platform-axis replays through one warm replayer.
-	Batch bool
 }
 
 // EnvReplayPar reads the OVERLAPSIM_REPLAY_PAR environment default for
@@ -33,20 +31,17 @@ func EnvReplayPar() int {
 	return n
 }
 
-// RegisterReplay adds -replay-par and -replay-batch to fs. The parallel
-// width defaults to OVERLAPSIM_REPLAY_PAR so operators can switch a whole
-// deployment without touching command lines.
+// RegisterReplay adds -replay-par to fs. The parallel width defaults to
+// OVERLAPSIM_REPLAY_PAR so operators can switch a whole deployment without
+// touching command lines.
 func RegisterReplay(fs *flag.FlagSet) *Replay {
 	r := &Replay{}
 	fs.IntVar(&r.Par, "replay-par", EnvReplayPar(),
 		"parallel replay shards per point; >= 2 enables the conservative-window engine on eligible replays (default $OVERLAPSIM_REPLAY_PAR)")
-	fs.BoolVar(&r.Batch, "replay-batch", true,
-		"batch platform-axis replays through one warm replayer")
 	return r
 }
 
-// Apply configures a sweep runner with the selected knobs.
+// Apply configures a sweep runner with the selected knob.
 func (r *Replay) Apply(run *sweep.Runner) {
 	run.ReplayPar = r.Par
-	run.DisableBatch = !r.Batch
 }

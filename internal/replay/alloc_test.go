@@ -33,16 +33,16 @@ func mixedSet() *trace.Set {
 }
 
 // TestReplayerReuseMatchesFreshSimulate pins the reuse contract: a single
-// Replayer run repeatedly — including across different trace shapes, and
+// replayer run repeatedly — including across different trace shapes, and
 // after an errored run — must produce results identical to a cold Simulate.
 func TestReplayerReuseMatchesFreshSimulate(t *testing.T) {
 	cfg := testConfig()
 	cfg.Buses = 1 // force resource queueing through the pending path
 	sets := []*trace.Set{mixedSet(), pipelineSet(), mixedSet()}
-	r := NewReplayer()
+	r := newReplayer()
 	for round := 0; round < 3; round++ {
 		for _, ts := range sets {
-			want, err := NewReplayer().Simulate(ts, cfg)
+			want, err := newReplayer().Simulate(ts, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestReplayerReuseMatchesFreshSimulate(t *testing.T) {
 	}
 }
 
-// TestReplaySteadyStateAllocs is the steady-state guard: once a Replayer
+// TestReplaySteadyStateAllocs is the steady-state guard: once a replayer
 // is warm, a full Simulate run must only allocate the result snapshot it
 // hands back — one block holding the Result and its timeline set, the
 // lines slice, and the two interval/event arenas every rank's snapshot is
@@ -84,7 +84,7 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 	}
 	ts := mixedSet()
 	cfg := testConfig()
-	r := NewReplayer()
+	r := newReplayer()
 	for i := 0; i < 3; i++ { // warm free lists, queues, builders
 		if _, err := r.Simulate(ts, cfg); err != nil {
 			t.Fatal(err)
@@ -102,7 +102,7 @@ func TestReplaySteadyStateAllocs(t *testing.T) {
 }
 
 // TestSummarySteadyStateAllocs tightens the guard to zero for the warm
-// summary path — what every batched sweep point pays. Result assembly is
+// summary path — what every sweep memo fill pays. Result assembly is
 // the only allocation Simulate makes when warm, and SimulateBatch skips
 // it; the parallel engine must hold the same line once its shard state
 // exists.
@@ -114,9 +114,9 @@ func TestSummarySteadyStateAllocs(t *testing.T) {
 	cfgs := []machine.Config{testConfig()}
 	out := make([]Summary, 1)
 	for _, par := range []int{0, 4} {
-		r := NewReplayer()
-		r.Parallel = par
-		r.ParThreshold = 2
+		r := newReplayer()
+		r.parallel = par
+		r.parThreshold = 2
 		for i := 0; i < 3; i++ {
 			if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
 				t.Fatal(err)
@@ -141,7 +141,7 @@ func TestSummarySteadyStateAllocs(t *testing.T) {
 func BenchmarkReplayerReuse(b *testing.B) {
 	ts := mixedSet()
 	cfg := testConfig()
-	r := NewReplayer()
+	r := newReplayer()
 	if _, err := r.Simulate(ts, cfg); err != nil {
 		b.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"overlapsim/internal/units"
 )
 
-// Summary is the cheap per-point outcome of a batched replay: exactly the
+// Summary is the cheap per-point outcome of SimulateBatch: exactly the
 // fields a sweep consumes, derived without materializing Result, Timelines
 // or RankBreakdowns. Every field matches the corresponding Simulate output
 // bit for bit — Blocked replicates Result.MeanBlockedFraction's float
@@ -24,8 +24,8 @@ type Summary struct {
 // simulateSummaryPrepared runs one prepared point and summarizes it from
 // the replayer's struct-of-arrays finish state and the still-open timeline
 // builders (StateDurations reads them without closing or copying).
-func (s *Replayer) simulateSummaryPrepared(ts *trace.Set, cfg machine.Config) (Summary, error) {
-	windows, err := s.runPrepared(ts, cfg)
+func (s *replayer) simulateSummaryPrepared(ts *trace.Set, cfg machine.Config, collectives bool) (Summary, error) {
+	windows, err := s.runPrepared(ts, cfg, collectives)
 	if err != nil {
 		return Summary{}, err
 	}
@@ -53,21 +53,17 @@ func (s *Replayer) simulateSummaryPrepared(ts *trace.Set, cfg machine.Config) (S
 	return sum, nil
 }
 
-// SimulateBatch replays the same trace set across many platform configs
-// through one warm replayer, writing one Summary per config into out. The
-// per-point setup that Simulate repeats — trace validation, record
-// attachment, result assembly — is hoisted out of or dropped from the
-// loop; only the platform-dependent reset and the event loop itself run
-// per point. On a config or model error it stops and returns how many
-// leading points completed (out[:n] are valid) alongside the error.
-func (s *Replayer) SimulateBatch(ts *trace.Set, cfgs []machine.Config, out []Summary) (int, error) {
+// SimulateBatch is the package-level SimulateBatch on this replayer: only
+// the platform-dependent reset and the event loop run per config.
+func (s *replayer) SimulateBatch(ts *trace.Set, cfgs []machine.Config, out []Summary) (int, error) {
 	if len(out) < len(cfgs) {
 		return 0, fmt.Errorf("replay: batch output holds %d summaries for %d configs", len(out), len(cfgs))
 	}
 	if ts == nil || ts.NRanks() == 0 {
 		return 0, fmt.Errorf("replay: empty trace set")
 	}
-	if err := s.validate(ts); err != nil {
+	collectives, err := ts.ValidateOnce()
+	if err != nil {
 		return 0, err
 	}
 	defer s.dropRecs()
@@ -75,7 +71,7 @@ func (s *Replayer) SimulateBatch(ts *trace.Set, cfgs []machine.Config, out []Sum
 		if err := cfg.Validate(); err != nil {
 			return i, fmt.Errorf("replay: batch point %d: %w", i, err)
 		}
-		sum, err := s.simulateSummaryPrepared(ts, cfg)
+		sum, err := s.simulateSummaryPrepared(ts, cfg, collectives)
 		if err != nil {
 			return i, fmt.Errorf("replay: batch point %d: %w", i, err)
 		}

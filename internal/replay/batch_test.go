@@ -29,7 +29,7 @@ func TestSimulateBatchMatchesSimulate(t *testing.T) {
 	for _, ts := range []*trace.Set{mixedSet(), pipelineSet(), haloSet(16, 3)} {
 		cfgs := platformAxis(6)
 		out := make([]Summary, len(cfgs))
-		n, err := NewReplayer().SimulateBatch(ts, cfgs, out)
+		n, err := newReplayer().SimulateBatch(ts, cfgs, out)
 		if err != nil {
 			t.Fatalf("%s: %v", ts.Name, err)
 		}
@@ -111,7 +111,7 @@ func TestBatchWarmAllocs(t *testing.T) {
 	ts := mixedSet()
 	cfgs := platformAxis(8)
 	out := make([]Summary, len(cfgs))
-	r := NewReplayer()
+	r := newReplayer()
 	for i := 0; i < 3; i++ {
 		if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
 			t.Fatal(err)
@@ -129,13 +129,13 @@ func TestBatchWarmAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkReplayBatchWarm measures the per-point cost of the batch path on
-// a warm replayer: what a platform-axis sweep group pays per grid point.
+// BenchmarkReplayBatchWarm measures the per-point cost of a multi-config
+// SimulateBatch on a warm replayer.
 func BenchmarkReplayBatchWarm(b *testing.B) {
 	ts := mixedSet()
 	cfgs := platformAxis(16)
 	out := make([]Summary, len(cfgs))
-	r := NewReplayer()
+	r := newReplayer()
 	if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
 		b.Fatal(err)
 	}

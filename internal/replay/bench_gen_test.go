@@ -72,8 +72,8 @@ func TestGen64ParallelIdentity(t *testing.T) {
 	}
 }
 
-// benchmarkGen64 times the warm summary path — the same loop the sweep's
-// batch prefill runs — so the pair compares the two replay engines, not
+// benchmarkGen64 times the warm summary path — the replay every sweep
+// memo fill runs — so the pair compares the two replay engines, not
 // per-run Result assembly.
 func benchmarkGen64(b *testing.B, par int) {
 	ts, err := gen64()
@@ -82,8 +82,8 @@ func benchmarkGen64(b *testing.B, par int) {
 	}
 	cfgs := []machine.Config{gen64Config()}
 	out := make([]Summary, 1)
-	r := NewReplayer()
-	r.Parallel = par
+	r := newReplayer()
+	r.parallel = par
 	if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
 		b.Fatal(err)
 	}

@@ -21,7 +21,7 @@
 // memoized-miss replays — so the event loop performs no steady-state heap
 // allocation. Ranks and transfers implement des.Target and are driven by
 // typed events (advance, wire-done, deliver) instead of closures, and all
-// per-run scratch is owned and recycled by a Replayer: the DES engine and
+// per-run scratch is owned and recycled by a replayer: the DES engine and
 // its queue, rank state machines with their request tables and timeline
 // builders, per-channel FIFO queues, collective slots, and a transfer free
 // list. A transfer returns to the free list once it is delivered, matched
@@ -29,14 +29,18 @@
 // guarantees each request is waited at most once, which is what makes the
 // reference count exact).
 //
-// A warm Replayer therefore allocates only the result snapshot a Simulate
+// A warm replayer therefore allocates only the result snapshot a Simulate
 // call hands back: one block holding the Result and its timeline set, the
 // lines slice, and two arenas all ranks' intervals and events are carved
 // from (sized up front via timeline.Builder.SnapshotBound, so the count
 // is independent of rank count). TestReplaySteadyStateAllocs pins that
-// budget (4 allocations for the 4-rank guard workload); the package-level
-// Simulate draws replayers from an internal pool so every caller — the
-// sweep runner's workers included — reuses warm scratch automatically.
+// budget (4 allocations for the 4-rank guard workload). SimulateBatch
+// returns a Summary instead — the fields a sweep consumes — and allocates
+// nothing when warm; it is the sweep runner's replay. Every entry point
+// (Simulate, SimulatePar, SimulateBatch) draws replayers from an internal
+// pool, so every caller reuses warm scratch automatically, and checks its
+// input with trace.Set.ValidateOnce, so a set replayed many times is
+// validated once.
 //
 // Determinism matters beyond reproducibility: Simulate is a pure function
 // of (trace set, machine configuration), which is what lets the sweep

@@ -58,9 +58,9 @@ func FuzzReplay(f *testing.F) {
 		pcfg := cfg
 		pcfg.Buses, pcfg.InLinks, pcfg.OutLinks = 0, 0, 0
 		seq, err := Simulate(ts, pcfg)
-		pr := NewReplayer()
-		pr.Parallel = 4
-		pr.ParThreshold = 2
+		pr := newReplayer()
+		pr.parallel = 4
+		pr.parThreshold = 2
 		par, perr := pr.Simulate(ts, pcfg)
 		if (err == nil) != (perr == nil) {
 			t.Fatalf("parallel/sequential disagree on failure: seq=%v par=%v", err, perr)

@@ -6,9 +6,7 @@ import (
 	"sync"
 
 	"overlapsim/internal/des"
-	"overlapsim/internal/trace"
 	"overlapsim/internal/units"
-	"weak"
 )
 
 // This file implements the conservative-window parallel engine: one large
@@ -39,18 +37,18 @@ import (
 // perturb. Collectives are excluded for the same reason — their release
 // time (last arrival plus cost) can undercut another shard's barrier.
 
-// DefaultParThreshold is the rank count below which the parallel engine
+// defaultParThreshold is the rank count below which the parallel engine
 // declines to engage: window synchronization costs more than the
 // concurrency wins on small replays.
-const DefaultParThreshold = 16
+const defaultParThreshold = 16
 
-// parState is the reusable shard machinery hung off a root Replayer. Each
-// shard executes through a view — a Replayer whose par/shard identify it,
+// parState is the reusable shard machinery hung off a root replayer. Each
+// shard executes through a view — a replayer whose par/shard identify it,
 // whose engine and stats are private, and whose matching maps alias the
 // root's.
 type parState struct {
-	root    *Replayer
-	views   []*Replayer
+	root    *replayer
+	views   []*replayer
 	engines []*des.Engine
 	win     *des.Windows
 	mu      sync.Mutex // guards matching state and transfer fields across shards
@@ -78,15 +76,15 @@ func (ps *parState) unlock() {
 }
 
 // parallelPlan decides whether the prepared run (reset must have been
-// called) is eligible for the parallel engine and returns the shard count
-// and lookahead when it is.
-func (s *Replayer) parallelPlan(ts *trace.Set) (int, units.Duration, bool) {
-	if s.Parallel < 2 {
+// called) of a trace with or without collectives is eligible for the
+// parallel engine and returns the shard count and lookahead when it is.
+func (s *replayer) parallelPlan(collectives bool) (int, units.Duration, bool) {
+	if s.parallel < 2 {
 		return 0, 0, false
 	}
-	thr := s.ParThreshold
+	thr := s.parThreshold
 	if thr <= 0 {
-		thr = DefaultParThreshold
+		thr = defaultParThreshold
 	}
 	if s.nprocs < thr {
 		return 0, 0, false
@@ -103,51 +101,31 @@ func (s *Replayer) parallelPlan(ts *trace.Set) (int, units.Duration, bool) {
 	if la <= 0 {
 		return 0, 0, false
 	}
-	if s.hasCollectives(ts) {
+	if collectives {
 		return 0, 0, false
 	}
-	shards := s.Parallel
+	shards := s.parallel
 	if shards > s.nprocs {
 		shards = s.nprocs
 	}
 	return shards, la, true
 }
 
-// hasCollectives scans the trace set once and memoizes by set identity —
-// the batch path replays one set across many platforms.
-func (s *Replayer) hasCollectives(ts *trace.Set) bool {
-	if s.collScanned.Value() == ts {
-		return s.collFound
-	}
-	found := false
-scan:
-	for i := range ts.Traces {
-		for _, r := range ts.Traces[i].Records {
-			if r.Kind == trace.KindCollective {
-				found = true
-				break scan
-			}
-		}
-	}
-	s.collScanned, s.collFound = weak.Make(ts), found
-	return found
-}
-
 // runParallel executes the prepared run across the given number of shards.
 // It leaves merged stats, per-rank finish state, the model error (if any)
 // and the corrected step count on the root, mirroring what a sequential
 // run leaves behind.
-func (s *Replayer) runParallel(shards int, lookahead units.Duration) (int64, error) {
+func (s *replayer) runParallel(shards int, lookahead units.Duration) (int64, error) {
 	ps := s.scratch
 	if ps == nil || len(ps.views) != shards {
 		ps = &parState{
 			root:    s,
-			views:   make([]*Replayer, shards),
+			views:   make([]*replayer, shards),
 			engines: make([]*des.Engine, shards),
 		}
 		for i := range ps.views {
 			ps.engines[i] = des.New()
-			ps.views[i] = &Replayer{eng: ps.engines[i], par: ps, shard: i}
+			ps.views[i] = &replayer{eng: ps.engines[i], par: ps, shard: i}
 		}
 		ps.win = des.NewWindows(ps.engines)
 		s.scratch = ps
@@ -242,7 +220,7 @@ func (s *Replayer) runParallel(shards int, lookahead units.Duration) (int64, err
 // at least the claiming shard's Now, itself at least the window start W,
 // so every event scheduled from here lands at or past the barrier
 // W+lookahead.
-func (s *Replayer) startPar(t *transfer) {
+func (s *replayer) startPar(t *transfer) {
 	base := t.sendAt
 	if !t.eager && t.recvAt > base {
 		base = t.recvAt
@@ -271,7 +249,7 @@ func (s *Replayer) startPar(t *transfer) {
 // endpoint shards: one combined event when both ranks share a shard,
 // otherwise one per side. The extra event of a split is subtracted from
 // the reported step count so parallel and sequential replays agree.
-func (s *Replayer) scheduleDelivery(t *transfer, at units.Time) {
+func (s *replayer) scheduleDelivery(t *transfer, at units.Time) {
 	ps := s.par
 	srcSh, dstSh := ps.shardOf(t.src), ps.shardOf(t.dst)
 	if srcSh == dstSh {
@@ -294,7 +272,7 @@ func (s *Replayer) scheduleDelivery(t *transfer, at units.Time) {
 
 // deliverDst completes the receiver side of a split delivery in the
 // receiver's shard: delivery stats are counted here (once per transfer).
-func (s *Replayer) deliverDst(t *transfer) {
+func (s *replayer) deliverDst(t *transfer) {
 	t.deliveredDst = true
 	s.stats.Transfers++
 	s.stats.Bytes += t.size
@@ -309,7 +287,7 @@ func (s *Replayer) deliverDst(t *transfer) {
 
 // deliverSrc completes the sender side of a split delivery in the
 // sender's shard.
-func (s *Replayer) deliverSrc(t *transfer) {
+func (s *replayer) deliverSrc(t *transfer) {
 	t.deliveredSrc = true
 	if t.sender != nil {
 		p := t.sender

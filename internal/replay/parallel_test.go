@@ -249,7 +249,7 @@ func TestParallelFallsBackWhenIneligible(t *testing.T) {
 	}
 }
 
-// TestParallelThresholdOverride checks ParThreshold opens the parallel
+// TestParallelThresholdOverride checks parThreshold opens the parallel
 // engine to small runs (the batch benches and fuzzers rely on this).
 func TestParallelThresholdOverride(t *testing.T) {
 	ts := ringSet(4, 4, 2000)
@@ -257,9 +257,9 @@ func TestParallelThresholdOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewReplayer()
-	r.Parallel = 2
-	r.ParThreshold = 2
+	r := newReplayer()
+	r.parallel = 2
+	r.parThreshold = 2
 	got, err := r.Simulate(ts, testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +290,7 @@ func TestParallelDeadlockDetected(t *testing.T) {
 // other.
 func TestParallelReplayerReuse(t *testing.T) {
 	withWorkers(t)
-	r := NewReplayer()
+	r := newReplayer()
 	ts := haloSet(16, 3)
 	cfg := testConfig()
 	want, err := Simulate(ts, cfg)
@@ -298,7 +298,7 @@ func TestParallelReplayerReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		r.Parallel = 4
+		r.parallel = 4
 		got, err := r.Simulate(ts, cfg)
 		if err != nil {
 			t.Fatalf("round %d parallel: %v", i, err)
@@ -307,7 +307,7 @@ func TestParallelReplayerReuse(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d parallel diverges", i)
 		}
-		r.Parallel = 0
+		r.parallel = 0
 		got, err = r.Simulate(ts, cfg)
 		if err != nil {
 			t.Fatalf("round %d sequential: %v", i, err)

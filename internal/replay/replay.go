@@ -9,7 +9,6 @@ import (
 	"overlapsim/internal/timeline"
 	"overlapsim/internal/trace"
 	"overlapsim/internal/units"
-	"weak"
 )
 
 // NetworkStats aggregates what the network did during a replay.
@@ -112,40 +111,48 @@ func (r *Result) MeanBlockedFraction() float64 {
 	return sum / float64(len(r.Timelines.Lines))
 }
 
-// replayerPool recycles Replayers across Simulate calls, so the package-
+// replayerPool recycles replayers across Simulate calls, so the package-
 // level entry point gets warm free lists for free — in a sweep every worker
 // reuses scratch state from earlier grid points.
-var replayerPool = sync.Pool{New: func() any { return NewReplayer() }}
+var replayerPool = sync.Pool{New: func() any { return newReplayer() }}
 
 // Simulate replays the trace set on the platform. The platform is auto-
 // sized to the rank count when its capacity is too small; MIPS 0 defers to
 // the rate recorded in the trace. Simulate is a pure function of its
-// arguments; internally it draws a pooled Replayer, so repeated calls do
+// arguments; internally it draws a pooled replayer, so repeated calls do
 // not pay the scratch-allocation cost of a cold replayer.
 func Simulate(ts *trace.Set, cfg machine.Config) (*Result, error) {
 	return SimulatePar(ts, cfg, 0)
 }
 
 // SimulatePar is Simulate with the conservative-window parallel engine
-// enabled at the given width (see Replayer.Parallel). The result is
-// identical to Simulate's; par <= 1 runs sequentially.
+// enabled at the given width: ranks are partitioned across min(par,
+// nranks) shards that advance concurrently between barriers one lookahead
+// apart. It engages only on eligible runs (at least 16 ranks, no
+// collectives, a contention-free platform) and falls back to sequential
+// otherwise. The result is identical to Simulate's; par <= 1 runs
+// sequentially.
 func SimulatePar(ts *trace.Set, cfg machine.Config, par int) (*Result, error) {
-	r := replayerPool.Get().(*Replayer)
-	r.Parallel = par
+	r := replayerPool.Get().(*replayer)
+	r.parallel = par
 	res, err := r.Simulate(ts, cfg)
-	r.Parallel = 0
+	r.parallel = 0
 	replayerPool.Put(r)
 	return res, err
 }
 
-// SimulateBatch runs one pooled warm Replayer over many platform configs
-// for the same trace set; see Replayer.SimulateBatch. par enables the
-// parallel engine per point, exactly as in SimulatePar.
+// SimulateBatch replays the same trace set across many platform configs
+// through one pooled warm replayer, writing one Summary per config into
+// out. Trace validation and record attachment happen once, and no Result
+// or timelines are assembled. On a config or model error it stops and
+// returns how many leading points completed (out[:n] are valid) alongside
+// the error. par enables the parallel engine per point, exactly as in
+// SimulatePar.
 func SimulateBatch(ts *trace.Set, cfgs []machine.Config, out []Summary, par int) (int, error) {
-	r := replayerPool.Get().(*Replayer)
-	r.Parallel = par
+	r := replayerPool.Get().(*replayer)
+	r.parallel = par
 	n, err := r.SimulateBatch(ts, cfgs, out)
-	r.Parallel = 0
+	r.parallel = 0
 	replayerPool.Put(r)
 	return n, err
 }
@@ -224,7 +231,7 @@ func (q *chanQueue) reset() {
 // and the object returns to the pool once delivered, fully matched, and
 // unreferenced.
 type transfer struct {
-	sim           *Replayer
+	sim           *replayer
 	src, dst, tag int
 	size          units.Bytes
 	local         bool
@@ -280,26 +287,26 @@ type collSlot struct {
 	procs   []*proc
 }
 
-// Replayer is a reusable trace replayer. It owns all replay scratch state —
+// replayer is a reusable trace replayer. It owns all replay scratch state —
 // the DES engine and its queue, rank state machines, channel FIFOs, the
 // transfer free list, collective slots — and recycles everything across
 // Simulate calls, so a warm replayer's event loop runs without heap
 // allocation. The zero value is not usable; create replayers with
-// NewReplayer. A Replayer must not be used concurrently; the package-level
+// newReplayer. A replayer must not be used concurrently; the package-level
 // Simulate draws from an internal pool and is safe for concurrent use.
-type Replayer struct {
-	// Parallel enables the conservative-window parallel engine: ranks are
-	// partitioned across min(Parallel, nranks) shards that advance
+type replayer struct {
+	// parallel enables the conservative-window parallel engine: ranks are
+	// partitioned across min(parallel, nranks) shards that advance
 	// concurrently between barriers one lookahead apart. Results are
 	// identical to sequential replay. It engages only when the run is
 	// eligible (enough ranks, no collectives, a contention-free platform —
 	// see parallelPlan); ineligible runs silently fall back to sequential.
 	// 0 or 1 means sequential.
-	Parallel int
-	// ParThreshold overrides the rank count below which the parallel
+	parallel int
+	// parThreshold overrides the rank count below which the parallel
 	// engine declines to engage (window synchronization would cost more
-	// than it saves). 0 means DefaultParThreshold.
-	ParThreshold int
+	// than it saves). 0 means defaultParThreshold.
+	parThreshold int
 
 	eng  *des.Engine
 	cfg  machine.Config
@@ -327,7 +334,7 @@ type Replayer struct {
 
 	// Parallel-engine state. On the root replayer par is nil and scratch
 	// holds the reusable shard machinery; each shard runs through a view —
-	// a Replayer clone whose par/shard are set, whose eng and stats are
+	// a replayer clone whose par/shard are set, whose eng and stats are
 	// private, and whose matching maps alias the root's (guarded by
 	// scratch.mu).
 	par          *parState
@@ -335,21 +342,11 @@ type Replayer struct {
 	extraDeliver int64     // split deliveries scheduled by this shard
 	skippedWire  int64     // wire events elided by this shard (see startPar)
 	scratch      *parState // root only: reusable shard state
-
-	// Per-set memos, keyed by set identity: the collective scan feeding
-	// parallelPlan and the trace.Validate result. A warm replayer
-	// re-running the same set (a batch, a sweep's platform axis, a
-	// benchmark loop) skips both; the memos assume the caller does not
-	// mutate a set between replays. Weak pointers keep an idle pooled
-	// replayer from pinning the last trace set it ran (see dropRecs).
-	collScanned weak.Pointer[trace.Set]
-	collFound   bool
-	validated   weak.Pointer[trace.Set]
 }
 
-// NewReplayer returns a replayer with cold scratch state.
-func NewReplayer() *Replayer {
-	return &Replayer{
+// newReplayer returns a replayer with cold scratch state.
+func newReplayer() *replayer {
+	return &replayer{
 		eng:   des.New(),
 		chans: map[channelKey]*chanPair{},
 		slots: map[int]*collSlot{},
@@ -360,20 +357,21 @@ func NewReplayer() *Replayer {
 // Simulate for the model contract. The replayer's scratch state is reused,
 // so after the first run on a trace shape the steady-state event loop does
 // not allocate.
-func (s *Replayer) Simulate(ts *trace.Set, cfg machine.Config) (*Result, error) {
+func (s *replayer) Simulate(ts *trace.Set, cfg machine.Config) (*Result, error) {
 	if ts == nil || ts.NRanks() == 0 {
 		return nil, fmt.Errorf("replay: empty trace set")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := s.validate(ts); err != nil {
+	collectives, err := ts.ValidateOnce()
+	if err != nil {
 		return nil, err
 	}
 	// Results never reference the trace records, so drop them on the way
 	// out: an idle pooled replayer must not pin the last trace set it ran.
 	defer s.dropRecs()
-	windows, err := s.runPrepared(ts, cfg)
+	windows, err := s.runPrepared(ts, cfg, collectives)
 	if err != nil {
 		return nil, err
 	}
@@ -426,9 +424,9 @@ func (s *Replayer) Simulate(ts *trace.Set, cfg machine.Config) (*Result, error) 
 // the event loop — sequential or conservative-window parallel, whichever
 // parallelPlan selects — leaving per-rank finish state, stats and step
 // counts in place for the caller to assemble. The trace and config must
-// already be validated. It returns the number of window rounds (0 when
-// sequential).
-func (s *Replayer) runPrepared(ts *trace.Set, cfg machine.Config) (int64, error) {
+// already be validated; collectives is what validating the trace reported.
+// It returns the number of window rounds (0 when sequential).
+func (s *replayer) runPrepared(ts *trace.Set, cfg machine.Config, collectives bool) (int64, error) {
 	if cfg.Capacity() < ts.NRanks() {
 		cfg = cfg.WithNodes(ts.NRanks())
 	}
@@ -438,7 +436,7 @@ func (s *Replayer) runPrepared(ts *trace.Set, cfg machine.Config) (int64, error)
 	}
 	s.reset(ts, cfg, mips)
 	var windows int64
-	if shards, lookahead, ok := s.parallelPlan(ts); ok {
+	if shards, lookahead, ok := s.parallelPlan(collectives); ok {
 		w, err := s.runParallel(shards, lookahead)
 		if err != nil {
 			return 0, err
@@ -464,23 +462,10 @@ func (s *Replayer) runPrepared(ts *trace.Set, cfg machine.Config) (int64, error)
 
 // dropRecs detaches the procs from the trace records so an idle pooled
 // replayer does not pin the last trace set it ran.
-func (s *Replayer) dropRecs() {
+func (s *replayer) dropRecs() {
 	for _, p := range s.procs[:s.nprocs] {
 		p.recs = nil
 	}
-}
-
-// validate runs trace.Validate once per set identity: a warm replayer
-// re-running the same set pays nothing.
-func (s *Replayer) validate(ts *trace.Set) error {
-	if s.validated.Value() == ts {
-		return nil
-	}
-	if err := trace.Validate(ts); err != nil {
-		return err
-	}
-	s.validated = weak.Make(ts)
-	return nil
 }
 
 // reset prepares the replayer for one run, recycling all scratch state. A
@@ -488,7 +473,7 @@ func (s *Replayer) validate(ts *trace.Set) error {
 // left events, unmatched halves or collective slots behind; everything is
 // cleared here rather than at the end of a run, so an errored replayer
 // stays reusable.
-func (s *Replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
+func (s *replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
 	s.eng.Reset()
 	s.cfg = cfg
 	s.mips = mips
@@ -561,7 +546,7 @@ func resizeZeroedBool(s []bool, n int) []bool {
 // parallel engine the free list belongs to the root (callers hold the
 // matching lock) and every instance handed out is tracked so the run can
 // recycle them all at the end — mid-run recycling is disabled there.
-func (s *Replayer) newTransfer(src, dst, tag int) *transfer {
+func (s *replayer) newTransfer(src, dst, tag int) *transfer {
 	owner := s
 	if s.par != nil {
 		owner = s.par.root
@@ -583,7 +568,7 @@ func (s *Replayer) newTransfer(src, dst, tag int) *transfer {
 
 // releaseTransfer zeroes the transfer (keeping its waiter capacity) and
 // returns it to the free list.
-func (s *Replayer) releaseTransfer(t *transfer) {
+func (s *replayer) releaseTransfer(t *transfer) {
 	*t = transfer{sim: s, waiters: t.waiters[:0], srcWaiters: t.srcWaiters[:0]}
 	s.freeT = append(s.freeT, t)
 }
@@ -593,7 +578,7 @@ func (s *Replayer) releaseTransfer(t *transfer) {
 // live request-table references, and nobody blocked on it. The parallel
 // engine never recycles mid-run (reference counts would race across
 // shards); runParallel sweeps everything back afterwards instead.
-func (s *Replayer) maybeRelease(t *transfer) {
+func (s *replayer) maybeRelease(t *transfer) {
 	if s.par != nil {
 		return
 	}
@@ -602,14 +587,14 @@ func (s *Replayer) maybeRelease(t *transfer) {
 	}
 }
 
-func (s *Replayer) fail(err error) {
+func (s *replayer) fail(err error) {
 	if s.err == nil {
 		s.err = err
 	}
 	s.eng.Stop()
 }
 
-func (s *Replayer) checkAllFinished() error {
+func (s *replayer) checkAllFinished() error {
 	var stuck []string
 	for _, p := range s.procs[:s.nprocs] {
 		if !s.done[p.rank] {
@@ -645,7 +630,7 @@ type proc struct {
 	pc           int
 	reqs         map[int]*transfer
 	tl           *timeline.Builder
-	sim          *Replayer
+	sim          *replayer
 	collIdx      int
 	overheadPaid bool // the CPU overhead of recs[pc] has been charged
 }
@@ -806,7 +791,7 @@ func (p *proc) advance() {
 }
 
 // newSlot draws a collective slot from the free list.
-func (s *Replayer) newSlot(idx int, rec trace.Record) *collSlot {
+func (s *replayer) newSlot(idx int, rec trace.Record) *collSlot {
 	if n := len(s.freeSlots); n > 0 {
 		slot := s.freeSlots[n-1]
 		s.freeSlots[n-1] = nil
@@ -819,7 +804,7 @@ func (s *Replayer) newSlot(idx int, rec trace.Record) *collSlot {
 
 // releaseCollective charges the platform's collective cost, resumes all
 // participants and recycles the slot.
-func (s *Replayer) releaseCollective(slot *collSlot) {
+func (s *replayer) releaseCollective(slot *collSlot) {
 	cost := s.cfg.CollectiveCost(slot.rec.Coll, slot.rec.Size, s.nprocs)
 	s.stats.Collectives++
 	delete(s.slots, slot.idx)
@@ -833,7 +818,7 @@ func (s *Replayer) releaseCollective(slot *collSlot) {
 // pair finds or creates the matching-state entry for one directed channel.
 // Pairs persist across runs (a replayer reused on the same workload never
 // re-creates them).
-func (s *Replayer) pair(key channelKey) *chanPair {
+func (s *replayer) pair(key channelKey) *chanPair {
 	pr := s.chans[key]
 	if pr == nil {
 		pr = &chanPair{}
@@ -845,7 +830,7 @@ func (s *Replayer) pair(key channelKey) *chanPair {
 // enqueue appends the transfer to one of the pair's queues, marking the
 // pair for the next reset. The reset worklist always lives on the root
 // replayer: shard views share one set of matching maps.
-func (s *Replayer) enqueue(pr *chanPair, q *chanQueue, t *transfer) {
+func (s *replayer) enqueue(pr *chanPair, q *chanQueue, t *transfer) {
 	if !pr.dirty {
 		pr.dirty = true
 		owner := s
@@ -863,7 +848,7 @@ func (s *Replayer) enqueue(pr *chanPair, q *chanQueue, t *transfer) {
 // startPar — after releasing the lock (the routing only touches the
 // claiming shard's engine and the window inboxes, which have their own
 // synchronization).
-func (s *Replayer) claimStart(t *transfer) bool {
+func (s *replayer) claimStart(t *transfer) bool {
 	if t.started || !t.sendPosted || (!t.eager && !t.recvPosted) {
 		return false
 	}
@@ -877,7 +862,7 @@ func (s *Replayer) claimStart(t *transfer) bool {
 // serializes both post paths (FIFO pairing stays deterministic because a
 // directed channel's sends all come from one rank and its receives from
 // one rank, each replayed in program order).
-func (s *Replayer) postSend(src int, rec *trace.Record) *transfer {
+func (s *replayer) postSend(src int, rec *trace.Record) *transfer {
 	par := s.par != nil
 	if par {
 		s.par.lock()
@@ -909,7 +894,7 @@ func (s *Replayer) postSend(src int, rec *trace.Record) *transfer {
 }
 
 // postRecv matches or enqueues the receiver half of a transfer.
-func (s *Replayer) postRecv(dst int, rec *trace.Record) *transfer {
+func (s *replayer) postRecv(dst int, rec *trace.Record) *transfer {
 	par := s.par != nil
 	if par {
 		s.par.lock()
@@ -944,7 +929,7 @@ func (s *Replayer) postRecv(dst int, rec *trace.Record) *transfer {
 // through claimStart/startPar, which derive delivery from the recorded
 // post instants because the matching shard's clock may lag the transfer's
 // true start time.
-func (s *Replayer) maybeStart(t *transfer) {
+func (s *replayer) maybeStart(t *transfer) {
 	if t.started {
 		return
 	}
@@ -968,7 +953,7 @@ func (s *Replayer) maybeStart(t *transfer) {
 }
 
 // resourcesFree reports whether the transfer can occupy its links and a bus.
-func (s *Replayer) resourcesFree(t *transfer) bool {
+func (s *replayer) resourcesFree(t *transfer) bool {
 	srcNode, dstNode := s.cfg.NodeOf(t.src), s.cfg.NodeOf(t.dst)
 	if s.cfg.OutLinks > 0 && s.outUse[srcNode] >= s.cfg.OutLinks {
 		return false
@@ -984,7 +969,7 @@ func (s *Replayer) resourcesFree(t *transfer) bool {
 
 // drainPending starts every queued transfer whose resources are free, in
 // FIFO order with skipping (a blocked head does not stall unrelated pairs).
-func (s *Replayer) drainPending() {
+func (s *replayer) drainPending() {
 	remaining := s.pending[:0]
 	for _, t := range s.pending {
 		if s.resourcesFree(t) {
@@ -999,7 +984,7 @@ func (s *Replayer) drainPending() {
 // startRemote occupies resources and schedules the wire phase. Resources
 // are held for the wire time; delivery happens one latency later (the
 // latency models end-point overheads, not bus occupancy).
-func (s *Replayer) startRemote(t *transfer) {
+func (s *replayer) startRemote(t *transfer) {
 	srcNode, dstNode := s.cfg.NodeOf(t.src), s.cfg.NodeOf(t.dst)
 	s.outUse[srcNode]++
 	s.inUse[dstNode]++
@@ -1014,7 +999,7 @@ func (s *Replayer) startRemote(t *transfer) {
 // the sequential engine schedules wire events; the parallel engine holds
 // no resources (it requires a contention-free platform) and folds the
 // wire time into the delivery instant directly (see startPar).
-func (s *Replayer) wireDone(t *transfer) {
+func (s *replayer) wireDone(t *transfer) {
 	srcNode, dstNode := s.cfg.NodeOf(t.src), s.cfg.NodeOf(t.dst)
 	s.outUse[srcNode]--
 	s.inUse[dstNode]--
@@ -1026,7 +1011,7 @@ func (s *Replayer) wireDone(t *transfer) {
 // deliver completes the transfer and resumes everything blocked on it.
 // Sequential replay and the parallel same-shard case both come through
 // here; srcWaiters is only ever populated under the parallel engine.
-func (s *Replayer) deliver(t *transfer) {
+func (s *replayer) deliver(t *transfer) {
 	t.deliveredSrc, t.deliveredDst = true, true
 	s.stats.Transfers++
 	s.stats.Bytes += t.size

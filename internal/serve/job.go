@@ -89,7 +89,9 @@ type WorkJSON struct {
 	Replays         int64 `json:"replays"`
 	ReplayMemoHits  int64 `json:"replay_memo_hits"`
 	ReplayStoreHits int64 `json:"replay_store_hits"`
-	BatchedReplays  int64 `json:"batched_replays"`
+	// Deprecated: BatchedReplays is always 0 and omitted; replays are no
+	// longer batched.
+	BatchedReplays  int64 `json:"batched_replays,omitempty"`
 	ParallelWindows int64 `json:"parallel_windows"`
 	// Surrogate fast path counters; omitted when zero so exact-mode
 	// documents are unchanged from earlier releases.
@@ -105,7 +107,6 @@ func workJSON(c sweep.Counters) WorkJSON {
 		Replays:          c.Replays,
 		ReplayMemoHits:   c.ReplayMemoHits,
 		ReplayStoreHits:  c.ReplayStoreHits,
-		BatchedReplays:   c.BatchedReplays,
 		ParallelWindows:  c.ParallelWindows,
 		PredictedPoints:  c.PredictedPoints,
 		SpotCheckReplays: c.SpotCheckReplays,

@@ -42,9 +42,6 @@ type Config struct {
 	// conservative-window parallel engine at that width. Results are
 	// identical for any value.
 	ReplayPar int
-	// DisableBatch turns off batched warm-replayer execution for
-	// platform-axis grids.
-	DisableBatch bool
 	// Approx turns on the surrogate fast path for every job by default:
 	// dense numeric axes are thinned to replayed anchors and the rest of
 	// each family is interpolated within ApproxMaxErr. A request may
@@ -356,7 +353,6 @@ func (s *Server) runJob(w http.ResponseWriter, jb *job, ctx context.Context) {
 	runner.Size = jb.size
 	runner.Iters = jb.iters
 	runner.ReplayPar = s.cfg.ReplayPar
-	runner.DisableBatch = s.cfg.DisableBatch
 	runner.Approx = jb.approx.enabled
 	runner.ApproxMaxErr = jb.approx.maxErr
 	runner.ApproxSpotCheck = jb.approx.spotCheck

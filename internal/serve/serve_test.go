@@ -552,8 +552,8 @@ func TestServeCancelAll(t *testing.T) {
 }
 
 // TestServeBatchedParallelCounters: a daemon configured with ReplayPar on a
-// contention-free base reports the batched-replay and parallel-window work
-// both per job and in the /stats aggregate.
+// contention-free base reports the parallel-window work both per job and
+// in the /stats aggregate.
 func TestServeBatchedParallelCounters(t *testing.T) {
 	base := machine.Default()
 	base.InLinks, base.OutLinks = 0, 0
@@ -578,9 +578,6 @@ func TestServeBatchedParallelCounters(t *testing.T) {
 	if st.State != JobDone || st.Work == nil {
 		t.Fatalf("status %+v", st)
 	}
-	if st.Work.BatchedReplays == 0 {
-		t.Errorf("platform-axis job reported no batched replays: %+v", *st.Work)
-	}
 	if st.Work.ParallelWindows == 0 {
 		t.Errorf("ReplayPar daemon reported no parallel windows: %+v", *st.Work)
 	}
@@ -594,8 +591,7 @@ func TestServeBatchedParallelCounters(t *testing.T) {
 	if err := json.NewDecoder(sr.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Work.BatchedReplays != st.Work.BatchedReplays ||
-		stats.Work.ParallelWindows != st.Work.ParallelWindows {
+	if stats.Work.ParallelWindows != st.Work.ParallelWindows {
 		t.Errorf("/stats does not aggregate the new counters: stats %+v, job %+v",
 			stats.Work, *st.Work)
 	}

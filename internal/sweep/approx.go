@@ -205,10 +205,7 @@ func (r *Runner) approxResults(pts []Point, indices []int) map[int]Result {
 		fams[k] = append(fams[k], famMember{idx: idx, p: p, x: axisValue(axis, p)})
 	}
 
-	// Plan every family first, so all anchors and spot checks can batch
-	// through one warm replayer before any of them runs.
 	var plans []famPlan
-	var warm []int
 	for _, key := range order {
 		ms := fams[key]
 		if len(ms) < minApproxFamily {
@@ -233,29 +230,18 @@ func (r *Runner) approxResults(pts []Point, indices []int) map[int]Result {
 			spots = append(spots, predicted[s])
 		}
 		plans = append(plans, famPlan{key: key, members: ms, anchors: anchors, spots: spots})
-		for _, pos := range anchors {
-			warm = append(warm, ms[pos].idx)
-		}
-		for _, pos := range spots {
-			warm = append(warm, ms[pos].idx)
-		}
 	}
 	if len(plans) == 0 {
 		return nil
 	}
-	r.prefill(pts, warm, nil)
 
 	out := map[int]Result{}
-	var demoted []int
 	for _, pl := range plans {
-		r.approxFamily(pts, axis, pl, out, &demoted)
+		r.approxFamily(pts, axis, pl, out)
 	}
 	if len(out) == 0 {
 		return nil
 	}
-	// A demoted family's remaining points replay exactly on the engine;
-	// prefill them so they still batch through a warm replayer.
-	r.prefill(pts, demoted, nil)
 	return out
 }
 
@@ -264,7 +250,7 @@ func (r *Runner) approxResults(pts []Point, indices []int) map[int]Result {
 // predictions or demote the family. Any replay error abandons the family
 // silently — the exact path rediscovers and reports the error with the
 // engine's deterministic lowest-index semantics.
-func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[int]Result, demoted *[]int) {
+func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[int]Result) {
 	n := len(pl.members)
 	rep := pl.members[0].p
 	ps, err := r.profiled(pipeKey{app: rep.App, ranks: rep.Ranks, chunks: rep.Chunks})
@@ -367,8 +353,6 @@ func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[
 		for pos, m := range pl.members {
 			if present[pos] && !results[pos].Approx {
 				out[m.idx] = results[pos] // anchors and spot checks stay: they are exact
-			} else {
-				*demoted = append(*demoted, m.idx)
 			}
 		}
 		return

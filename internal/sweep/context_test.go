@@ -132,11 +132,11 @@ func panicReplays(t *testing.T, n int64) {
 	orig := simulate
 	t.Cleanup(func() { simulate = orig })
 	var calls atomic.Int64
-	simulate = func(ts *trace.Set, m machine.Config, par int) (*replay.Result, error) {
+	simulate = func(ts *trace.Set, cfgs []machine.Config, out []replay.Summary, par int) (int, error) {
 		if n < 0 || calls.Add(1) <= n {
 			panic("replay invariant broken")
 		}
-		return orig(ts, m, par)
+		return orig(ts, cfgs, out, par)
 	}
 }
 
@@ -177,7 +177,6 @@ func TestRunnerPlanningPanicFailsRun(t *testing.T) {
 	r.Size = 64
 	r.Iters = 1
 	r.Approx = true
-	r.DisableBatch = true
 	bws := make([]units.Bandwidth, 8)
 	for i := range bws {
 		bws[i] = units.Bandwidth(i+1) * 64 * units.MBPerSec

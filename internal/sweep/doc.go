@@ -26,10 +26,10 @@
 //
 // Every sweep — Run, RunSink, RunSinkContext, RunIndicesSinkContext —
 // wraps one core: validate and expand the grid, resolve the expanded-
-// point indices to run (nil means all), plan surrogate predictions and
-// batch-prefill replays serially, then fan the rest out on EachContext,
-// which hands each result to a Sink as it completes (unordered,
-// serialized). Map is EachContext collecting into a slice. A panicking
+// point indices to run (nil means all), plan surrogate predictions
+// serially, then fan the rest out on EachContext, which hands each result
+// to a Sink as it completes (unordered, serialized). Every replay is one
+// memo fill on a worker, so results stream while later points replay. Map is EachContext collecting into a slice. A panicking
 // job fails only its own index, as a *JobError wrapping a *PanicError; a
 // panic in the serial planning stage fails the run with a *PanicError.
 //
@@ -61,7 +61,10 @@
 //     ranks, trace variant, platform). The original trace's variant is
 //     independent of the mechanism/pattern/chunk axes, so sweeping those
 //     axes pays for the original replay once instead of once per point —
-//     roughly halving the replays of such grids.
+//     roughly halving the replays of such grids. A fill replays on the
+//     Summary path (replay.SimulateBatch with one platform), which
+//     builds no timelines, and each trace set validates once however
+//     often the workers alternate between sets (trace.Set.ValidateOnce).
 //   - Runner.Store (*replaystore.Store) persists the replay memo's
 //     entries on disk under the same key (platform hashed losslessly), so
 //     a warm re-run of an identical sweep does zero replays on top of

@@ -41,13 +41,11 @@ type Runner struct {
 	Cache *TraceCache
 	// ReplayPar, when >= 2, enables the conservative-window parallel replay
 	// engine: each eligible replay is sharded across up to ReplayPar private
-	// event queues (see replay.Replayer.Parallel). Results are identical to
+	// event queues (see replay.SimulatePar). Results are identical to
 	// sequential replay; ineligible points fall back automatically.
 	ReplayPar int
-	// DisableBatch turns off batched warm-replayer execution. By default a
-	// grid that varies only platform axes for a workload routes all its
-	// missing replays through one warm Replayer (replay.SimulateBatch)
-	// before the workers start, skipping per-point setup.
+	// Deprecated: DisableBatch has no effect; every replay runs once, on
+	// the workers, through the per-point memo.
 	DisableBatch bool
 	// Store, when non-nil, persists replay results on disk (normally next
 	// to the trace cache), so a warm re-run of an identical sweep — or a
@@ -82,7 +80,6 @@ type Runner struct {
 	ctReplays    atomic.Int64
 	ctMemoHits   atomic.Int64
 	ctStoreHits  atomic.Int64
-	ctBatched    atomic.Int64
 	ctWindows    atomic.Int64
 	ctPredicted  atomic.Int64
 	ctSpotChecks atomic.Int64
@@ -104,8 +101,8 @@ type Counters struct {
 	// work a previous process already paid for. A warm re-run of an
 	// identical sweep shows Traces == 0 and Replays == 0 here.
 	ReplayStoreHits int64
-	// BatchedReplays counts the subset of Replays executed through the
-	// batched warm-replayer path (one warm Replayer over a platform axis).
+	// Deprecated: BatchedReplays is always 0; replays are no longer
+	// batched.
 	BatchedReplays int64
 	// ParallelWindows counts conservative-window rounds executed by the
 	// parallel replay engine; 0 means every replay ran sequentially.
@@ -130,7 +127,6 @@ func (c Counters) Add(o Counters) Counters {
 		Replays:          c.Replays + o.Replays,
 		ReplayMemoHits:   c.ReplayMemoHits + o.ReplayMemoHits,
 		ReplayStoreHits:  c.ReplayStoreHits + o.ReplayStoreHits,
-		BatchedReplays:   c.BatchedReplays + o.BatchedReplays,
 		ParallelWindows:  c.ParallelWindows + o.ParallelWindows,
 		PredictedPoints:  c.PredictedPoints + o.PredictedPoints,
 		SpotCheckReplays: c.SpotCheckReplays + o.SpotCheckReplays,
@@ -147,7 +143,6 @@ func (c Counters) Sub(o Counters) Counters {
 		Replays:          c.Replays - o.Replays,
 		ReplayMemoHits:   c.ReplayMemoHits - o.ReplayMemoHits,
 		ReplayStoreHits:  c.ReplayStoreHits - o.ReplayStoreHits,
-		BatchedReplays:   c.BatchedReplays - o.BatchedReplays,
 		ParallelWindows:  c.ParallelWindows - o.ParallelWindows,
 		PredictedPoints:  c.PredictedPoints - o.PredictedPoints,
 		SpotCheckReplays: c.SpotCheckReplays - o.SpotCheckReplays,
@@ -163,7 +158,6 @@ func (r *Runner) Stats() Counters {
 		Replays:          r.ctReplays.Load(),
 		ReplayMemoHits:   r.ctMemoHits.Load(),
 		ReplayStoreHits:  r.ctStoreHits.Load(),
-		BatchedReplays:   r.ctBatched.Load(),
 		ParallelWindows:  r.ctWindows.Load(),
 		PredictedPoints:  r.ctPredicted.Load(),
 		SpotCheckReplays: r.ctSpotChecks.Load(),
@@ -277,15 +271,9 @@ type memoEntry struct {
 	steps   int64
 	blocked float64
 	err     error
-	// prefilled marks an entry the batch path computed before any point
-	// asked for it. The first lookup consumes the mark without counting a
-	// memo hit: that lookup is the point's own replay, already counted as
-	// a (batched) replay — so the hit accounting matches the unbatched run
-	// exactly.
-	prefilled bool
 }
 
-// replayMemo memoizes replay.Simulate per (workload, variant, platform).
+// replayMemo memoizes one replay per (workload, variant, platform).
 // A sweep grid replays the same trace on the same platform once per other
 // axis value — e.g. every mechanism point re-replays the original trace —
 // and the memo collapses those duplicates. With a persistent Store
@@ -308,10 +296,6 @@ func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (*memoEntry, error)
 		e = &memoEntry{}
 		r.memos[key] = e
 	}
-	if hit && e.prefilled {
-		e.prefilled = false
-		hit = false
-	}
 	r.mu.Unlock()
 	if hit {
 		r.ctMemoHits.Add(1)
@@ -330,15 +314,15 @@ func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (*memoEntry, error)
 			}
 		}
 		r.ctReplays.Add(1)
-		res, err := simulate(ts, m, r.ReplayPar)
-		if err != nil {
+		var sum [1]replay.Summary
+		if _, err := simulate(ts, []machine.Config{m}, sum[:], r.ReplayPar); err != nil {
 			e.err = err
 			return
 		}
-		r.ctWindows.Add(res.Windows)
-		e.total = res.Total
-		e.steps = res.Steps
-		e.blocked = res.MeanBlockedFraction()
+		r.ctWindows.Add(sum[0].Windows)
+		e.total = sum[0].Total
+		e.steps = sum[0].Steps
+		e.blocked = sum[0].Blocked
 		if r.Store != nil {
 			r.noteStoreErr(r.Store.Store(storeKey, replaystore.Result{
 				Total: e.total, Steps: e.steps, Blocked: e.blocked,
@@ -348,9 +332,9 @@ func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (*memoEntry, error)
 	return e, e.err
 }
 
-// simulate is the replay a memo fill runs; tests swap it to inject a
-// panicking replay.
-var simulate = replay.SimulatePar
+// simulate is the replay a memo fill runs: the Summary path, since a sweep
+// consumes no timelines. Tests swap it to inject a panicking replay.
+var simulate = replay.SimulateBatch
 
 // recordPanic, deferred inside a sync.Once fill, stores a panic as the
 // slot's error before re-raising it: Once counts a panicking fill as done,
@@ -467,8 +451,8 @@ func (r *Runner) RunIndicesSinkContext(ctx context.Context, g Grid, indices []in
 
 // run is the single sweep execution path behind every entry point:
 // validate and expand the grid, resolve and bounds-check the requested
-// indices, let the surrogate planner and the batch prefill do their serial
-// work, then fan the remaining points out on the engine.
+// indices, let the surrogate planner do its serial work, then fan the
+// remaining points out on the engine.
 func (r *Runner) run(ctx context.Context, g Grid, indices []int, sink Sink) error {
 	if err := g.Validate(); err != nil {
 		return err
@@ -485,12 +469,10 @@ func (r *Runner) run(ctx context.Context, g Grid, indices []int, sink Sink) erro
 			return fmt.Errorf("sweep: point index %d out of range [0,%d)", i, len(pts))
 		}
 	}
-	// The planner and the prefill replay on this goroutine, outside the
-	// workers, so runJob turns a panic there into this run's error.
+	// The planner replays on this goroutine, outside the workers, so runJob
+	// turns a panic there into this run's error.
 	approx, err := runJob(func(int) (map[int]Result, error) {
-		approx := r.approxResults(pts, indices)
-		r.prefill(pts, indices, approx)
-		return approx, nil
+		return r.approxResults(pts, indices), nil
 	}, 0)
 	if err != nil {
 		return fmt.Errorf("sweep: planning: %w", err)

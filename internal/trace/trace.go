@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"overlapsim/internal/units"
 )
@@ -203,6 +204,8 @@ type Set struct {
 	Variant string     // e.g. "original", "overlap-real", "overlap-linear"
 	MIPS    units.MIPS // instruction-to-time scale observed in the real run
 	Traces  []Trace    // index i holds rank i
+
+	checked atomic.Uint32 // ValidateOnce's memo
 }
 
 // NewSet allocates a set with nranks empty traces.

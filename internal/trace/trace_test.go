@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -143,6 +144,55 @@ func TestValidateAcceptsGoodSet(t *testing.T) {
 	if err := Validate(pingPongSet()); err != nil {
 		t.Errorf("valid set rejected: %v", err)
 	}
+}
+
+// TestValidateOnce pins the memo contract: an invalid set is checked again
+// on every call, so fixing it makes it pass; a valid set is checked once,
+// so a later mutation (which the contract forbids) goes unseen; the
+// collectives flag follows the set's contents.
+func TestValidateOnce(t *testing.T) {
+	s := pingPongSet()
+	s.Traces[0].Append(Send(1, 99, 64))
+	for i := 0; i < 2; i++ {
+		if _, err := s.ValidateOnce(); err == nil || !strings.Contains(err.Error(), "p2p mismatch") {
+			t.Fatalf("call %d: invalid set: err = %v, want p2p mismatch", i, err)
+		}
+	}
+	s.Traces[1].Append(Recv(0, 99, 64))
+	coll, err := s.ValidateOnce()
+	if err != nil || coll {
+		t.Fatalf("repaired set: collectives=%v err=%v, want false, nil", coll, err)
+	}
+	s.Traces[0].Append(Send(0, 1, 64))
+	if _, err := s.ValidateOnce(); err != nil {
+		t.Fatalf("validated set re-checked: %v", err)
+	}
+	if Validate(s) == nil {
+		t.Fatal("Validate must not use the memo")
+	}
+
+	c := pingPongSet()
+	c.Traces[0].Append(Global(Barrier, 0, 0))
+	c.Traces[1].Append(Global(Barrier, 0, 0))
+	for i := 0; i < 2; i++ {
+		if coll, err := c.ValidateOnce(); err != nil || !coll {
+			t.Fatalf("call %d: set with a barrier: collectives=%v err=%v, want true, nil", i, coll, err)
+		}
+	}
+
+	// Concurrent first calls, as from sweep workers sharing a set, agree.
+	p := pingPongSet()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if coll, err := p.ValidateOnce(); err != nil || coll {
+				t.Errorf("concurrent call: collectives=%v err=%v, want false, nil", coll, err)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestValidateCatchesProblems(t *testing.T) {

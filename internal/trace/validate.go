@@ -52,6 +52,47 @@ var validatePool = sync.Pool{New: func() any {
 // the first few problems found. Valid sets are checked without formatting
 // work: problem locations are rendered only when a problem exists.
 func Validate(s *Set) error {
+	_, err := validate(s)
+	return err
+}
+
+// Set.checked states: a set that has not yet validated, and a valid set
+// without and with collectives.
+const (
+	unchecked uint32 = iota
+	validNoCollectives
+	validCollectives
+)
+
+// ValidateOnce is Validate memoized on the set, for consumers that check
+// the same set many times (the replayer checks its input on every call).
+// A valid set is checked once; an invalid set is checked again on every
+// call, so its error is never stale. It also reports whether the set
+// contains collectives, which a valid set's rank 0 sequence decides for
+// every rank. The memo relies on the set not being mutated once it has
+// validated. Concurrent first calls may each run the check; they agree.
+func (s *Set) ValidateOnce() (collectives bool, err error) {
+	switch s.checked.Load() {
+	case validNoCollectives:
+		return false, nil
+	case validCollectives:
+		return true, nil
+	}
+	collectives, err = validate(s)
+	if err != nil {
+		return false, err
+	}
+	state := validNoCollectives
+	if collectives {
+		state = validCollectives
+	}
+	s.checked.Store(state)
+	return collectives, nil
+}
+
+// validate is Validate, additionally reporting whether a valid set
+// contains collectives.
+func validate(s *Set) (collectives bool, err error) {
 	sc := validatePool.Get().(*validateScratch)
 	defer validatePool.Put(sc)
 	clear(sc.sends)
@@ -194,11 +235,11 @@ func Validate(s *Set) error {
 	}
 
 	if len(problems) == 0 {
-		return nil
+		return len(sc.colls) > 0, nil
 	}
 	msg := problems[0]
 	for _, p := range problems[1:] {
 		msg += "; " + p
 	}
-	return fmt.Errorf("trace: invalid set %q/%q: %s", s.Name, s.Variant, msg)
+	return false, fmt.Errorf("trace: invalid set %q/%q: %s", s.Name, s.Variant, msg)
 }
