@@ -59,12 +59,11 @@ func parseSweepSpec(spec []string) (sweep.Grid, machine.Config, int, int, error)
 // campaignRunner builds a fresh runner over the shared cache directory.
 // Each worker gets its own runner so per-chunk work accounting stays
 // attributable; the disk-level caches still share everything.
-func campaignRunner(cfg machine.Config, size, iters, pool int, cacheDir string, rp *cliflag.Replay, ap *cliflag.Approx, warn func(string)) *sweep.Runner {
+func campaignRunner(cfg machine.Config, size, iters, pool int, cacheDir string, ap *cliflag.Approx, warn func(string)) *sweep.Runner {
 	r := sweep.NewRunner(cfg)
 	r.Size = size
 	r.Iters = iters
 	r.Engine = sweep.Engine{Workers: pool}
-	rp.Apply(r)
 	ap.Apply(r)
 	if cacheDir != "" {
 		r.Cache = &sweep.TraceCache{Dir: cacheDir, Warn: warn}
@@ -102,7 +101,6 @@ func runCampaign(args []string, stdout io.Writer) error {
 	chaosRate := fs.Float64("chaos", 0, "fault-injection rate forwarded to spawned workers (0 disables)")
 	chaosMode := fs.String("chaos-mode", "crash", "fault to inject in spawned workers: crash, stall, drop or mix")
 	chaosSeed := fs.Uint64("chaos-seed", 1, "seed for the deterministic fault-injection schedule (worker i gets seed+i)")
-	rp := cliflag.RegisterReplay(fs)
 	ap := cliflag.RegisterApprox(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -211,7 +209,7 @@ func runCampaign(args []string, stdout io.Writer) error {
 				w := &campaign.Worker{
 					Board:     &campaign.LocalBoard{C: coord, Worker: id},
 					ID:        id,
-					Runner:    campaignRunner(base, size, iters, *workerPool, *cacheDir, rp, ap, warn),
+					Runner:    campaignRunner(base, size, iters, *workerPool, *cacheDir, ap, warn),
 					Grid:      grid,
 					Signature: sig,
 					Total:     total,
@@ -235,7 +233,7 @@ func runCampaign(args []string, stdout io.Writer) error {
 					if done() || ctx.Err() != nil {
 						return
 					}
-					cmd := exec.CommandContext(ctx, os.Args[0], spawnArgs(i, baseURL, *cacheDir, *workerPool, rp, ap, *chaosRate, *chaosMode, *chaosSeed)...)
+					cmd := exec.CommandContext(ctx, os.Args[0], spawnArgs(i, baseURL, *cacheDir, *workerPool, ap, *chaosRate, *chaosMode, *chaosSeed)...)
 					cmd.Stdout = os.Stderr
 					cmd.Stderr = os.Stderr
 					err := cmd.Run()
@@ -307,7 +305,7 @@ func unfinished(c *campaign.Coordinator) int {
 
 // spawnArgs builds a spawned worker's command line. Worker i gets chaos
 // seed+i so the processes fail on distinct, still-deterministic schedules.
-func spawnArgs(i int, baseURL, cacheDir string, pool int, rp *cliflag.Replay, ap *cliflag.Approx, chaosRate float64, chaosMode string, chaosSeed uint64) []string {
+func spawnArgs(i int, baseURL, cacheDir string, pool int, ap *cliflag.Approx, chaosRate float64, chaosMode string, chaosSeed uint64) []string {
 	args := []string{"worker",
 		"-coordinator", baseURL,
 		"-id", fmt.Sprintf("spawn-%d", i),
@@ -315,9 +313,6 @@ func spawnArgs(i int, baseURL, cacheDir string, pool int, rp *cliflag.Replay, ap
 	}
 	if cacheDir != "" {
 		args = append(args, "-cache-dir", cacheDir)
-	}
-	if rp.Par != 0 {
-		args = append(args, "-replay-par", strconv.Itoa(rp.Par))
 	}
 	if ap.Enabled {
 		args = append(args, "-approx",
@@ -349,7 +344,6 @@ func runWorker(args []string) error {
 	chaosRate := fs.Float64("chaos", 0, "fault-injection rate in [0,1] (0 disables)")
 	chaosMode := fs.String("chaos-mode", "crash", "fault to inject: crash, stall, drop or mix")
 	chaosSeed := fs.Uint64("chaos-seed", 1, "seed for the deterministic fault-injection schedule")
-	rp := cliflag.RegisterReplay(fs)
 	ap := cliflag.RegisterApprox(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -402,7 +396,7 @@ func runWorker(args []string) error {
 	w := &campaign.Worker{
 		Board:     client,
 		ID:        *id,
-		Runner:    campaignRunner(base, size, iters, *pool, *cacheDir, rp, ap, warn),
+		Runner:    campaignRunner(base, size, iters, *pool, *cacheDir, ap, warn),
 		Grid:      grid,
 		Signature: spec.Signature,
 		Total:     spec.Total,

@@ -309,7 +309,6 @@ func runSweep(args []string, stdout io.Writer) error {
 	streamOrdered := fs.Bool("stream-ordered", false, "flush results to -o/stdout incrementally in grid order (longest finished prefix); an interrupt keeps the flushed prefix as a well-formed partial file")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the sweep ends")
-	rp := cliflag.RegisterReplay(fs)
 	ap := cliflag.RegisterApprox(fs)
 	mf := cliflag.RegisterMachine(fs)
 	if err := fs.Parse(args); err != nil {
@@ -402,7 +401,6 @@ func runSweep(args []string, stdout io.Writer) error {
 	runner.Size = *size
 	runner.Iters = *iters
 	runner.Engine = sweep.Engine{Workers: *workers}
-	rp.Apply(runner)
 	ap.Apply(runner)
 	if *cacheDir != "" {
 		runner.Cache = &sweep.TraceCache{Dir: *cacheDir, Warn: warn}

@@ -31,7 +31,6 @@ func runServe(args []string) error {
 	workers := fs.Int("workers", 0, "each sweep's worker-pool size (0 = one per CPU); results are identical for any value")
 	drainTimeout := fs.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain: how long in-flight requests may finish after SIGINT/SIGTERM before the listener is torn down")
 	quiet := fs.Bool("quiet", false, "suppress per-job log lines on stderr")
-	rp := cliflag.RegisterReplay(fs)
 	ap := cliflag.RegisterApprox(fs)
 	mf := cliflag.RegisterMachine(fs)
 	if err := fs.Parse(args); err != nil {
@@ -59,7 +58,6 @@ func runServe(args []string) error {
 		MaxQueued:       *maxQueued,
 		MaxPoints:       *maxPoints,
 		SweepWorkers:    *workers,
-		ReplayPar:       rp.Par,
 		Approx:          ap.Enabled,
 		ApproxMaxErr:    ap.MaxErr,
 		ApproxSpotCheck: ap.SpotCheck,

@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -66,33 +67,83 @@ type inbox struct {
 // Windows coordinates a fixed set of engines through conservative rounds.
 // It is created once per parallel run configuration and may be reused for
 // many runs (the engines are Reset and rescheduled by the caller between
-// runs). It owns no goroutines between runs.
+// runs). A run of a reused Windows allocates nothing: its channels are made
+// here, and its workers come from a process-wide idle set and go back to it
+// before Run returns, holding no reference to the Windows.
 type Windows struct {
-	// Serial makes Run execute every shard inline on the calling goroutine
-	// instead of spawning workers. The event order per round is identical;
-	// callers set it when no real parallelism is available (GOMAXPROCS 1),
-	// where worker goroutines would only add a park/unpark per shard per
-	// round. While Serial, callers may also skip their own cross-shard
-	// locking — Run touches the engines from exactly one goroutine.
-	Serial  bool
 	engines []*Engine
 	inboxes []inbox
-	barrier atomic.Int64 // current round's barrier, for the Post assertion
-	limits  []chan units.Time
-	errs    []error
-	panics  []any
+	barrier atomic.Int64      // current round's barrier, for the Post assertion
+	groups  int               // goroutines running this run's shards
+	limits  []chan units.Time // per worker (group >= 1): round barriers, then endRun
+	errs    []error           // per shard
+	panics  []any             // per group
 	wg      sync.WaitGroup
 }
 
 // NewWindows wraps the given engines. The caller keeps scheduling into each
 // engine directly for same-shard work; cross-shard work goes through Post.
 func NewWindows(engines []*Engine) *Windows {
-	return &Windows{
+	w := &Windows{
 		engines: engines,
 		inboxes: make([]inbox, len(engines)),
 		limits:  make([]chan units.Time, len(engines)),
 		errs:    make([]error, len(engines)),
 		panics:  make([]any, len(engines)),
+	}
+	for i := 1; i < len(engines); i++ {
+		w.limits[i] = make(chan units.Time, 1)
+	}
+	return w
+}
+
+// endRun, sent in place of a barrier, ends a worker's run.
+const endRun units.Time = -1
+
+// idleWorkers parks the task channels of workers between runs. Its size
+// bounds how many park; a worker that finds it full exits, and a run that
+// finds it empty starts one. 64 covers a sweep's concurrent replays up to
+// 8 cores: one per sweep worker, each using GOMAXPROCS-1 workers (56).
+var idleWorkers = make(chan chan groupTask, 64)
+
+// groupTask binds a worker to shard group g of one run of w.
+type groupTask struct {
+	w *Windows
+	g int
+}
+
+func worker(tasks chan groupTask) {
+	for (<-tasks).serve(tasks) {
+	}
+}
+
+// serve runs the group's rounds until endRun, then parks the worker;
+// false means the idle set was full and the worker exits.
+func (t groupTask) serve(tasks chan groupTask) (parked bool) {
+	w, ch := t.w, t.w.limits[t.g]
+	for limit := <-ch; limit != endRun; limit = <-ch {
+		func() {
+			// A panic inside a shard event (including the Post barrier
+			// assertion) re-surfaces on the coordinating goroutine, like
+			// it would under sequential Run.
+			defer func() { w.panics[t.g] = recover() }()
+			w.runGroup(t.g, limit)
+		}()
+		w.wg.Done()
+	}
+	select {
+	case idleWorkers <- tasks:
+		parked = true
+	default:
+	}
+	w.wg.Done()
+	return parked
+}
+
+// runGroup runs one round of the shards dealt to group g: g, g+groups, ...
+func (w *Windows) runGroup(g int, limit units.Time) {
+	for i := g; i < len(w.engines); i += w.groups {
+		w.errs[i] = w.engines[i].RunWindow(limit)
 	}
 }
 
@@ -145,33 +196,30 @@ func (w *Windows) Run(lookahead units.Duration) (int64, error) {
 		w.panics[i] = nil // a panic may have aborted the previous run
 	}
 	w.barrier.Store(0)
-	spawn := len(w.engines) > 1 && !w.Serial
-	if spawn {
-		// One worker goroutine per engine beyond the first for the whole
-		// run; each round is a broadcast of the new barrier followed by a
-		// barrier wait. The coordinator runs shard 0 itself.
-		for i := 1; i < len(w.engines); i++ {
-			ch := make(chan units.Time, 1)
-			w.limits[i] = ch
-			go func(i int, ch chan units.Time) {
-				for limit := range ch {
-					func() {
-						// A panic inside a shard event (including the Post
-						// barrier assertion) re-surfaces on the coordinating
-						// goroutine, like it would under sequential Run.
-						defer func() { w.panics[i] = recover() }()
-						w.errs[i] = w.engines[i].RunWindow(limit)
-					}()
-					w.wg.Done()
-				}
-			}(i, ch)
+	// Shards are dealt round-robin to one goroutine per execution slot at
+	// most: the coordinator runs group 0 and a worker each other group.
+	// More goroutines than slots would only add handoffs; with one slot
+	// every shard runs inline, in shard order.
+	w.groups = min(len(w.engines), runtime.GOMAXPROCS(0))
+	workers := w.limits[min(1, w.groups):w.groups]
+	for g := 1; g < w.groups; g++ {
+		select {
+		case tasks := <-idleWorkers:
+			tasks <- groupTask{w, g}
+		default:
+			tasks := make(chan groupTask, 1)
+			tasks <- groupTask{w, g}
+			go worker(tasks)
 		}
-		defer func() {
-			for _, ch := range w.limits[1:] {
-				close(ch)
-			}
-		}()
 	}
+	defer func() {
+		w.wg.Wait() // a panic in group 0 may leave a round running
+		w.wg.Add(len(workers))
+		for _, ch := range workers {
+			ch <- endRun
+		}
+		w.wg.Wait() // every worker is parked again before Run returns
+	}()
 
 	var windows int64
 	for {
@@ -189,22 +237,16 @@ func (w *Windows) Run(lookahead units.Duration) (int64, error) {
 		b := min.Add(lookahead)
 		w.barrier.Store(int64(b))
 		windows++
-		if spawn {
-			w.wg.Add(len(w.engines) - 1)
-			for _, ch := range w.limits[1:] {
-				ch <- b
-			}
-			w.errs[0] = w.engines[0].RunWindow(b)
-			w.wg.Wait()
-			for i, p := range w.panics {
-				if p != nil {
-					w.panics[i] = nil
-					panic(p)
-				}
-			}
-		} else {
-			for i, e := range w.engines {
-				w.errs[i] = e.RunWindow(b)
+		w.wg.Add(len(workers))
+		for _, ch := range workers {
+			ch <- b
+		}
+		w.runGroup(0, b)
+		w.wg.Wait()
+		for i, p := range w.panics {
+			if p != nil {
+				w.panics[i] = nil
+				panic(p)
 			}
 		}
 		for i, err := range w.errs {

@@ -4,15 +4,17 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"overlapsim/internal/units"
 )
 
-// withWorkers raises GOMAXPROCS so the spawned worker goroutines (and the
-// race detector's view of them) get real scheduling interleavings even on
-// a single-CPU machine.
-func withWorkers(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
+// withProcs sets GOMAXPROCS for the rest of the test. Run deals shards to
+// that many goroutines, so 1 runs every shard inline and 4 gives the
+// workers (and the race detector's view of them) real scheduling
+// interleavings even on a single-CPU machine.
+func withProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
@@ -106,11 +108,11 @@ func (a *tokenActor) HandleEvent(Kind) {
 }
 
 func TestWindowsTokenRingMatchesSequential(t *testing.T) {
-	t.Run("serial", func(t *testing.T) { testWindowsTokenRing(t, true) })
-	t.Run("workers", func(t *testing.T) { withWorkers(t); testWindowsTokenRing(t, false) })
+	t.Run("serial", func(t *testing.T) { withProcs(t, 1); testWindowsTokenRing(t) })
+	t.Run("workers", func(t *testing.T) { withProcs(t, 4); testWindowsTokenRing(t) })
 }
 
-func testWindowsTokenRing(t *testing.T, serial bool) {
+func testWindowsTokenRing(t *testing.T) {
 	const shards = 4
 	const hop = units.Duration(10)
 	const hops = 41
@@ -121,7 +123,6 @@ func testWindowsTokenRing(t *testing.T, serial bool) {
 			engines[i] = New()
 		}
 		w := NewWindows(engines)
-		w.Serial = serial
 		ring := &tokenRing{w: w, hop: hop, left: hops}
 		ring.actors = make([]*tokenActor, n)
 		for i := range ring.actors {
@@ -173,7 +174,7 @@ func testWindowsTokenRing(t *testing.T, serial bool) {
 }
 
 func TestWindowsPostBelowBarrierPanics(t *testing.T) {
-	withWorkers(t) // the panic must cross from a worker to the coordinator
+	withProcs(t, 4) // the panic must cross from a worker to the coordinator
 	engines := []*Engine{New(), New()}
 	w := NewWindows(engines)
 	bad := fn(func() {})
@@ -208,7 +209,7 @@ func TestWindowsStopAborts(t *testing.T) {
 }
 
 func TestWindowsStepLimit(t *testing.T) {
-	withWorkers(t)
+	withProcs(t, 4)
 	engines := []*Engine{New(), New()}
 	engines[0].SetStepLimit(3)
 	w := NewWindows(engines)
@@ -225,7 +226,7 @@ func TestWindowsStepLimit(t *testing.T) {
 }
 
 func TestWindowsReuse(t *testing.T) {
-	withWorkers(t)
+	withProcs(t, 4)
 	// The same Windows can coordinate run after run once the engines are
 	// reset and rescheduled — the replayer pools exactly this way.
 	engines := []*Engine{New(), New(), New()}
@@ -246,6 +247,89 @@ func TestWindowsReuse(t *testing.T) {
 			if c != 1 {
 				t.Fatalf("run %d shard %d executed %d events, want 1", round, i, c)
 			}
+		}
+	}
+}
+
+// hopper forwards a token to the next shard one lookahead later until its
+// budget runs out: cross-shard traffic through typed, allocation-free
+// events.
+type hopper struct {
+	w     *Windows
+	hops  []*hopper
+	shard int
+	left  int
+}
+
+const hopLookahead = 10
+
+func (h *hopper) HandleEvent(Kind) {
+	if h.left == 0 {
+		return
+	}
+	h.left--
+	next := (h.shard + 1) % len(h.hops)
+	h.w.Post(next, h.w.engines[h.shard].Now().Add(hopLookahead), h.hops[next], 0)
+}
+
+// newHopRun builds shards engines and a Windows over them, and returns a
+// function that resets and replays one token run.
+func newHopRun(t *testing.T, shards int) (*Windows, func()) {
+	engines := make([]*Engine, shards)
+	for i := range engines {
+		engines[i] = New()
+	}
+	w := NewWindows(engines)
+	hops := make([]*hopper, shards)
+	for i := range hops {
+		hops[i] = &hopper{w: w, hops: hops, shard: i}
+	}
+	return w, func() {
+		for i, e := range engines {
+			e.Reset()
+			hops[i].left = 8
+			e.ScheduleEvent(units.Time(i), hops[i], 0)
+		}
+		if n, err := w.Run(hopLookahead); err != nil || n == 0 {
+			t.Fatalf("Run = %d, %v", n, err)
+		}
+	}
+}
+
+// TestWindowsRunAllocatesNothing: with real workers, a run of a reused
+// Windows allocates nothing, its shard workers are reused rather than
+// restarted, and a dropped Windows is collected without stranding a
+// goroutine.
+func TestWindowsRunAllocatesNothing(t *testing.T) {
+	withProcs(t, 4)
+	_, run := newHopRun(t, 4)
+	run() // grow the queues and inboxes; park the first workers
+	before := runtime.NumGoroutine()
+	if !raceEnabled {
+		if a := testing.AllocsPerRun(50, run); a != 0 {
+			t.Errorf("reused Windows run allocates %.1f/run, want 0", a)
+		}
+	}
+	collected := make(chan struct{})
+	for i := 0; i < 20; i++ {
+		w, run := newHopRun(t, 4)
+		run()
+		if i == 0 {
+			runtime.AddCleanup(w, func(ch chan struct{}) { close(ch) }, collected)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines grew from %d to %d over fresh Windows runs", before, n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a dropped Windows was never collected: an idle worker still references it")
 		}
 	}
 }

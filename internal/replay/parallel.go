@@ -2,7 +2,6 @@ package replay
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"overlapsim/internal/des"
@@ -52,28 +51,11 @@ type parState struct {
 	engines []*des.Engine
 	win     *des.Windows
 	mu      sync.Mutex // guards matching state and transfer fields across shards
-	serial  bool       // shards run inline on one goroutine; skip the lock
 	ranks   []int32    // rank -> shard (contiguous blocks)
 	live    []*transfer
 }
 
 func (ps *parState) shardOf(rank int) int { return int(ps.ranks[rank]) }
-
-// lock/unlock guard the shared matching state (channel FIFOs, the transfer
-// free list, dirtyQ, and per-transfer matching fields). When the window
-// coordinator runs every shard inline (serial), the whole run executes on
-// one goroutine and the lock is elided.
-func (ps *parState) lock() {
-	if !ps.serial {
-		ps.mu.Lock()
-	}
-}
-
-func (ps *parState) unlock() {
-	if !ps.serial {
-		ps.mu.Unlock()
-	}
-}
 
 // parallelPlan decides whether the prepared run (reset must have been
 // called) of a trace with or without collectives is eligible for the
@@ -130,11 +112,6 @@ func (s *replayer) runParallel(shards int, lookahead units.Duration) (int64, err
 		ps.win = des.NewWindows(ps.engines)
 		s.scratch = ps
 	}
-	// One decision per run, shared with the window coordinator: with a
-	// single execution slot the shards run inline in shard order and the
-	// matching lock is pure overhead.
-	ps.serial = runtime.GOMAXPROCS(0) < 2
-	ps.win.Serial = ps.serial
 	n := s.nprocs
 	if cap(ps.ranks) < n {
 		ps.ranks = make([]int32, n)

@@ -865,7 +865,7 @@ func (s *replayer) claimStart(t *transfer) bool {
 func (s *replayer) postSend(src int, rec *trace.Record) *transfer {
 	par := s.par != nil
 	if par {
-		s.par.lock()
+		s.par.mu.Lock()
 	}
 	key := channelKey{src, rec.Peer, rec.Tag}
 	pr := s.pair(key)
@@ -883,7 +883,7 @@ func (s *replayer) postSend(src int, rec *trace.Record) *transfer {
 	t.eager = s.cfg.Eager(rec.Size)
 	if par {
 		start := s.claimStart(t)
-		s.par.unlock()
+		s.par.mu.Unlock()
 		if start {
 			s.startPar(t)
 		}
@@ -897,7 +897,7 @@ func (s *replayer) postSend(src int, rec *trace.Record) *transfer {
 func (s *replayer) postRecv(dst int, rec *trace.Record) *transfer {
 	par := s.par != nil
 	if par {
-		s.par.lock()
+		s.par.mu.Lock()
 	}
 	key := channelKey{rec.Peer, dst, rec.Tag}
 	pr := s.pair(key)
@@ -913,7 +913,7 @@ func (s *replayer) postRecv(dst int, rec *trace.Record) *transfer {
 	t.recvAt = s.eng.Now()
 	if par {
 		start := s.claimStart(t)
-		s.par.unlock()
+		s.par.mu.Unlock()
 		if start {
 			s.startPar(t)
 		}

@@ -38,10 +38,6 @@ type Config struct {
 	MaxQueued int
 	// SweepWorkers is each job's engine pool size (0 = one per CPU).
 	SweepWorkers int
-	// ReplayPar, when >= 2, runs each job's eligible replays on the
-	// conservative-window parallel engine at that width. Results are
-	// identical for any value.
-	ReplayPar int
 	// Approx turns on the surrogate fast path for every job by default:
 	// dense numeric axes are thinned to replayed anchors and the rest of
 	// each family is interpolated within ApproxMaxErr. A request may
@@ -352,7 +348,6 @@ func (s *Server) runJob(w http.ResponseWriter, jb *job, ctx context.Context) {
 	runner := sweep.NewRunner(s.cfg.Base)
 	runner.Size = jb.size
 	runner.Iters = jb.iters
-	runner.ReplayPar = s.cfg.ReplayPar
 	runner.Approx = jb.approx.enabled
 	runner.ApproxMaxErr = jb.approx.maxErr
 	runner.ApproxSpotCheck = jb.approx.spotCheck

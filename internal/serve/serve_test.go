@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -551,49 +552,61 @@ func TestServeCancelAll(t *testing.T) {
 	}
 }
 
-// TestServeBatchedParallelCounters: a daemon configured with ReplayPar on a
-// contention-free base reports the parallel-window work both per job and
-// in the /stats aggregate.
-func TestServeBatchedParallelCounters(t *testing.T) {
+// TestServeParallelReplayCounters: a daemon on a contention-free base
+// picks the replay engine from the core count. A 32-rank job streams the
+// same body at GOMAXPROCS 1 and 2, runs parallel windows exactly at 2, and
+// /stats aggregates the job's window count.
+func TestServeParallelReplayCounters(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	base := machine.Default()
 	base.InLinks, base.OutLinks = 0, 0
-	s := New(Config{Base: base, CacheDir: t.TempDir(), ReplayPar: 4})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	const body = `{"apps":["ring"],"ranks":[32],"buses":[0],"latencies":["5us","20us","50us"],"iters":2,"format":"csv"}`
 
-	body := `{"apps":["ring"],"ranks":[16],"buses":[0],"latencies":["5us","20us","50us"],"iters":2,"format":"csv"}`
-	resp := postSweep(t, ts.URL, body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatal(resp.Status)
-	}
-	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Trailer.Get("X-Overlapsim-Status"); got != "ok" {
-		t.Fatalf("status trailer %q, want ok", got)
-	}
+	var ref []byte
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		s := New(Config{Base: base, CacheDir: t.TempDir()})
+		ts := httptest.NewServer(s.Handler())
+		resp := postSweep(t, ts.URL, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatal(resp.Status)
+		}
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if got := resp.Trailer.Get("X-Overlapsim-Status"); got != "ok" {
+			t.Fatalf("status trailer %q, want ok", got)
+		}
+		if ref == nil {
+			ref = got
+		} else if !bytes.Equal(got, ref) {
+			t.Errorf("GOMAXPROCS=%d: body differs from GOMAXPROCS=1", procs)
+		}
 
-	st := getStatus(t, ts.URL, "job-1")
-	if st.State != JobDone || st.Work == nil {
-		t.Fatalf("status %+v", st)
-	}
-	if st.Work.ParallelWindows == 0 {
-		t.Errorf("ReplayPar daemon reported no parallel windows: %+v", *st.Work)
-	}
-
-	sr, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sr.Body.Close()
-	var stats StatsJSON
-	if err := json.NewDecoder(sr.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Work.ParallelWindows != st.Work.ParallelWindows {
-		t.Errorf("/stats does not aggregate the new counters: stats %+v, job %+v",
-			stats.Work, *st.Work)
+		st := getStatus(t, ts.URL, "job-1")
+		if st.State != JobDone || st.Work == nil {
+			t.Fatalf("status %+v", st)
+		}
+		if par := st.Work.ParallelWindows > 0; par != (procs >= 2) {
+			t.Errorf("GOMAXPROCS=%d: daemon reported %d parallel windows", procs, st.Work.ParallelWindows)
+		}
+		var stats StatsJSON
+		sr, err := http.Get(ts.URL + "/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = json.NewDecoder(sr.Body).Decode(&stats)
+		sr.Body.Close()
+		ts.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Work.ParallelWindows != st.Work.ParallelWindows {
+			t.Errorf("/stats does not aggregate the window count: stats %+v, job %+v",
+				stats.Work, *st.Work)
+		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package sweep
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"overlapsim/internal/machine"
@@ -47,35 +49,61 @@ func TestBatchPrefillWarmRerun(t *testing.T) {
 	}
 }
 
-// TestBatchPrefillParallelWindows: with ReplayPar set, the memo fills run
-// on the parallel engine and the runner accounts the window rounds. The
-// results must still match a sequential runner exactly.
-func TestBatchPrefillParallelWindows(t *testing.T) {
+// TestRunnerPicksReplayEngine: the runner picks the replay engine from the
+// core count. At every GOMAXPROCS a contention-free 32-rank grid renders
+// byte-identically in every format, and it runs on the window engine
+// exactly when there are two execution slots; a contended platform
+// (machine.Default) always replays sequentially.
+func TestRunnerPicksReplayEngine(t *testing.T) {
 	g := batchGrid()
-	// The parallel engine requires a fully contention-free platform: the
-	// grid pins Buses to 0 but per-node link limits come from the base.
-	base := machine.Default()
-	base.InLinks, base.OutLinks = 0, 0
-	plain := NewRunner(base)
-	want, err := plain.Run(g)
-	if err != nil {
-		t.Fatal(err)
+	g.Ranks = []int{32}
+	free := machine.Default()
+	free.InLinks, free.OutLinks = 0, 0
+	contended := g
+	contended.Buses = nil
+
+	run := func(base machine.Config, g Grid) ([]Result, Counters) {
+		t.Helper()
+		r := NewRunner(base)
+		r.Size, r.Iters = 512, 2
+		res, err := r.Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, r.Stats()
 	}
-	par := NewRunner(base)
-	par.ReplayPar = 4
-	got, err := par.Run(g)
-	if err != nil {
-		t.Fatal(err)
+	render := func(res []Result) map[Format]string {
+		out := map[Format]string{}
+		for _, f := range []Format{FormatTable, FormatCSV, FormatJSON} {
+			var b bytes.Buffer
+			if err := Write(&b, f, res); err != nil {
+				t.Fatal(err)
+			}
+			out[f] = b.String()
+		}
+		return out
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("parallel sweep diverges from sequential")
-	}
-	st := par.Stats()
-	if st.ParallelWindows == 0 {
-		t.Fatal("ReplayPar runner executed no parallel windows")
-	}
-	if plain.Stats().ParallelWindows != 0 {
-		t.Fatal("sequential runner reported parallel windows")
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var ref map[Format]string
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		res, st := run(free, g)
+		got := render(res)
+		if ref == nil {
+			ref = got
+		}
+		for f, want := range ref {
+			if got[f] != want {
+				t.Errorf("GOMAXPROCS=%d: format %v diverges from GOMAXPROCS=1", procs, f)
+			}
+		}
+		if par := st.ParallelWindows > 0; par != (procs >= 2) {
+			t.Errorf("GOMAXPROCS=%d: contention-free grid ran %d parallel windows", procs, st.ParallelWindows)
+		}
+		if _, st := run(machine.Default(), contended); st.ParallelWindows != 0 {
+			t.Errorf("GOMAXPROCS=%d: contended grid ran %d parallel windows", procs, st.ParallelWindows)
+		}
 	}
 }
 

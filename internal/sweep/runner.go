@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -39,10 +40,8 @@ type Runner struct {
 	// must not discard a trace that just succeeded. The first failed write
 	// is reported by CacheStoreErr.
 	Cache *TraceCache
-	// ReplayPar, when >= 2, enables the conservative-window parallel replay
-	// engine: each eligible replay is sharded across up to ReplayPar private
-	// event queues (see replay.SimulatePar). Results are identical to
-	// sequential replay; ineligible points fall back automatically.
+	// Deprecated: ReplayPar has no effect; the runner picks the replay
+	// width itself (see replayWidth).
 	ReplayPar int
 	// Deprecated: DisableBatch has no effect; every replay runs once, on
 	// the workers, through the per-point memo.
@@ -315,7 +314,7 @@ func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (*memoEntry, error)
 		}
 		r.ctReplays.Add(1)
 		var sum [1]replay.Summary
-		if _, err := simulate(ts, []machine.Config{m}, sum[:], r.ReplayPar); err != nil {
+		if _, err := simulate(ts, []machine.Config{m}, sum[:], replayWidth(key.ranks)); err != nil {
 			e.err = err
 			return
 		}
@@ -331,6 +330,14 @@ func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (*memoEntry, error)
 	})
 	return e, e.err
 }
+
+// replayWidth is the parallel replay width a memo fill asks for: one shard
+// per execution slot, each keeping at least the 16 ranks below which
+// replay's window engine does not pay. Fewer than two shards means
+// sequential replay (so GOMAXPROCS=1 forces it), and replay itself still
+// declines platforms with contention or collectives. Results are identical
+// at any width.
+func replayWidth(ranks int) int { return min(runtime.GOMAXPROCS(0), ranks/16) }
 
 // simulate is the replay a memo fill runs: the Summary path, since a sweep
 // consumes no timelines. Tests swap it to inject a panicking replay.
