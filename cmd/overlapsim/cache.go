@@ -12,8 +12,9 @@ import (
 )
 
 // runCache operates on a shared -cache-dir: `ls` shows every entry of
-// both caches (trace/profile pairs and replay results), `prune` removes
-// entries by version, age, or a total-size budget. The policies and their
+// both caches (trace/profile pairs and replay results) and any orphaned
+// partial writes, `prune` removes entries by version, age, or a
+// total-size budget. The policies and their
 // rationale are documented in docs/OPERATIONS.md.
 func runCache(args []string, stdout io.Writer) error {
 	if len(args) < 1 {

@@ -8,12 +8,12 @@ import (
 )
 
 // Approx collects the surrogate fast path knobs shared by every sweep-
-// running command (sweep, campaign, worker, serve). Unlike the Replay
-// knobs these trade accuracy for speed: with -approx on, dense numeric
-// axes are thinned to replayed anchors and the rest of each family is
-// interpolated, within the -approx-maxerr relative error bound the spot-
-// check gate enforces. The default (-approx=false) changes nothing:
-// output stays byte-identical to an exact run.
+// running command (sweep, campaign, worker, serve). They trade accuracy
+// for speed: with -approx on, dense numeric axes are thinned to replayed
+// anchors and the rest of each family is interpolated, within the
+// -approx-maxerr relative error bound the spot-check gate enforces. The
+// default (-approx=false) changes nothing: output stays byte-identical to
+// an exact run.
 type Approx struct {
 	// Enabled turns the surrogate fast path on.
 	Enabled bool

@@ -72,13 +72,13 @@ func (a *SweepAxes) Grid() (sweep.Grid, error) {
 		return g, err
 	}
 	g.Apps = append(g.Apps[:len(g.Apps):len(g.Apps)], gen...)
-	if g.Ranks, err = parseIntList(a.ranks.items, "ranks"); err != nil {
+	if g.Ranks, err = parseFlagList(a.ranks.items, "ranks", nil, strconv.Atoi); err != nil {
 		return g, err
 	}
-	if g.Bandwidths, err = parseBandwidthList(a.bws.items); err != nil {
+	if g.Bandwidths, err = ParseList(a.bws.items, "bad -bws element", units.ParseBandwidth); err != nil {
 		return g, err
 	}
-	if g.Chunks, err = parseIntList(a.chunks.items, "chunks"); err != nil {
+	if g.Chunks, err = parseFlagList(a.chunks.items, "chunks", nil, strconv.Atoi); err != nil {
 		return g, err
 	}
 	if g.Mechanisms, err = ParseMechanisms(a.mechs.items); err != nil {
@@ -87,13 +87,13 @@ func (a *SweepAxes) Grid() (sweep.Grid, error) {
 	if g.Patterns, err = ParsePatterns(a.patterns.items); err != nil {
 		return g, err
 	}
-	if g.Latencies, err = parseDurationList(a.latencies.items, "latencies"); err != nil {
+	if g.Latencies, err = ParseList(a.latencies.items, "bad -latencies element", units.ParseDuration); err != nil {
 		return g, err
 	}
-	if g.Buses, err = parseIntList(a.buscounts.items, "buscounts"); err != nil {
+	if g.Buses, err = parseFlagList(a.buscounts.items, "buscounts", nil, strconv.Atoi); err != nil {
 		return g, err
 	}
-	if g.RanksPerNode, err = parseIntList(a.rpns.items, "rpns"); err != nil {
+	if g.RanksPerNode, err = parseFlagList(a.rpns.items, "rpns", nil, strconv.Atoi); err != nil {
 		return g, err
 	}
 	if g.EagerThresholds, err = ParseEagerThresholds(a.eagers.items); err != nil {
@@ -105,38 +105,35 @@ func (a *SweepAxes) Grid() (sweep.Grid, error) {
 	return g, nil
 }
 
-func parseIntList(items []string, name string) ([]int, error) {
-	var out []int
+// parseFlagList parses one comma-list flag, labelling a malformed element
+// with the flag name and the element; an empty list takes def (which may
+// be nil).
+func parseFlagList[T any](items []string, name string, def []string, parse func(string) (T, error)) ([]T, error) {
+	if len(items) == 0 {
+		items = def
+	}
+	var out []T
 	for _, item := range items {
-		n, err := strconv.Atoi(item)
+		v, err := parse(item)
 		if err != nil {
 			return nil, fmt.Errorf("bad -%s element %q: %w", name, item, err)
 		}
-		out = append(out, n)
+		out = append(out, v)
 	}
 	return out, nil
 }
 
-func parseBandwidthList(items []string) ([]units.Bandwidth, error) {
-	var out []units.Bandwidth
+// ParseList parses one unit-carrying axis element by element, prefixing
+// a malformed element's error with label: "bad -bws element" for a flag,
+// the JSON field name for the serve API.
+func ParseList[T any](items []string, label string, parse func(string) (T, error)) ([]T, error) {
+	var out []T
 	for _, item := range items {
-		bw, err := units.ParseBandwidth(item)
+		v, err := parse(item)
 		if err != nil {
-			return nil, fmt.Errorf("bad -bws element: %w", err)
+			return nil, fmt.Errorf("%s: %w", label, err)
 		}
-		out = append(out, bw)
-	}
-	return out, nil
-}
-
-func parseDurationList(items []string, name string) ([]units.Duration, error) {
-	var out []units.Duration
-	for _, item := range items {
-		d, err := units.ParseDuration(item)
-		if err != nil {
-			return nil, fmt.Errorf("bad -%s element: %w", name, err)
-		}
-		out = append(out, d)
+		out = append(out, v)
 	}
 	return out, nil
 }

@@ -48,41 +48,41 @@ func (a *genAxes) specs() ([]string, error) {
 	if a.empty() {
 		return nil, nil
 	}
-	pats, err := parseGenList(a.patterns.items, "gen-patterns", []string{"ring"}, tracegen.ParsePattern)
+	pats, err := parseFlagList(a.patterns.items, "gen-patterns", []string{"ring"}, tracegen.ParsePattern)
 	if err != nil {
 		return nil, err
 	}
-	msgs, err := parseGenList(a.msgs.items, "gen-msgs", nil, units.ParseBytes)
+	msgs, err := parseFlagList(a.msgs.items, "gen-msgs", nil, units.ParseBytes)
 	if err != nil {
 		return nil, err
 	}
-	msgDists, err := parseGenList(a.msgdists.items, "gen-msg-dists", nil, tracegen.ParseDist)
+	msgDists, err := parseFlagList(a.msgdists.items, "gen-msg-dists", nil, tracegen.ParseDist)
 	if err != nil {
 		return nil, err
 	}
-	comps, err := parseGenList(a.comps.items, "gen-computes", nil, func(s string) (int64, error) {
+	comps, err := parseFlagList(a.comps.items, "gen-computes", nil, func(s string) (int64, error) {
 		return strconv.ParseInt(s, 10, 64)
 	})
 	if err != nil {
 		return nil, err
 	}
-	compDists, err := parseGenList(a.compdists.items, "gen-comp-dists", nil, tracegen.ParseDist)
+	compDists, err := parseFlagList(a.compdists.items, "gen-comp-dists", nil, tracegen.ParseDist)
 	if err != nil {
 		return nil, err
 	}
-	imbs, err := parseGenList(a.imbs.items, "gen-imbalances", nil, parseFloat)
+	imbs, err := parseFlagList(a.imbs.items, "gen-imbalances", nil, parseFloat)
 	if err != nil {
 		return nil, err
 	}
-	jits, err := parseGenList(a.jits.items, "gen-jitters", nil, parseFloat)
+	jits, err := parseFlagList(a.jits.items, "gen-jitters", nil, parseFloat)
 	if err != nil {
 		return nil, err
 	}
-	degs, err := parseGenList(a.degs.items, "gen-degrees", nil, strconv.Atoi)
+	degs, err := parseFlagList(a.degs.items, "gen-degrees", nil, strconv.Atoi)
 	if err != nil {
 		return nil, err
 	}
-	seeds, err := parseGenList(a.seeds.items, "gen-seeds", nil, func(s string) (uint64, error) {
+	seeds, err := parseFlagList(a.seeds.items, "gen-seeds", nil, func(s string) (uint64, error) {
 		return strconv.ParseUint(s, 10, 64)
 	})
 	if err != nil {
@@ -135,23 +135,6 @@ func expandGen[T any](specs []tracegen.Spec, vals []T, set func(*tracegen.Spec, 
 		}
 	}
 	return out
-}
-
-// parseGenList parses one gen dimension, labelling malformed elements with
-// their flag name; an empty dimension takes def (which may be nil).
-func parseGenList[T any](items []string, name string, def []string, parse func(string) (T, error)) ([]T, error) {
-	if len(items) == 0 {
-		items = def
-	}
-	var out []T
-	for _, item := range items {
-		v, err := parse(item)
-		if err != nil {
-			return nil, fmt.Errorf("bad -%s element %q: %w", name, item, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }

@@ -106,10 +106,10 @@ func (r SweepRequest) Grid() (sweep.Grid, error) {
 		RanksPerNode: r.RanksPerNode,
 	}
 	var err error
-	if g.Bandwidths, err = parseUnitList(r.Bandwidths, "bandwidths", units.ParseBandwidth); err != nil {
+	if g.Bandwidths, err = cliflag.ParseList(r.Bandwidths, "bandwidths", units.ParseBandwidth); err != nil {
 		return g, err
 	}
-	if g.Latencies, err = parseUnitList(r.Latencies, "latencies", units.ParseDuration); err != nil {
+	if g.Latencies, err = cliflag.ParseList(r.Latencies, "latencies", units.ParseDuration); err != nil {
 		return g, err
 	}
 	if g.Mechanisms, err = cliflag.ParseMechanisms(r.Mechanisms); err != nil {
@@ -133,18 +133,4 @@ func (r SweepRequest) ResponseFormat() (sweep.Format, error) {
 		return DefaultFormat, nil
 	}
 	return sweep.ParseFormat(r.Format)
-}
-
-// parseUnitList parses one unit-carrying axis, naming the JSON field in
-// element errors.
-func parseUnitList[T any](items []string, field string, parse func(string) (T, error)) ([]T, error) {
-	var out []T
-	for _, item := range items {
-		v, err := parse(item)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", field, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -1,5 +1,5 @@
 // Package stats provides the small numeric and table utilities the
-// experiment harness shares: speedups, summary statistics over series, and
+// experiment harness shares: the paper's "% speedup" convention and
 // aligned text tables for reproducing the paper's result listings.
 package stats
 
@@ -7,92 +7,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"strings"
 )
-
-// Speedup returns baseline/variant as a ratio (>1 means the variant is
-// faster); 1 when the variant time is non-positive.
-func Speedup(baseline, variant float64) float64 {
-	if variant <= 0 {
-		return 1
-	}
-	return baseline / variant
-}
 
 // PercentGain converts a speedup ratio to the paper's "% speedup"
 // convention: 1.30x -> 30%.
 func PercentGain(speedup float64) float64 { return (speedup - 1) * 100 }
-
-// Mean returns the arithmetic mean; 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of positive values; 0 if any value is
-// non-positive or the slice is empty.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
-// MinMax returns the extrema; zeros for an empty slice.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
-// Point is one (x, y) sample of a sweep.
-type Point struct {
-	X, Y float64
-}
-
-// Series is a named sequence of sweep samples.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends a sample.
-func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
-
-// PeakY returns the sample with the largest Y; zero Point for empty series.
-func (s *Series) PeakY() Point {
-	var best Point
-	for i, p := range s.Points {
-		if i == 0 || p.Y > best.Y {
-			best = p
-		}
-	}
-	return best
-}
 
 // Table accumulates rows and renders them with aligned columns, the format
 // all experiment outputs share.
@@ -109,34 +29,6 @@ func NewTable(header ...string) *Table {
 // AddRow appends a row; values are formatted with %v, floats with %.3g
 // where that reads better handled by the caller.
 func (t *Table) AddRow(cells ...string) { t.rows = append(t.rows, cells) }
-
-// AddRowf appends a row of pre-formatted values.
-func (t *Table) AddRowf(format string, args ...any) {
-	t.rows = append(t.rows, strings.Fields(fmt.Sprintf(format, args...)))
-}
-
-// WriteCSV writes the table as comma-separated values (RFC-4180 quoting
-// for cells containing commas or quotes), for downstream plotting.
-func (t *Table) WriteCSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			bw.WriteString(c)
-		}
-		bw.WriteByte('\n')
-	}
-	writeRow(t.header)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return bw.Flush()
-}
 
 // Render writes the aligned table.
 func (t *Table) Render(w io.Writer) error {

@@ -8,52 +8,8 @@ import (
 )
 
 func TestSpeedupAndPercent(t *testing.T) {
-	if got := Speedup(130, 100); got != 1.3 {
-		t.Errorf("Speedup = %v", got)
-	}
-	if got := Speedup(100, 0); got != 1 {
-		t.Errorf("Speedup with zero variant = %v, want 1", got)
-	}
 	if got := PercentGain(1.3); math.Abs(got-30) > 1e-9 {
 		t.Errorf("PercentGain = %v, want 30", got)
-	}
-}
-
-func TestMeanGeoMeanMinMax(t *testing.T) {
-	xs := []float64{1, 2, 4}
-	if got := Mean(xs); math.Abs(got-7.0/3) > 1e-12 {
-		t.Errorf("Mean = %v", got)
-	}
-	if got := GeoMean(xs); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %v, want 2", got)
-	}
-	min, max := MinMax(xs)
-	if min != 1 || max != 4 {
-		t.Errorf("MinMax = %v, %v", min, max)
-	}
-	if Mean(nil) != 0 || GeoMean(nil) != 0 {
-		t.Error("empty-slice stats should be 0")
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("GeoMean with non-positive value should be 0")
-	}
-	if a, b := MinMax(nil); a != 0 || b != 0 {
-		t.Error("MinMax(nil) should be zeros")
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Name = "speedup"
-	s.Add(1, 1.0)
-	s.Add(2, 1.8)
-	s.Add(3, 1.2)
-	if p := s.PeakY(); p.X != 2 || p.Y != 1.8 {
-		t.Errorf("PeakY = %+v", p)
-	}
-	var empty Series
-	if p := empty.PeakY(); p.X != 0 || p.Y != 0 {
-		t.Errorf("empty PeakY = %+v", p)
 	}
 }
 
@@ -78,37 +34,5 @@ func TestTableRender(t *testing.T) {
 	}
 	if !strings.Contains(lines[2], "sweep3d  2.60x") {
 		t.Errorf("row alignment: %q", lines[2])
-	}
-}
-
-func TestTableWriteCSV(t *testing.T) {
-	tb := NewTable("app", "value", "note")
-	tb.AddRow("bt", "1.30", "plain")
-	tb.AddRow("x,y", `has "quotes"`, "line")
-	var buf bytes.Buffer
-	if err := tb.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if lines[0] != "app,value,note" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if lines[1] != "bt,1.30,plain" {
-		t.Errorf("row = %q", lines[1])
-	}
-	if lines[2] != `"x,y","has ""quotes""",line` {
-		t.Errorf("quoted row = %q", lines[2])
-	}
-}
-
-func TestTableAddRowf(t *testing.T) {
-	tb := NewTable("a", "b")
-	tb.AddRowf("%s %.2f", "x", 1.5)
-	var buf bytes.Buffer
-	if err := tb.Render(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "x  1.50") {
-		t.Errorf("AddRowf row missing:\n%s", buf.String())
 	}
 }

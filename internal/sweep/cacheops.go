@@ -2,17 +2,20 @@ package sweep
 
 import (
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"overlapsim/internal/sweep/replaystore"
 )
 
-// This file is the cache-operability layer behind `overlapsim cache`: a
-// unified view over the two persistent caches that share one directory —
-// trace/profile pairs (TraceCache) and replay results (replaystore) — and
-// the version/age/size prune policy a long-running deployment needs to
+// This file is the cache-operability layer behind `overlapsim cache`: one
+// scan of the directory the two persistent caches share — trace/profile
+// pairs (TraceCache) and replay results (replaystore) — and the
+// version/age/size prune policy a long-running deployment needs to
 // survive months of traffic without the cache directory growing without
 // bound or dragging dead-format entries along.
 
@@ -20,21 +23,30 @@ import (
 const (
 	CacheKindTrace  = "trace"
 	CacheKindReplay = "replay"
+	// CacheKindPartial is an orphaned partial write: a temp file
+	// trace.WriteFileAtomic left behind because its writer exited without
+	// unwinding (a crash, or os.Exit while a pool goroutine was mid-write).
+	// It is never Current, so -stale and -max-age remove it and -max-size
+	// counts it. A prune can also take the temp file of a writer that is
+	// still running; that write then fails its rename and degrades to the
+	// best-effort Runner.CacheStoreErr warning, like any failed cache write.
+	CacheKindPartial = "partial"
 )
 
-// CacheEntry is one entry of the shared cache directory, either kind.
+// CacheEntry is one entry of the shared cache directory, any kind.
 type CacheEntry struct {
-	// Kind is CacheKindTrace (a .trace/.profile pair) or CacheKindReplay
-	// (a .replay file).
+	// Kind is CacheKindTrace (a .trace/.profile pair), CacheKindReplay
+	// (a .replay file) or CacheKindPartial (one orphaned temp file).
 	Kind string
-	// Key is the entry's cache key (its files' shared base name).
+	// Key is the entry's cache key (its files' shared base name); a
+	// partial write's key is its whole file name.
 	Key string
 	// Version is the key's format-version prefix. Current versions are
 	// TraceCacheVersion and replaystore.FormatVersion; anything else is a
 	// leftover from an older build that can only ever miss.
 	Version string
-	// Paths are the entry's files (two for a complete trace entry, one
-	// for a torn one or a replay entry).
+	// Paths are the entry's files, sorted (two for a complete trace
+	// entry, one for a torn one or any other kind).
 	Paths []string
 	// Size is the total size of the entry's files in bytes.
 	Size int64
@@ -57,30 +69,49 @@ func (e CacheEntry) Current() bool {
 // CacheEntries enumerates every entry of a shared cache directory as one
 // list globally sorted by key (kind breaks the tie), so `cache ls` output
 // is stable and diffable across repeated scans regardless of directory
-// order or which kind a key belongs to. A missing directory is an empty
-// cache.
+// order or which kind a key belongs to. It is the only reader of the
+// directory layout. A missing directory is an empty cache; subdirectories
+// and foreign files are skipped, and so is a file that vanishes between
+// listing and stat (a concurrent prune or atomic rewrite).
 func CacheEntries(dir string) ([]CacheEntry, error) {
-	tc := &TraceCache{Dir: dir}
-	traces, err := tc.Entries()
+	des, err := os.ReadDir(dir)
+	if isMissing(err) {
+		return nil, nil
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sweep: cache: %w", err)
 	}
-	rs := &replaystore.Store{Dir: dir}
-	replays, err := rs.Entries()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]CacheEntry, 0, len(traces)+len(replays))
-	for _, t := range traces {
+	var out []CacheEntry
+	pairAt := map[string]int{} // trace key -> its entry's index in out
+	for _, de := range des {
+		if de.IsDir() {
+			continue
+		}
+		kind, key := classifyCacheFile(de.Name())
+		if kind == "" {
+			continue
+		}
+		info, err := de.Info()
+		if err != nil {
+			continue
+		}
+		path := filepath.Join(dir, de.Name())
+		if kind == CacheKindTrace {
+			if i, ok := pairAt[key]; ok {
+				// os.ReadDir lists by file name, so the pair's Paths stay sorted.
+				e := &out[i]
+				e.Paths = append(e.Paths, path)
+				e.Size += info.Size()
+				if info.ModTime().After(e.ModTime) {
+					e.ModTime = info.ModTime()
+				}
+				continue
+			}
+			pairAt[key] = len(out)
+		}
 		out = append(out, CacheEntry{
-			Kind: CacheKindTrace, Key: t.Key, Version: t.Version,
-			Paths: t.Paths, Size: t.Size, ModTime: t.ModTime,
-		})
-	}
-	for _, r := range replays {
-		out = append(out, CacheEntry{
-			Kind: CacheKindReplay, Key: r.Key, Version: r.Version,
-			Paths: []string{r.Path}, Size: r.Size, ModTime: r.ModTime,
+			Kind: kind, Key: key, Version: keyVersion(key),
+			Paths: []string{path}, Size: info.Size(), ModTime: info.ModTime(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -90,6 +121,34 @@ func CacheEntries(dir string) ([]CacheEntry, error) {
 		return out[i].Kind < out[j].Kind
 	})
 	return out, nil
+}
+
+// classifyCacheFile maps one file name of the cache directory to the kind
+// and key of the entry it belongs to, or "" for a foreign file.
+func classifyCacheFile(name string) (kind, key string) {
+	switch ext := filepath.Ext(name); ext {
+	case traceExt, profileExt:
+		return CacheKindTrace, strings.TrimSuffix(name, ext)
+	case replaystore.Ext:
+		return CacheKindReplay, strings.TrimSuffix(name, ext)
+	}
+	// trace.WriteFileAtomic names its temp file <key><ext>.tmp<random>.
+	if i := strings.LastIndex(name, ".tmp"); i >= 0 {
+		switch filepath.Ext(name[:i]) {
+		case traceExt, profileExt, replaystore.Ext:
+			return CacheKindPartial, name
+		}
+	}
+	return "", ""
+}
+
+// keyVersion extracts a cache key's format-version prefix: the token
+// before the first '-', or the whole key if it has none.
+func keyVersion(key string) string {
+	if i := strings.IndexByte(key, '-'); i >= 0 {
+		return key[:i]
+	}
+	return key
 }
 
 // PrunePolicy selects which cache entries to remove. The zero policy
@@ -175,8 +234,10 @@ func (p PrunePolicy) Plan(entries []CacheEntry) (doomed, kept []CacheEntry) {
 	return doomed, kept
 }
 
-// RemoveCacheEntry deletes one entry's files. Files already gone are not
-// errors (a concurrent prune or atomic rewrite got there first).
+// RemoveCacheEntry deletes one entry's files — both of a trace pair, so a
+// prune never leaves a torn pair behind. It is the only removal path.
+// Files already gone are not errors (a concurrent prune or atomic rewrite
+// got there first).
 func RemoveCacheEntry(e CacheEntry) error {
 	var errs []error
 	for _, path := range e.Paths {

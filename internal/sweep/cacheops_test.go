@@ -41,12 +41,22 @@ func writeStale(t *testing.T, dir string) (keys []string) {
 func TestCacheEntriesListsBothKinds(t *testing.T) {
 	dir := t.TempDir()
 	warmCacheDir(t, dir)
+	// Neither a subdirectory nor a foreign file is a cache entry.
+	if err := os.Mkdir(filepath.Join(dir, "t1-sub.trace"), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "journal.json"), []byte("{}"), 0o666); err != nil {
+		t.Fatal(err)
+	}
 	entries, err := CacheEntries(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	kinds := map[string]int{}
 	for _, e := range entries {
+		if e.Key == "t1-sub" || e.Key == "journal.json" || e.Key == "journal" {
+			t.Errorf("non-entry %s listed as a %s entry", e.Key, e.Kind)
+		}
 		kinds[e.Kind]++
 		if !e.Current() {
 			t.Errorf("fresh entry %s reported non-current version %q", e.Key, e.Version)
@@ -272,18 +282,30 @@ func keysOf(entries []CacheEntry) []string {
 	return out
 }
 
-func TestTraceCacheRemoveDeletesPair(t *testing.T) {
-	dir := t.TempDir()
-	warmCacheDir(t, dir)
-	tc := &TraceCache{Dir: dir}
-	entries, err := tc.Entries()
+// entriesOfKind scans dir and keeps the entries of one kind.
+func entriesOfKind(t *testing.T, dir, kind string) []CacheEntry {
+	t.Helper()
+	all, err := CacheEntries(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out []CacheEntry
+	for _, e := range all {
+		if e.Kind == kind {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+func TestTraceCacheRemoveDeletesPair(t *testing.T) {
+	dir := t.TempDir()
+	warmCacheDir(t, dir)
+	entries := entriesOfKind(t, dir, CacheKindTrace)
 	if len(entries) == 0 {
 		t.Fatal("no trace entries")
 	}
-	if err := tc.Remove(entries[0].Key); err != nil {
+	if err := RemoveCacheEntry(entries[0]); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range entries[0].Paths {
@@ -292,7 +314,7 @@ func TestTraceCacheRemoveDeletesPair(t *testing.T) {
 		}
 	}
 	// Removing again is a no-op, not an error.
-	if err := tc.Remove(entries[0].Key); err != nil {
+	if err := RemoveCacheEntry(entries[0]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -300,11 +322,7 @@ func TestTraceCacheRemoveDeletesPair(t *testing.T) {
 func TestReplayStoreEntriesAndRemove(t *testing.T) {
 	dir := t.TempDir()
 	warmCacheDir(t, dir)
-	rs := &replaystore.Store{Dir: dir}
-	entries, err := rs.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := entriesOfKind(t, dir, CacheKindReplay)
 	if len(entries) == 0 {
 		t.Fatal("no replay entries")
 	}
@@ -313,13 +331,73 @@ func TestReplayStoreEntriesAndRemove(t *testing.T) {
 			t.Errorf("entry %s version %q, want %q", e.Key, e.Version, replaystore.FormatVersion)
 		}
 	}
-	if err := rs.Remove(entries[0].Key); err != nil {
+	if err := RemoveCacheEntry(entries[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(entries[0].Path); err == nil {
-		t.Errorf("%s still exists after Remove", entries[0].Path)
+	if _, err := os.Stat(entries[0].Paths[0]); err == nil {
+		t.Errorf("%s still exists after Remove", entries[0].Paths[0])
 	}
-	if err := rs.Remove(entries[0].Key); err != nil {
+	if err := RemoveCacheEntry(entries[0]); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCacheEntriesReportsPartialWrites: a temp file an atomic write left
+// behind (its writer exited without unwinding) is listed as its own
+// non-current kind, so -stale and -max-age remove it, -max-size counts it,
+// and the real entries beside it are untouched.
+func TestCacheEntriesReportsPartialWrites(t *testing.T) {
+	dir := t.TempDir()
+	warmCacheDir(t, dir)
+	traces := entriesOfKind(t, dir, CacheKindTrace)
+	if len(traces) == 0 {
+		t.Fatal("no trace entries")
+	}
+	name := traces[0].Key + ".trace.tmp123456"
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, []byte("torn"), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	old := time.Now().Add(-48 * time.Hour)
+	if err := os.Chtimes(path, old, old); err != nil {
+		t.Fatal(err)
+	}
+
+	entries, err := CacheEntries(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	partials := entriesOfKind(t, dir, CacheKindPartial)
+	if len(partials) != 1 {
+		t.Fatalf("got %d partial entries, want 1", len(partials))
+	}
+	p := partials[0]
+	if p.Key != name || len(p.Paths) != 1 || p.Paths[0] != path || p.Size != 4 || p.Current() {
+		t.Fatalf("partial entry = %+v", p)
+	}
+
+	var total int64
+	for _, e := range entries {
+		total += e.Size
+	}
+	for _, policy := range []PrunePolicy{
+		{Stale: true},
+		{MaxAge: 24 * time.Hour},
+		{MaxSize: total - p.Size},
+	} {
+		doomed, _ := policy.Plan(entries)
+		if len(doomed) != 1 || doomed[0].Key != name {
+			t.Errorf("policy %+v dooms %v, want exactly the partial write", policy, keysOf(doomed))
+		}
+	}
+
+	if err := RemoveCacheEntry(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path); err == nil {
+		t.Errorf("%s still exists after Remove", path)
+	}
+	if got := entriesOfKind(t, dir, CacheKindPartial); len(got) != 0 {
+		t.Errorf("partial write still listed after Remove: %v", keysOf(got))
 	}
 }

@@ -27,11 +27,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
-	"time"
 
 	"overlapsim/internal/machine"
 	"overlapsim/internal/trace"
@@ -125,7 +123,10 @@ func sanitizeKey(s string) string {
 	}, s)
 }
 
-func (s *Store) path(key string) string { return filepath.Join(s.Dir, key+".replay") }
+// Ext is the file extension of a store entry: <key>.replay.
+const Ext = ".replay"
+
+func (s *Store) path(key string) string { return filepath.Join(s.Dir, key+Ext) }
 
 func (s *Store) warnf(format string, args ...any) {
 	if s.Warn != nil {
@@ -207,75 +208,6 @@ func decode(r io.Reader) (*Result, error) {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// Entry describes one persisted replay entry on disk — the accounting the
-// cache-operability tooling (`overlapsim cache ls/prune`) needs to apply
-// version, age and size policy.
-type Entry struct {
-	// Key is the entry's store key — its file name without the .replay
-	// extension.
-	Key string
-	// Version is the key's format-version prefix (the token before the
-	// first '-'); entries written by this build carry FormatVersion.
-	Version string
-	// Path is the entry's file.
-	Path string
-	// Size is the file size in bytes.
-	Size int64
-	// ModTime is the file's modification time — the age the prune policy
-	// measures.
-	ModTime time.Time
-}
-
-// Entries enumerates the store directory's replay entries, sorted by key
-// for deterministic output. A missing directory is an empty store, not an
-// error; files without the .replay extension are ignored (the trace cache
-// shares the directory).
-func (s *Store) Entries() ([]Entry, error) {
-	des, err := os.ReadDir(s.Dir)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("replaystore: %w", err)
-	}
-	var out []Entry
-	for _, de := range des {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".replay") {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			// The file vanished between listing and stat (a concurrent
-			// prune or atomic rewrite); skip it rather than fail the scan.
-			continue
-		}
-		key := strings.TrimSuffix(de.Name(), ".replay")
-		version := key
-		if i := strings.IndexByte(key, '-'); i >= 0 {
-			version = key[:i]
-		}
-		out = append(out, Entry{
-			Key:     key,
-			Version: version,
-			Path:    filepath.Join(s.Dir, de.Name()),
-			Size:    info.Size(),
-			ModTime: info.ModTime(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, nil
-}
-
-// Remove deletes the entry for the key. A file already gone is not an
-// error (a concurrent prune or rewrite got there first).
-func (s *Store) Remove(key string) error {
-	err := os.Remove(s.path(key))
-	if err == nil || errors.Is(err, fs.ErrNotExist) || errors.Is(err, syscall.ENOTDIR) {
-		return nil
-	}
-	return err
 }
 
 // Store writes the result under the key, creating the directory if needed.

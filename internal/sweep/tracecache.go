@@ -7,10 +7,8 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"syscall"
-	"time"
 
 	"overlapsim/internal/apps"
 	"overlapsim/internal/overlap"
@@ -66,8 +64,14 @@ func sanitizeKey(s string) string {
 	}, s)
 }
 
-func (c *TraceCache) tracePath(key string) string   { return filepath.Join(c.Dir, key+".trace") }
-func (c *TraceCache) profilePath(key string) string { return filepath.Join(c.Dir, key+".profile") }
+// The file extensions of a trace-cache entry's two files.
+const (
+	traceExt   = ".trace"
+	profileExt = ".profile"
+)
+
+func (c *TraceCache) tracePath(key string) string   { return filepath.Join(c.Dir, key+traceExt) }
+func (c *TraceCache) profilePath(key string) string { return filepath.Join(c.Dir, key+profileExt) }
 
 // isMissing classifies errors that mean "no cache entry here" — the file,
 // the cache directory, or a directory component does not exist — as
@@ -136,100 +140,6 @@ func (c *TraceCache) warnf(format string, args ...any) {
 	if c.Warn != nil {
 		c.Warn(fmt.Sprintf(format, args...))
 	}
-}
-
-// TraceEntry describes one trace-cache entry on disk: a <key>.trace /
-// <key>.profile pair (or a torn half of one) plus the accounting the
-// cache-operability tooling needs to apply version, age and size policy.
-type TraceEntry struct {
-	// Key is the entry's cache key — the shared base name of its files.
-	Key string
-	// Version is the key's format-version prefix (the token before the
-	// first '-'); entries written by this build carry TraceCacheVersion.
-	Version string
-	// Paths are the entry's files that exist, absolute or dir-relative as
-	// the cache's Dir is. A complete entry has two; a torn one, one.
-	Paths []string
-	// Size is the total size of the entry's files in bytes.
-	Size int64
-	// ModTime is the newest modification time across the entry's files —
-	// the age the prune policy measures.
-	ModTime time.Time
-}
-
-// Entries enumerates the cache directory's trace entries, grouped by key
-// and sorted by key for deterministic output. A missing directory is an
-// empty cache, not an error; files that are neither .trace nor .profile
-// are ignored (the replay store shares the directory).
-func (c *TraceCache) Entries() ([]TraceEntry, error) {
-	des, err := os.ReadDir(c.Dir)
-	if isMissing(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sweep: cache: %w", err)
-	}
-	byKey := map[string]*TraceEntry{}
-	for _, de := range des {
-		if de.IsDir() {
-			continue
-		}
-		name := de.Name()
-		ext := filepath.Ext(name)
-		if ext != ".trace" && ext != ".profile" {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			// The file vanished between listing and stat (a concurrent
-			// prune or atomic rewrite); skip it rather than fail the scan.
-			continue
-		}
-		key := strings.TrimSuffix(name, ext)
-		e := byKey[key]
-		if e == nil {
-			e = &TraceEntry{Key: key, Version: keyVersion(key)}
-			byKey[key] = e
-		}
-		e.Paths = append(e.Paths, filepath.Join(c.Dir, name))
-		e.Size += info.Size()
-		if info.ModTime().After(e.ModTime) {
-			e.ModTime = info.ModTime()
-		}
-	}
-	keys := make([]string, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]TraceEntry, 0, len(keys))
-	for _, k := range keys {
-		sort.Strings(byKey[k].Paths)
-		out = append(out, *byKey[k])
-	}
-	return out, nil
-}
-
-// Remove deletes the entry's files — both of them, so a prune can never
-// leave a torn pair behind. A file already gone is not an error (a
-// concurrent prune or rewrite got there first).
-func (c *TraceCache) Remove(key string) error {
-	var errs []error
-	for _, path := range []string{c.tracePath(key), c.profilePath(key)} {
-		if err := os.Remove(path); err != nil && !isMissing(err) {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// keyVersion extracts a cache key's format-version prefix: the token
-// before the first '-', or the whole key if it has none.
-func keyVersion(key string) string {
-	if i := strings.IndexByte(key, '-'); i >= 0 {
-		return key[:i]
-	}
-	return key
 }
 
 // Store writes the profiled set under the key, creating the cache
