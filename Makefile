@@ -43,7 +43,7 @@ bench-smoke:
 # failure fails the target instead of archiving a silently truncated record.
 bench-json:
 	$(GO) test -run '^$$' -benchtime 100x -benchmem \
-		-bench 'BenchmarkEngine$$|BenchmarkEngineTyped$$|BenchmarkSimulatePipeline$$|BenchmarkReplayerReuse$$|BenchmarkReplayBT$$|BenchmarkReplayGen64Seq$$|BenchmarkReplayGen64Par4$$|BenchmarkReplayBatchWarm$$|BenchmarkSweepDenseExact$$|BenchmarkSweepDenseApprox$$' \
+		-bench 'BenchmarkEngine$$|BenchmarkEngineTyped$$|BenchmarkSimulatePipeline$$|BenchmarkReplayerReuse$$|BenchmarkReplayBT$$|BenchmarkReplayGen64Seq$$|BenchmarkReplayGen64Par4$$|BenchmarkReplayBatchWarm$$|BenchmarkReplayContended$$|BenchmarkSweepDenseExact$$|BenchmarkSweepDenseApprox$$' \
 		./internal/des ./internal/replay ./internal/sweep . > BENCH.txt
 	$(GO) run ./cmd/benchjson -baseline docs/bench-baseline.json -o BENCH.json < BENCH.txt
 	@echo wrote BENCH.json

@@ -76,54 +76,78 @@ func TestReplayerReuseMatchesFreshSimulate(t *testing.T) {
 // lines slice, and the two interval/event arenas every rank's snapshot is
 // carved from. That is at most 4 allocations per run regardless of rank
 // count (3 without markers); the event loop itself (scheduling, transfers,
-// collectives, matching) contributes zero. A rise here means per-event or
-// per-rank allocation crept back into the replay hot path.
+// collectives, matching, contention arbitration) contributes zero. A rise
+// here means per-event or per-rank allocation crept back into the replay
+// hot path.
 func TestReplaySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget is pinned by the non-race run")
 	}
 	ts := mixedSet()
-	cfg := testConfig()
-	r := newReplayer()
-	for i := 0; i < 3; i++ { // warm free lists, queues, builders
-		if _, err := r.Simulate(ts, cfg); err != nil {
-			t.Fatal(err)
+	for _, cfg := range []machine.Config{testConfig(), contendedConfig()} {
+		r := newReplayer()
+		for i := 0; i < 3; i++ { // warm free lists, queues, builders
+			res, err := r.Simulate(ts, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Buses > 0 && res.Network.MaxPending < 2 {
+				t.Fatal("contended case queued no transfer")
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := r.Simulate(ts, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const budget = 4
+		if allocs > budget {
+			t.Errorf("buses=%d: warm Simulate allocates %.1f/run, budget %d", cfg.Buses, allocs, budget)
 		}
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := r.Simulate(ts, cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	const budget = 4
-	if allocs > budget {
-		t.Errorf("warm Simulate allocates %.1f/run, budget %d", allocs, budget)
-	}
+}
+
+// contendedConfig is testConfig with one bus and one link each way per
+// node, so transfers queue in the arbiter.
+func contendedConfig() machine.Config {
+	c := testConfig()
+	c.Buses, c.InLinks, c.OutLinks = 1, 1, 1
+	return c
 }
 
 // TestSummarySteadyStateAllocs tightens the guard to zero for the warm
 // summary path — what every sweep memo fill pays. Result assembly is
 // the only allocation Simulate makes when warm, and SimulateBatch skips
 // it; the parallel engine must hold the same line once its shard state
-// exists.
+// exists, and so must the sequential engine on a contended platform.
 func TestSummarySteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; budget is pinned by the non-race run")
 	}
-	ts := pipelineSet() // collective-free: eligible for the parallel engine
-	cfgs := []machine.Config{testConfig()}
 	out := make([]Summary, 1)
-	for _, par := range []int{0, 4} {
+	for _, tc := range []struct {
+		par int
+		ts  *trace.Set
+		cfg machine.Config
+	}{
+		{0, pipelineSet(), testConfig()},
+		{4, pipelineSet(), testConfig()}, // collective-free: eligible for the parallel engine
+		{0, mixedSet(), contendedConfig()},
+	} {
+		ts, cfgs := tc.ts, []machine.Config{tc.cfg}
 		r := newReplayer()
-		r.parallel = par
+		r.parallel = tc.par
 		r.parThreshold = 2
 		for i := 0; i < 3; i++ {
 			if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
 				t.Fatal(err)
 			}
-			if par > 0 && out[0].Windows == 0 {
+			if tc.par > 0 && out[0].Windows == 0 {
 				t.Fatal("parallel engine did not engage")
 			}
+		}
+		if tc.cfg.Buses > 0 && r.stats.MaxPending < 2 {
+			t.Fatal("contended case queued no transfer")
 		}
 		allocs := testing.AllocsPerRun(20, func() {
 			if _, err := r.SimulateBatch(ts, cfgs, out); err != nil {
@@ -131,7 +155,8 @@ func TestSummarySteadyStateAllocs(t *testing.T) {
 			}
 		})
 		if allocs > 0 {
-			t.Errorf("par=%d: warm single-config SimulateBatch allocates %.1f/run, budget 0", par, allocs)
+			t.Errorf("par=%d buses=%d: warm single-config SimulateBatch allocates %.1f/run, budget 0",
+				tc.par, tc.cfg.Buses, allocs)
 		}
 	}
 }

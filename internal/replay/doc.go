@@ -42,6 +42,18 @@
 // input with trace.Set.ValidateOnce, so a set replayed many times is
 // validated once.
 //
+// # Network arbitration
+//
+// Remote transfers on a contended platform pass through the arbiter,
+// which grants one output link on the source node, one input link on the
+// destination node and one bus, FIFO with skipping: a queued transfer
+// starts as soon as its own resources are free, even when an older one is
+// still blocked. Every queued transfer is blocked whenever the arbiter
+// returns, and resources change only when a transfer arrives or releases
+// them — so an arriving transfer checks only itself (it starts or joins
+// the queue), and a release scans the queue oldest first but stops once
+// the bus is saturated, since nothing behind that point can start.
+//
 // Determinism matters beyond reproducibility: Simulate is a pure function
 // of (trace set, machine configuration), which is what lets the sweep
 // layer memoize replay results by (workload, variant, platform) and lets

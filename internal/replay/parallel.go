@@ -211,8 +211,8 @@ func (s *replayer) startPar(t *transfer) {
 	s.stats.BusTime += wire
 	if s.stats.MaxPending < 1 {
 		// The sequential contention-free peak is exactly 1 whenever any
-		// remote transfer exists: maybeStart enqueues one transfer and
-		// drainPending immediately starts it.
+		// remote transfer exists: the arbiter counts each arrival before
+		// starting it at once.
 		s.stats.MaxPending = 1
 	}
 	// No resources are held here, so the wire event the sequential engine

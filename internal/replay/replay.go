@@ -18,7 +18,11 @@ type NetworkStats struct {
 	Bytes          units.Bytes    // total point-to-point payload
 	BusTime        units.Duration // total wire occupancy summed over buses
 	Collectives    int            // collective operations completed
-	MaxPending     int            // peak transfers queued for resources
+	// MaxPending is the peak number of remote transfers waiting for
+	// network resources, counting each arriving transfer before it is
+	// checked — one that starts the moment it arrives counts too, so it is
+	// at least 1 whenever any remote transfer exists.
+	MaxPending int
 }
 
 // BusUtilization returns the mean fraction of the configured buses kept
@@ -231,11 +235,12 @@ func (q *chanQueue) reset() {
 // and the object returns to the pool once delivered, fully matched, and
 // unreferenced.
 type transfer struct {
-	sim           *replayer
-	src, dst, tag int
-	size          units.Bytes
-	local         bool
-	eager         bool
+	sim              *replayer
+	src, dst, tag    int
+	srcNode, dstNode int // hosting nodes, set when the send is posted
+	size             units.Bytes
+	local            bool
+	eager            bool
 
 	sendPosted, recvPosted bool
 	started                bool
@@ -317,12 +322,9 @@ type replayer struct {
 	finish []units.Time // per-rank finish instants (struct-of-arrays)
 	done   []bool       // per-rank completion flags
 
-	chans   map[channelKey]*chanPair
-	dirtyQ  []*chanPair // pairs pushed to this run; the reset worklist
-	pending []*transfer // protocol-ready transfers queued for resources
-	outUse  []int       // per-node output links in use
-	inUse   []int       // per-node input links in use
-	busUse  int
+	chans  map[channelKey]*chanPair
+	dirtyQ []*chanPair // pairs pushed to this run; the reset worklist
+	arb    arbiter     // bus and link arbitration (sequential engine)
 
 	slots     map[int]*collSlot
 	freeT     []*transfer // transfer free list
@@ -450,6 +452,7 @@ func (s *replayer) runPrepared(ts *trace.Set, cfg machine.Config, collectives bo
 			return 0, fmt.Errorf("replay: %w", err)
 		}
 		s.ranSteps = s.eng.Steps()
+		s.stats.MaxPending = s.arb.maxPending
 	}
 	if s.err != nil {
 		return 0, s.err
@@ -479,16 +482,12 @@ func (s *replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
 	s.mips = mips
 	s.stats = NetworkStats{}
 	s.err = nil
-	s.busUse = 0
-	s.outUse = resizeZeroed(s.outUse, cfg.Nodes)
-	s.inUse = resizeZeroed(s.inUse, cfg.Nodes)
+	s.arb.reset(&cfg)
 	for _, pr := range s.dirtyQ {
 		pr.reset()
 	}
 	clear(s.dirtyQ)
 	s.dirtyQ = s.dirtyQ[:0]
-	clear(s.pending)
-	s.pending = s.pending[:0]
 	clear(s.slots)
 
 	n := ts.NRanks()
@@ -879,7 +878,8 @@ func (s *replayer) postSend(src int, rec *trace.Record) *transfer {
 	t.sendPosted = true
 	t.sendAt = s.eng.Now()
 	t.size = rec.Size
-	t.local = s.cfg.SameNode(src, rec.Peer)
+	t.srcNode, t.dstNode = s.nodeOf(src), s.nodeOf(rec.Peer)
+	t.local = t.srcNode == t.dstNode
 	t.eager = s.cfg.Eager(rec.Size)
 	if par {
 		start := s.claimStart(t)
@@ -923,12 +923,17 @@ func (s *replayer) postRecv(dst int, rec *trace.Record) *transfer {
 	return t
 }
 
+// nodeOf is machine.Config.NodeOf read through the replayer: calling the
+// value-receiver method on s.cfg copies the whole config. Validated
+// configs have a positive RanksPerNode.
+func (s *replayer) nodeOf(rank int) int { return rank / s.cfg.RanksPerNode }
+
 // maybeStart checks protocol readiness and routes the transfer into the
-// network: local transfers bypass resources; remote ones queue for links
-// and a bus. Sequential engine only — the parallel engine gates starts
-// through claimStart/startPar, which derive delivery from the recorded
-// post instants because the matching shard's clock may lag the transfer's
-// true start time.
+// network: local transfers bypass resources; remote ones go to the
+// arbiter for links and a bus. Sequential engine only — the parallel
+// engine gates starts through claimStart/startPar, which derive delivery
+// from the recorded post instants because the matching shard's clock may
+// lag the transfer's true start time.
 func (s *replayer) maybeStart(t *transfer) {
 	if t.started {
 		return
@@ -941,71 +946,36 @@ func (s *replayer) maybeStart(t *transfer) {
 	}
 	t.started = true
 	if t.local {
-		d := s.cfg.LocalLatency + s.cfg.LocalTransferTime(t.size)
+		d := s.cfg.LocalLatency + s.cfg.LocalBandwidth.TransferTime(t.size)
 		s.eng.ScheduleEventAfter(d, t, evDeliver)
 		return
 	}
-	s.pending = append(s.pending, t)
-	if len(s.pending) > s.stats.MaxPending {
-		s.stats.MaxPending = len(s.pending)
+	if s.arb.arrive(t) {
+		s.startRemote(t)
 	}
-	s.drainPending()
 }
 
-// resourcesFree reports whether the transfer can occupy its links and a bus.
-func (s *replayer) resourcesFree(t *transfer) bool {
-	srcNode, dstNode := s.cfg.NodeOf(t.src), s.cfg.NodeOf(t.dst)
-	if s.cfg.OutLinks > 0 && s.outUse[srcNode] >= s.cfg.OutLinks {
-		return false
-	}
-	if s.cfg.InLinks > 0 && s.inUse[dstNode] >= s.cfg.InLinks {
-		return false
-	}
-	if s.cfg.Buses > 0 && s.busUse >= s.cfg.Buses {
-		return false
-	}
-	return true
-}
-
-// drainPending starts every queued transfer whose resources are free, in
-// FIFO order with skipping (a blocked head does not stall unrelated pairs).
-func (s *replayer) drainPending() {
-	remaining := s.pending[:0]
-	for _, t := range s.pending {
-		if s.resourcesFree(t) {
-			s.startRemote(t)
-		} else {
-			remaining = append(remaining, t)
-		}
-	}
-	s.pending = remaining
-}
-
-// startRemote occupies resources and schedules the wire phase. Resources
-// are held for the wire time; delivery happens one latency later (the
-// latency models end-point overheads, not bus occupancy).
+// startRemote schedules the wire phase of a transfer the arbiter just
+// granted its resources. Resources are held for the wire time; delivery
+// happens one latency later (the latency models end-point overheads, not
+// bus occupancy).
 func (s *replayer) startRemote(t *transfer) {
-	srcNode, dstNode := s.cfg.NodeOf(t.src), s.cfg.NodeOf(t.dst)
-	s.outUse[srcNode]++
-	s.inUse[dstNode]++
-	s.busUse++
-	wire := s.cfg.TransferTime(t.size)
+	wire := s.cfg.Bandwidth.TransferTime(t.size)
 	s.stats.BusTime += wire
 	s.eng.ScheduleEventAfter(wire, t, evWireDone)
 }
 
 // wireDone releases the transfer's resources, schedules the delivery one
-// latency later, and hands the freed resources to waiting transfers. Only
-// the sequential engine schedules wire events; the parallel engine holds
-// no resources (it requires a contention-free platform) and folds the
-// wire time into the delivery instant directly (see startPar).
+// latency later, and starts the queued transfers the freed resources
+// admit. Only the sequential engine schedules wire events; the parallel
+// engine holds no resources (it requires a contention-free platform) and
+// folds the wire time into the delivery instant directly (see startPar).
 func (s *replayer) wireDone(t *transfer) {
-	srcNode, dstNode := s.cfg.NodeOf(t.src), s.cfg.NodeOf(t.dst)
-	s.outUse[srcNode]--
-	s.inUse[dstNode]--
-	s.busUse--
+	started := s.arb.release(t)
 	s.eng.ScheduleEventAfter(s.cfg.Latency, t, evDeliver)
-	s.drainPending()
+	for _, q := range started {
+		s.startRemote(q)
+	}
 }
 
 // deliver completes the transfer and resumes everything blocked on it.
