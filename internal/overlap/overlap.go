@@ -348,7 +348,20 @@ func transformRank(t *trace.Trace, ann map[int]Annotation, chunks int, opts Opti
 		}
 	}
 
-	out := &trace.Trace{Rank: t.Rank}
+	// Presize the output to an upper bound: a burst splits around each of
+	// its injections, a replaced record becomes its replacements.
+	bound := 0
+	for _, e := range elems {
+		switch {
+		case e.isBurst:
+			bound += 1 + 2*len(e.injections)
+		case e.replaced:
+			bound += len(e.replace)
+		default:
+			bound++
+		}
+	}
+	out := &trace.Trace{Rank: t.Rank, Records: make([]trace.Record, 0, bound)}
 	for _, e := range elems {
 		switch {
 		case e.isBurst:

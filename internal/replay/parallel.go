@@ -43,8 +43,8 @@ const defaultParThreshold = 16
 
 // parState is the reusable shard machinery hung off a root replayer. Each
 // shard executes through a view — a replayer whose par/shard identify it,
-// whose engine and stats are private, and whose matching maps alias the
-// root's.
+// whose engine and stats are private, and whose matching state aliases
+// the root's.
 type parState struct {
 	root    *replayer
 	views   []*replayer

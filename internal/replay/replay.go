@@ -174,17 +174,12 @@ const (
 	evDeliverSrc                 // transfer: sender-side delivery (parallel)
 )
 
-// channelKey identifies a directed message channel for FIFO matching.
-type channelKey struct {
-	src, dst, tag int
-}
-
 // chanPair holds the two FIFOs of unmatched transfer halves for one
 // directed channel: sends awaiting a receive and receives awaiting a send
-// (at most one is non-empty). Keeping both under one map entry means each
-// post pays a single hash lookup. The dirty flag marks pairs pushed to
-// during the current run; reset clears only those instead of walking every
-// channel ever seen.
+// (at most one is non-empty). Pairs are indexed by the trace's dense
+// channel ids (trace.Set.Channels), so a post finds its pair without
+// hashing. The dirty flag marks pairs pushed to during the current run;
+// reset clears only those instead of walking every channel.
 type chanPair struct {
 	send, recv chanQueue
 	dirty      bool
@@ -322,9 +317,9 @@ type replayer struct {
 	finish []units.Time // per-rank finish instants (struct-of-arrays)
 	done   []bool       // per-rank completion flags
 
-	chans  map[channelKey]*chanPair
-	dirtyQ []*chanPair // pairs pushed to this run; the reset worklist
-	arb    arbiter     // bus and link arbitration (sequential engine)
+	chans  []chanPair // by channel id, sized to the current trace
+	dirtyQ []int32    // ids of the pairs pushed to this run; the reset worklist
+	arb    arbiter    // bus and link arbitration (sequential engine)
 
 	slots     map[int]*collSlot
 	freeT     []*transfer // transfer free list
@@ -337,7 +332,7 @@ type replayer struct {
 	// Parallel-engine state. On the root replayer par is nil and scratch
 	// holds the reusable shard machinery; each shard runs through a view —
 	// a replayer clone whose par/shard are set, whose eng and stats are
-	// private, and whose matching maps alias the root's (guarded by
+	// private, and whose matching state aliases the root's (guarded by
 	// scratch.mu).
 	par          *parState
 	shard        int
@@ -350,7 +345,6 @@ type replayer struct {
 func newReplayer() *replayer {
 	return &replayer{
 		eng:   des.New(),
-		chans: map[channelKey]*chanPair{},
 		slots: map[int]*collSlot{},
 	}
 }
@@ -467,7 +461,7 @@ func (s *replayer) runPrepared(ts *trace.Set, cfg machine.Config, collectives bo
 // replayer does not pin the last trace set it ran.
 func (s *replayer) dropRecs() {
 	for _, p := range s.procs[:s.nprocs] {
-		p.recs = nil
+		p.recs, p.chans = nil, nil
 	}
 }
 
@@ -483,12 +477,19 @@ func (s *replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
 	s.stats = NetworkStats{}
 	s.err = nil
 	s.arb.reset(&cfg)
-	for _, pr := range s.dirtyQ {
-		pr.reset()
+	for _, ch := range s.dirtyQ {
+		s.chans[ch].reset()
 	}
-	clear(s.dirtyQ)
 	s.dirtyQ = s.dirtyQ[:0]
 	clear(s.slots)
+	// Every pair in the backing array is clean now, including any past the
+	// current length, so resizing within capacity needs no clearing.
+	chans := ts.Channels()
+	if cap(s.chans) < chans.N {
+		s.chans = make([]chanPair, chans.N)
+	} else {
+		s.chans = s.chans[:chans.N]
+	}
 
 	n := ts.NRanks()
 	for len(s.procs) < n {
@@ -504,6 +505,7 @@ func (s *replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
 	for i, p := range s.procs[:n] {
 		p.rank = i
 		p.recs = ts.Traces[i].Records
+		p.chans = chans.IDs[i]
 		p.pc = 0
 		clear(p.reqs)
 		p.tl.Reset(i)
@@ -626,6 +628,7 @@ func (s *replayer) checkAllFinished() error {
 type proc struct {
 	rank         int
 	recs         []trace.Record
+	chans        []int32 // channel id of each record (trace.Set.Channels)
 	pc           int
 	reqs         map[int]*transfer
 	tl           *timeline.Builder
@@ -681,7 +684,7 @@ func (p *proc) advance() {
 				return
 			}
 			p.pc++
-			t := s.postSend(p.rank, rec)
+			t := s.postSend(p.rank, rec, p.chans[p.pc-1])
 			p.reqs[rec.Req] = t
 			if s.par == nil {
 				t.refs++ // recycling is off under the parallel engine
@@ -692,7 +695,7 @@ func (p *proc) advance() {
 				return
 			}
 			p.pc++
-			t := s.postSend(p.rank, rec)
+			t := s.postSend(p.rank, rec, p.chans[p.pc-1])
 			if !t.eager && !t.deliveredSrc {
 				t.sender = p
 				p.tl.Enter(s.eng.Now(), timeline.SendBlocked)
@@ -704,7 +707,7 @@ func (p *proc) advance() {
 				return
 			}
 			p.pc++
-			t := s.postRecv(p.rank, rec)
+			t := s.postRecv(p.rank, rec, p.chans[p.pc-1])
 			p.reqs[rec.Req] = t
 			if s.par == nil {
 				t.refs++
@@ -715,7 +718,7 @@ func (p *proc) advance() {
 				return
 			}
 			p.pc++
-			t := s.postRecv(p.rank, rec)
+			t := s.postRecv(p.rank, rec, p.chans[p.pc-1])
 			if !t.deliveredDst {
 				t.waiters = append(t.waiters, p)
 				p.tl.Enter(s.eng.Now(), timeline.RecvBlocked)
@@ -814,29 +817,17 @@ func (s *replayer) releaseCollective(slot *collSlot) {
 	s.freeSlots = append(s.freeSlots, slot)
 }
 
-// pair finds or creates the matching-state entry for one directed channel.
-// Pairs persist across runs (a replayer reused on the same workload never
-// re-creates them).
-func (s *replayer) pair(key channelKey) *chanPair {
-	pr := s.chans[key]
-	if pr == nil {
-		pr = &chanPair{}
-		s.chans[key] = pr
-	}
-	return pr
-}
-
-// enqueue appends the transfer to one of the pair's queues, marking the
+// enqueue appends the transfer to one of channel ch's queues, marking the
 // pair for the next reset. The reset worklist always lives on the root
-// replayer: shard views share one set of matching maps.
-func (s *replayer) enqueue(pr *chanPair, q *chanQueue, t *transfer) {
-	if !pr.dirty {
+// replayer: shard views share one set of matching state.
+func (s *replayer) enqueue(ch int32, q *chanQueue, t *transfer) {
+	if pr := &s.chans[ch]; !pr.dirty {
 		pr.dirty = true
 		owner := s
 		if s.par != nil {
 			owner = s.par.root
 		}
-		owner.dirtyQ = append(owner.dirtyQ, pr)
+		owner.dirtyQ = append(owner.dirtyQ, ch)
 	}
 	q.push(t)
 }
@@ -856,24 +847,24 @@ func (s *replayer) claimStart(t *transfer) bool {
 	return true
 }
 
-// postSend matches or enqueues the sender half of a transfer. Matching
-// state is shared across shards under the parallel engine; one lock
-// serializes both post paths (FIFO pairing stays deterministic because a
-// directed channel's sends all come from one rank and its receives from
-// one rank, each replayed in program order).
-func (s *replayer) postSend(src int, rec *trace.Record) *transfer {
+// postSend matches or enqueues the sender half of a transfer on channel
+// ch, the record's channel id. Matching state is shared across shards
+// under the parallel engine; one lock serializes both post paths (FIFO
+// pairing stays deterministic because a directed channel's sends all come
+// from one rank and its receives from one rank, each replayed in program
+// order).
+func (s *replayer) postSend(src int, rec *trace.Record, ch int32) *transfer {
 	par := s.par != nil
 	if par {
 		s.par.mu.Lock()
 	}
-	key := channelKey{src, rec.Peer, rec.Tag}
-	pr := s.pair(key)
+	pr := &s.chans[ch]
 	var t *transfer
 	if q := &pr.recv; !q.empty() {
 		t = q.pop()
 	} else {
 		t = s.newTransfer(src, rec.Peer, rec.Tag)
-		s.enqueue(pr, &pr.send, t)
+		s.enqueue(ch, &pr.send, t)
 	}
 	t.sendPosted = true
 	t.sendAt = s.eng.Now()
@@ -893,21 +884,21 @@ func (s *replayer) postSend(src int, rec *trace.Record) *transfer {
 	return t
 }
 
-// postRecv matches or enqueues the receiver half of a transfer.
-func (s *replayer) postRecv(dst int, rec *trace.Record) *transfer {
+// postRecv matches or enqueues the receiver half of a transfer on channel
+// ch.
+func (s *replayer) postRecv(dst int, rec *trace.Record, ch int32) *transfer {
 	par := s.par != nil
 	if par {
 		s.par.mu.Lock()
 	}
-	key := channelKey{rec.Peer, dst, rec.Tag}
-	pr := s.pair(key)
+	pr := &s.chans[ch]
 	var t *transfer
 	if q := &pr.send; !q.empty() {
 		t = q.pop()
 	} else {
 		t = s.newTransfer(rec.Peer, dst, rec.Tag)
 		t.size = rec.Size
-		s.enqueue(pr, &pr.recv, t)
+		s.enqueue(ch, &pr.recv, t)
 	}
 	t.recvPosted = true
 	t.recvAt = s.eng.Now()

@@ -10,22 +10,23 @@ import (
 	"overlapsim/internal/units"
 )
 
-// This file is the planning layer of the surrogate fast path (`-approx`).
-// Before execution the runner partitions the expanded grid into
-// interpolation families — points identical except along one numeric
-// axis (bandwidth, latency, or the eager threshold as a monotone step
-// axis) — and replays only an anchor subset per family: the endpoints,
+// This file is the surrogate fast path (`-approx`). Before execution the
+// runner partitions the expanded grid into interpolation families —
+// points identical except along one numeric axis (bandwidth, latency, or
+// the eager threshold as a monotone step axis) — and plans, without
+// replaying anything, an anchor subset per family: the endpoints,
 // log-spaced interior points, and the point nearest the overlap knee the
 // analytic model predicts (IntermediateBandwidth / IntermediateLatency).
-// Every other family member is predicted by monotone piecewise
-// interpolation of the anchor results, in the coordinate space where the
-// replay physics is linear (time is affine in 1/bandwidth and in
-// latency). An error-bound gate guards the output: a deterministic,
-// seeded fraction of predicted points is spot-replayed, and a family
-// whose observed relative error exceeds the bound is demoted to full
-// replay — so every emitted result is either exact or within the bound
-// as observed by its family's spot checks. Predicted results are marked
-// (Result.Approx) and are never written to the replay memo or the
+// Each family then runs as one job on the engine's worker pool, beside
+// the exact-path points: it replays its anchors and predicts every other
+// member by monotone piecewise interpolation of the anchor results, in
+// the coordinate space where the replay physics is linear (time is affine
+// in 1/bandwidth and in latency). An error-bound gate guards the output:
+// a deterministic, seeded fraction of predicted points is spot-replayed,
+// and a family whose observed relative error exceeds the bound is demoted
+// to full replay — so every emitted result is either exact or within the
+// bound as observed by its family's spot checks. Predicted results are
+// marked (Result.Approx) and are never written to the replay memo or the
 // persistent store; with Approx off this file contributes nothing and
 // the runner is byte-identical to earlier releases.
 
@@ -156,32 +157,46 @@ func chooseApproxAxis(pts []Point, indices []int) approxAxis {
 	return best
 }
 
-// famMember is one grid point inside a family: its expanded-grid index,
-// its normalized point, and its axis coordinate.
+// famMember is one grid point inside a family: its position in the run's
+// indices, its normalized point, and its axis coordinate.
 type famMember struct {
-	idx int
+	pos int
 	p   Point
 	x   float64
 }
 
-// famPlan is one family's evaluation plan. anchors, spots and predicted
-// hold positions into members (sorted by axis coordinate).
-type famPlan struct {
-	key     Point
+// family is one planned interpolation family, resolved by one engine job.
+// anchors and spots hold positions into members (sorted by axis
+// coordinate). The job fills rows with the results it resolved and closes
+// done; the point jobs of its members wait on done before they look.
+type family struct {
+	axis    approxAxis
 	members []famMember
 	anchors []int
 	spots   []int
+
+	done chan struct{}
+	rows []row
+}
+
+// row is one resolved point: its position in the run's indices and its
+// result.
+type row struct {
+	pos int
+	res Result
 }
 
 // approxResults is the surrogate planner's entry point: given the
-// expanded grid and the indices the run covers, it returns exact-or-
-// predicted results for every point it resolved, keyed by expanded-grid
-// index, or nil when the fast path does not apply. The execution path
-// consults the map before runPoint; points absent from the map run
-// exactly as always. Planning is serial and deterministic: for a given
-// grid and index set the same points are predicted, spot-checked and
-// demoted regardless of worker count or cache state.
-func (r *Runner) approxResults(pts []Point, indices []int) map[int]Result {
+// expanded grid and the indices the run covers, it returns the
+// interpolation families worth resolving, or nil when the fast path does
+// not apply. Planning replays nothing: it picks the axis, groups the
+// families, and places each family's anchors (the analytic knee among
+// them) and seeded spot checks. Each returned family then runs as one
+// engine job (approxFamily); points no family resolves run exactly as
+// always. The plan is deterministic: for a given grid and index set the
+// same families, anchors and spot checks come out regardless of worker
+// count or cache state.
+func (r *Runner) approxResults(pts []Point, indices []int) []*family {
 	if !r.Approx {
 		return nil
 	}
@@ -191,23 +206,23 @@ func (r *Runner) approxResults(pts []Point, indices []int) map[int]Result {
 	}
 
 	// Group eligible points into families, in first-appearance order.
-	fams := map[Point][]famMember{}
+	groups := map[Point][]famMember{}
 	var order []Point
-	for _, idx := range indices {
+	for j, idx := range indices {
 		p := normPoint(pts[idx])
 		if !axisEligible(axis, p) {
 			continue
 		}
 		k := approxFamilyKey(axis, p)
-		if _, ok := fams[k]; !ok {
+		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
-		fams[k] = append(fams[k], famMember{idx: idx, p: p, x: axisValue(axis, p)})
+		groups[k] = append(groups[k], famMember{pos: j, p: p, x: axisValue(axis, p)})
 	}
 
-	var plans []famPlan
+	var fams []*family
 	for _, key := range order {
-		ms := fams[key]
+		ms := groups[key]
 		if len(ms) < minApproxFamily {
 			continue
 		}
@@ -229,42 +244,36 @@ func (r *Runner) approxResults(pts []Point, indices []int) map[int]Result {
 		for _, s := range surrogate.SpotChecks(seed, len(predicted), r.approxSpotCheck()) {
 			spots = append(spots, predicted[s])
 		}
-		plans = append(plans, famPlan{key: key, members: ms, anchors: anchors, spots: spots})
+		fams = append(fams, &family{axis: axis, members: ms, anchors: anchors, spots: spots,
+			done: make(chan struct{})})
 	}
-	if len(plans) == 0 {
-		return nil
-	}
-
-	out := map[int]Result{}
-	for _, pl := range plans {
-		r.approxFamily(pts, axis, pl, out)
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
+	return fams
 }
 
-// approxFamily evaluates one planned family: replay the anchors,
-// interpolate the rest, spot-check the gate, and either install the
-// predictions or demote the family. Any replay error abandons the family
-// silently — the exact path rediscovers and reports the error with the
-// engine's deterministic lowest-index semantics.
-func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[int]Result) {
-	n := len(pl.members)
-	rep := pl.members[0].p
+// approxFamily is one family's engine job: replay the anchors, refine,
+// interpolate the rest, spot-check the gate, and either keep the
+// predictions or demote the family. It returns the rows it resolved and
+// marks their positions in covered; every other member is left to its
+// point job, which replays it exactly. Any replay error abandons the
+// family silently — its point jobs rediscover and report the error with
+// the engine's deterministic lowest-index semantics. The decisions depend
+// only on the family's own replays, so they are the same whichever worker
+// runs the job and whatever runs beside it.
+func (r *Runner) approxFamily(f *family, covered []bool) []row {
+	n := len(f.members)
+	rep := f.members[0].p
 	ps, err := r.profiled(pipeKey{app: rep.App, ranks: rep.Ranks, chunks: rep.Chunks})
 	if err != nil {
-		return
+		return nil
 	}
 	nranks := ps.Original.NRanks()
 
-	anchors := append([]int(nil), pl.anchors...)
+	anchors := append([]int(nil), f.anchors...)
 	ares := make([]Result, 0, len(anchors))
 	for _, pos := range anchors {
-		res, err := r.runPoint(pts[pl.members[pos].idx])
+		res, err := r.runPoint(f.members[pos].p)
 		if err != nil {
-			return
+			return nil
 		}
 		ares = append(ares, res)
 	}
@@ -279,23 +288,23 @@ func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[
 	// quarter of its members, mirroring the sweep-level budget) is spent.
 	maxErr := r.approxMaxErr()
 	skip := make([]bool, n)
-	if axis != axisEager {
+	if f.axis != axisEager {
 		xs := make([]float64, n)
-		for i, m := range pl.members {
+		for i, m := range f.members {
 			xs[i] = m.x
 		}
 		xf := surrogate.Reciprocal
-		if axis == axisLatency {
+		if f.axis == axisLatency {
 			xf = surrogate.Linear
 		}
-		for budget := n/4 - len(anchors) - len(pl.spots); budget > 0; budget-- {
+		for budget := n/4 - len(anchors) - len(f.spots); budget > 0; budget-- {
 			pos, risk := surrogate.RefineCandidate(xs, anchors, anchorFields(ares), xf)
 			if pos < 0 || risk <= maxErr/2 {
 				break
 			}
-			res, err := r.runPoint(pts[pl.members[pos].idx])
+			res, err := r.runPoint(f.members[pos].p)
 			if err != nil {
-				return
+				return nil
 			}
 			anchors, ares = insertAnchor(anchors, ares, pos, res)
 		}
@@ -319,10 +328,10 @@ func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[
 		present[pos] = true
 	}
 
-	if axis == axisEager {
-		r.predictEagerSteps(pl, anchors, ares, results, present, nranks)
+	if f.axis == axisEager {
+		r.predictEagerSteps(f, anchors, ares, results, present, nranks)
 	} else {
-		r.predictInterpolated(axis, pl, anchors, ares, results, present, nranks)
+		r.predictInterpolated(f, anchors, ares, results, present, nranks)
 	}
 	for pos := range skip {
 		if skip[pos] && results[pos].Approx {
@@ -332,13 +341,13 @@ func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[
 
 	// The gate: spot-replay the seeded selection and compare.
 	demote := false
-	for _, pos := range pl.spots {
+	for _, pos := range f.spots {
 		if !present[pos] || !results[pos].Approx {
 			continue // eager bracket disagreement left it exact
 		}
-		exact, err := r.runPoint(pts[pl.members[pos].idx])
+		exact, err := r.runPoint(f.members[pos].p)
 		if err != nil {
-			return
+			return nil
 		}
 		r.ctSpotChecks.Add(1)
 		if surrogate.RelErr(float64(results[pos].TOriginal), float64(exact.TOriginal)) > maxErr ||
@@ -350,38 +359,37 @@ func (r *Runner) approxFamily(pts []Point, axis approxAxis, pl famPlan, out map[
 
 	if demote {
 		r.ctDemoted.Add(1)
-		for pos, m := range pl.members {
-			if present[pos] && !results[pos].Approx {
-				out[m.idx] = results[pos] // anchors and spot checks stay: they are exact
-			}
-		}
-		return
 	}
+	var rows []row
 	var predicted int64
-	for pos, m := range pl.members {
-		if !present[pos] {
+	for pos, m := range f.members {
+		// A demoted family keeps only its exact rows: anchors and spot
+		// checks.
+		if !present[pos] || (demote && results[pos].Approx) {
 			continue
 		}
-		out[m.idx] = results[pos]
+		rows = append(rows, row{pos: m.pos, res: results[pos]})
+		covered[m.pos] = true
 		if results[pos].Approx {
 			predicted++
 		}
 	}
 	r.ctPredicted.Add(predicted)
+	return rows
 }
 
 // predictInterpolated fills the non-anchor members of a continuous-axis
 // family by piecewise interpolation of the anchor results, in the
 // coordinate space where replay time is affine: 1/bandwidth for the
 // bandwidth axis, latency itself for the latency axis.
-func (r *Runner) predictInterpolated(axis approxAxis, pl famPlan, anchors []int, ares []Result, results []Result, present []bool, nranks int) {
-	n := len(pl.members)
+func (r *Runner) predictInterpolated(f *family, anchors []int, ares []Result, results []Result, present []bool, nranks int) {
+	n := len(f.members)
 	xs := make([]float64, n)
-	for i, m := range pl.members {
+	for i, m := range f.members {
 		xs[i] = m.x
 	}
 	xf := surrogate.Reciprocal
-	if axis == axisLatency {
+	if f.axis == axisLatency {
 		xf = surrogate.Linear
 	}
 	aO := make([]float64, len(ares))
@@ -402,7 +410,7 @@ func (r *Runner) predictInterpolated(axis approxAxis, pl famPlan, anchors []int,
 		if present[pos] {
 			continue
 		}
-		results[pos] = r.predictedResult(pl.members[pos].p, nranks,
+		results[pos] = r.predictedResult(f.members[pos].p, nranks,
 			predO[pos], predV[pos], predB[pos], predS[pos])
 		present[pos] = true
 	}
@@ -415,9 +423,9 @@ func (r *Runner) predictInterpolated(axis approxAxis, pl famPlan, anchors []int,
 // on one plateau and the plateau value is the prediction. Disagreeing
 // brackets straddle a step; those points are left to the exact path
 // rather than risk interpolating across a discontinuity.
-func (r *Runner) predictEagerSteps(pl famPlan, anchors []int, ares []Result, results []Result, present []bool, nranks int) {
+func (r *Runner) predictEagerSteps(f *family, anchors []int, ares []Result, results []Result, present []bool, nranks int) {
 	maxErr := r.approxMaxErr()
-	for pos := range pl.members {
+	for pos := range f.members {
 		if present[pos] {
 			continue
 		}
@@ -438,7 +446,7 @@ func (r *Runner) predictEagerSteps(pl famPlan, anchors []int, ares []Result, res
 			surrogate.RelErr(float64(a.TOverlap), float64(b.TOverlap)) > maxErr {
 			continue
 		}
-		results[pos] = r.predictedResult(pl.members[pos].p, nranks,
+		results[pos] = r.predictedResult(f.members[pos].p, nranks,
 			float64(a.TOriginal), float64(a.TOverlap), a.Blocked, float64(a.Steps))
 		present[pos] = true
 	}

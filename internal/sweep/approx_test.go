@@ -2,12 +2,18 @@ package sweep
 
 import (
 	"bytes"
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"overlapsim/internal/machine"
+	"overlapsim/internal/replay"
 	"overlapsim/internal/sweep/replaystore"
 	"overlapsim/internal/sweep/surrogate"
+	"overlapsim/internal/trace"
 	"overlapsim/internal/units"
 )
 
@@ -289,6 +295,165 @@ func TestApproxTightBoundSkipsPredictions(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("point %d differs: %+v vs %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// multiFamilyGrid is 2 apps x 12 bandwidths x 3 latencies: six bandwidth
+// families, interleaved in expansion order (latency varies fastest).
+func multiFamilyGrid() Grid {
+	g := denseGrid()
+	return Grid{Apps: []string{"pingpong", "ring"}, Bandwidths: g.Bandwidths[:12], Latencies: g.Latencies[:3]}
+}
+
+// approxCounters is the part of Counters the surrogate decides.
+func approxCounters(c Counters) [4]int64 {
+	return [4]int64{c.Replays, c.PredictedPoints, c.SpotCheckReplays, c.DemotedFamilies}
+}
+
+// TestApproxMultiFamilyDeterministicAcrossWorkers: with several families
+// resolving concurrently on the pool, the results and the surrogate's
+// decisions are the same for any worker count.
+func TestApproxMultiFamilyDeterministicAcrossWorkers(t *testing.T) {
+	g := multiFamilyGrid()
+	var ref []Result
+	var refC [4]int64
+	for _, workers := range []int{1, 3, 8} {
+		r := denseRunner(true)
+		r.Engine = Engine{Workers: workers}
+		res, err := r.Run(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := approxCounters(r.Stats())
+		if ref == nil {
+			if c[1] == 0 {
+				t.Fatal("no predicted points: the grid does not exercise the families")
+			}
+			ref, refC = res, c
+			continue
+		}
+		if c != refC {
+			t.Errorf("workers=%d: counters (replays, predicted, spot checks, demoted) %v, workers=1 %v", workers, c, refC)
+		}
+		for i := range ref {
+			if res[i] != ref[i] {
+				t.Fatalf("workers=%d: point %d differs: %+v vs %+v", workers, i, res[i], ref[i])
+			}
+		}
+	}
+}
+
+// TestApproxFamilyStreamsBeforeLaterFamilies: a family's rows reach the
+// sink as soon as its job resolves — with one worker, before the last
+// family has replayed anything.
+func TestApproxFamilyStreamsBeforeLaterFamilies(t *testing.T) {
+	dg := denseGrid()
+	lats := dg.Latencies[:3]
+	g := Grid{Apps: []string{"pingpong"}, Bandwidths: dg.Bandwidths[:16], Latencies: lats}
+	r := denseRunner(true)
+	r.Engine = Engine{Workers: 1}
+
+	// The replay count just before the last family's first replay.
+	lastStart := int64(-1)
+	orig := simulate
+	t.Cleanup(func() { simulate = orig })
+	simulate = func(ts *trace.Set, cfgs []machine.Config, out []replay.Summary, par int) (int, error) {
+		if lastStart < 0 && cfgs[0].Latency == lats[2] {
+			lastStart = r.Stats().Replays - 1
+		}
+		return orig(ts, cfgs, out, par)
+	}
+
+	var fam0 []int64 // replay count at each of family 0's predicted rows
+	err := r.RunSink(g, sinkFunc(func(_ int, res Result) error {
+		if res.Approx && res.Point.Platform.Latency == lats[0] {
+			fam0 = append(fam0, r.Stats().Replays)
+		}
+		return nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fam0) == 0 || lastStart < 0 {
+		t.Fatalf("family 0 predicted %d rows, last family started at replay %d", len(fam0), lastStart)
+	}
+	for _, n := range fam0 {
+		if n > lastStart {
+			t.Fatalf("a family-0 row arrived after %d replays; the last family started after %d", n, lastStart)
+		}
+	}
+}
+
+// TestApproxReplayErrorMatchesExact: a replay error inside a family
+// abandons it, and the run fails with the same *JobError — same position
+// in indices, same message — as with Approx off.
+func TestApproxReplayErrorMatchesExact(t *testing.T) {
+	g := multiFamilyGrid()
+	bad := g.Bandwidths[len(g.Bandwidths)-1] // an endpoint: every family's anchor
+	orig := simulate
+	t.Cleanup(func() { simulate = orig })
+	simulate = func(ts *trace.Set, cfgs []machine.Config, out []replay.Summary, par int) (int, error) {
+		if cfgs[0].Bandwidth == bad {
+			return 0, fmt.Errorf("injected failure at %v", bad)
+		}
+		return orig(ts, cfgs, out, par)
+	}
+	for _, workers := range []int{1, 4} {
+		var want *JobError
+		for _, approx := range []bool{false, true} {
+			r := denseRunner(approx)
+			r.Engine = Engine{Workers: workers}
+			_, err := r.Run(g)
+			var je *JobError
+			if !errors.As(err, &je) {
+				t.Fatalf("workers=%d approx=%v: err = %v, want a *JobError", workers, approx, err)
+			}
+			if !approx {
+				want = je
+				continue
+			}
+			if je.Index != want.Index || je.Error() != want.Error() {
+				t.Errorf("workers=%d: approx error %q (index %d), exact %q (index %d)",
+					workers, je, je.Index, want, want.Index)
+			}
+		}
+	}
+}
+
+// TestApproxProgressCountsPoints: with families on the pool the engine's
+// Progress still counts grid points, not jobs — total is the number of
+// points the run covers and done climbs by one up to it.
+func TestApproxProgressCountsPoints(t *testing.T) {
+	g := multiFamilyGrid()
+	all := make([]int, g.Size())
+	for i := range all {
+		all[i] = i
+	}
+	for _, workers := range []int{1, 4} {
+		for _, indices := range [][]int{all, all[:g.Size()/2]} {
+			var mu sync.Mutex
+			var calls [][2]int
+			r := denseRunner(true)
+			r.Engine = Engine{Workers: workers, Progress: func(done, total int) {
+				mu.Lock()
+				defer mu.Unlock()
+				calls = append(calls, [2]int{done, total})
+			}}
+			if err := r.RunIndicesSinkContext(context.Background(), g, indices, sinkFunc(func(int, Result) error { return nil })); err != nil {
+				t.Fatal(err)
+			}
+			if r.Stats().PredictedPoints == 0 {
+				t.Fatalf("workers=%d: no predictions; families did not run", workers)
+			}
+			if len(calls) != len(indices) {
+				t.Fatalf("workers=%d: %d progress calls for %d points", workers, len(calls), len(indices))
+			}
+			for k, c := range calls {
+				if c != [2]int{k + 1, len(indices)} {
+					t.Fatalf("workers=%d: progress call %d is %v, want [%d %d]", workers, k, c, k+1, len(indices))
+				}
+			}
 		}
 	}
 }

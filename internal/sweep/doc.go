@@ -26,12 +26,15 @@
 //
 // Every sweep — Run, RunSink, RunSinkContext, RunIndicesSinkContext —
 // wraps one core: validate and expand the grid, resolve the expanded-
-// point indices to run (nil means all), plan surrogate predictions
-// serially, then fan the rest out on EachContext, which hands each result
-// to a Sink as it completes (unordered, serialized). Every replay is one
-// memo fill on a worker, so results stream while later points replay. Map is EachContext collecting into a slice. A panicking
-// job fails only its own index, as a *JobError wrapping a *PanicError; a
-// panic in the serial planning stage fails the run with a *PanicError.
+// point indices to run (nil means all), plan the surrogate's families
+// (no replays), then fan the work out on EachContext: one job per family,
+// then one per point. EachContext hands each result to a Sink as it
+// completes (unordered, serialized); a family job delivers its resolved
+// members the moment it finishes. Every replay is one memo fill on a
+// worker, so results stream while later points replay. Map is EachContext
+// collecting into a slice. A panicking point job fails only its own
+// index, as a *JobError wrapping a *PanicError; a panic in planning or in
+// a family job fails the run with a *PanicError named as planning.
 //
 // # The results pipeline
 //

@@ -18,7 +18,9 @@ type Engine struct {
 	// completed count and the total. Calls are serialized and the completed
 	// count is strictly increasing, so a callback can print a running
 	// "done/total" without its own locking. It must not call back into the
-	// engine.
+	// engine. A Runner reports grid points the same way, not its jobs: done
+	// counts delivered points and total is the number of points the run
+	// covers.
 	Progress func(done, total int)
 }
 

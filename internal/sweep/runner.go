@@ -458,8 +458,20 @@ func (r *Runner) RunIndicesSinkContext(ctx context.Context, g Grid, indices []in
 
 // run is the single sweep execution path behind every entry point:
 // validate and expand the grid, resolve and bounds-check the requested
-// indices, let the surrogate planner do its serial work, then fan the
-// remaining points out on the engine.
+// indices, let the surrogate planner pick its families, then fan the work
+// out on the engine.
+//
+// The engine's jobs are one per planned family, then one per point in
+// indices order; with Approx off that is exactly the point list. A family
+// job delivers the members it resolves as soon as it finishes. A member's
+// point job waits for its family and replays the member only if the
+// family left it exact (a distrusted segment, a demoted or abandoned
+// family). Family jobs are claimed first, and a claimed job always runs,
+// so a waiting point job never waits on a job no worker holds. Errors
+// and progress speak in points: a failing point job's *JobError carries
+// its position in indices, as with Approx off, a panicking family job
+// fails the run as a planning error, and the engine's Progress counts
+// delivered points against len(indices).
 func (r *Runner) run(ctx context.Context, g Grid, indices []int, sink Sink) error {
 	if err := g.Validate(); err != nil {
 		return err
@@ -476,20 +488,85 @@ func (r *Runner) run(ctx context.Context, g Grid, indices []int, sink Sink) erro
 			return fmt.Errorf("sweep: point index %d out of range [0,%d)", i, len(pts))
 		}
 	}
-	// The planner replays on this goroutine, outside the workers, so runJob
-	// turns a panic there into this run's error.
-	approx, err := runJob(func(int) (map[int]Result, error) {
+	// Planning replays nothing, but the knee model traces the workloads it
+	// plans, on this goroutine; runJob turns a panic there into this run's
+	// error.
+	fams, err := runJob(func(int) ([]*family, error) {
 		return r.approxResults(pts, indices), nil
 	}, 0)
 	if err != nil {
 		return fmt.Errorf("sweep: planning: %w", err)
 	}
-	return EachContext(ctx, r.Engine, len(indices), func(j int) (Result, error) {
-		if res, ok := approx[indices[j]]; ok {
-			return res, nil
+	nf := len(fams)
+	var famOf []*family // by position: the family holding the point, if any
+	var covered []bool  // by position: resolved and delivered by its family
+	if nf > 0 {
+		famOf = make([]*family, len(indices))
+		covered = make([]bool, len(indices))
+		for _, f := range fams {
+			for _, m := range f.members {
+				famOf[m.pos] = f
+			}
 		}
-		return r.runPoint(pts[indices[j]])
-	}, func(j int, res Result) error { return sink.Accept(indices[j], res) })
+	}
+
+	e := r.Engine
+	progress := e.Progress
+	e.Progress = nil
+	delivered, sinkPos := 0, 0
+	deliver := func(pos int, res Result) error {
+		if err := sink.Accept(indices[pos], res); err != nil {
+			sinkPos = pos
+			return err
+		}
+		delivered++
+		if progress != nil {
+			progress(delivered, len(indices))
+		}
+		return nil
+	}
+	err = EachContext(ctx, e, nf+len(indices), func(j int) (Result, error) {
+		if j < nf {
+			f := fams[j]
+			defer close(f.done)
+			f.rows = r.approxFamily(f, covered)
+			return Result{}, nil
+		}
+		pos := j - nf
+		if famOf != nil && famOf[pos] != nil {
+			<-famOf[pos].done
+			if covered[pos] {
+				return Result{}, nil
+			}
+		}
+		return r.runPoint(pts[indices[pos]])
+	}, func(j int, res Result) error {
+		if j < nf {
+			rows := fams[j].rows
+			fams[j].rows = nil
+			for _, rw := range rows {
+				if err := deliver(rw.pos, rw.res); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		if pos := j - nf; covered == nil || !covered[pos] {
+			return deliver(pos, res)
+		}
+		return nil
+	})
+	// Map job indices back to positions in indices.
+	switch e := err.(type) {
+	case *JobError:
+		if e.Index < nf {
+			return fmt.Errorf("sweep: planning: %w", e.Err)
+		}
+		e.Index -= nf
+	case *SinkError:
+		e.Index = sinkPos
+	}
+	return err
 }
 
 // resultSlice is the sink behind Run: each result lands at its expanded-

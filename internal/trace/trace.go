@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"overlapsim/internal/units"
@@ -205,7 +206,9 @@ type Set struct {
 	MIPS    units.MIPS // instruction-to-time scale observed in the real run
 	Traces  []Trace    // index i holds rank i
 
-	checked atomic.Uint32 // ValidateOnce's memo
+	memoMu  sync.Mutex               // serializes first fills of the memos below
+	checked atomic.Uint32            // ValidateOnce's memo
+	chans   atomic.Pointer[Channels] // Channels' memo
 }
 
 // NewSet allocates a set with nranks empty traces.

@@ -195,6 +195,37 @@ func TestValidateOnce(t *testing.T) {
 	wg.Wait()
 }
 
+// TestChannels pins the channel numbering the replayer matches on: a
+// send and its receive share an id, a different tag or direction is a
+// different channel, ids are dense in first-appearance order, records
+// that are not point-to-point get -1, and concurrent first calls share
+// one numbering.
+func TestChannels(t *testing.T) {
+	s := NewSet("chans", "original", 2, 1000)
+	s.Traces[0].Append(Burst(10), ISend(1, 7, 64, 1), Send(1, 8, 64), Wait(1), Recv(1, 7, 64))
+	s.Traces[1].Append(IRecv(0, 7, 64, 1), Marker("x"), Recv(0, 8, 64), Wait(1), Send(0, 7, 64))
+	var wg sync.WaitGroup
+	got := make([]*Channels, 4)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = s.Channels()
+		}()
+	}
+	wg.Wait()
+	for _, c := range got[1:] {
+		if c != got[0] {
+			t.Fatal("concurrent first calls returned different numberings")
+		}
+	}
+	c := got[0]
+	want := [][]int32{{-1, 0, 1, -1, 2}, {0, -1, 1, -1, 2}}
+	if c.N != 3 || !reflect.DeepEqual(c.IDs, want) {
+		t.Fatalf("Channels = %d %v, want 3 %v", c.N, c.IDs, want)
+	}
+}
+
 func TestValidateCatchesProblems(t *testing.T) {
 	build := func(mutate func(*Set)) *Set {
 		s := pingPongSet()

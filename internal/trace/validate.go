@@ -20,8 +20,9 @@ const (
 
 // validateScratch holds the working storage of one Validate call. Scratch
 // objects are pooled and their maps and slices cleared rather than
-// reallocated, so validating inside the replay hot path (every Simulate
-// call revalidates its input) settles to zero steady-state allocation.
+// reallocated, so repeated Validate calls settle to zero steady-state
+// allocation. (The replayer validates each set once, through
+// ValidateOnce.)
 type validateScratch struct {
 	sends, recvs map[edge]int
 	reqs         map[int]uint8 // per-rank posted/waited bits
@@ -70,13 +71,17 @@ const (
 // call, so its error is never stale. It also reports whether the set
 // contains collectives, which a valid set's rank 0 sequence decides for
 // every rank. The memo relies on the set not being mutated once it has
-// validated. Concurrent first calls may each run the check; they agree.
+// validated. Concurrent first calls wait for one check instead of each
+// building its own scratch: workers replaying one set on many platforms
+// all arrive at once.
 func (s *Set) ValidateOnce() (collectives bool, err error) {
-	switch s.checked.Load() {
-	case validNoCollectives:
-		return false, nil
-	case validCollectives:
-		return true, nil
+	if st := s.checked.Load(); st != unchecked {
+		return st == validCollectives, nil
+	}
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	if st := s.checked.Load(); st != unchecked {
+		return st == validCollectives, nil
 	}
 	collectives, err = validate(s)
 	if err != nil {
