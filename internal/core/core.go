@@ -13,9 +13,10 @@
 //	cmp.RenderGantt(os.Stdout, 80)              // qualitative comparison
 //
 // Study is the one traced-study type: the experiment harness
-// (internal/experiment) runs every paper experiment on it, and it caches
-// variants in the same overlap.VariantCache the sweep Runner keeps per
-// traced workload.
+// (internal/experiment) runs every paper experiment on it. It caches its
+// variants in a memo.Map keyed by variant name, the same single-flight
+// memo the sweep Runner uses: variants build in parallel, one transform
+// per name, and a failed or panicked transform stays failed.
 package core
 
 import (
@@ -23,6 +24,7 @@ import (
 	"io"
 
 	"overlapsim/internal/machine"
+	"overlapsim/internal/memo"
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/paraver"
 	"overlapsim/internal/replay"
@@ -83,7 +85,7 @@ func (e *Environment) FromTrace(ts *trace.Set) (*Study, error) {
 // on many platforms at once. A literal with Profiled set is ready to use.
 type Study struct {
 	Profiled *overlap.ProfiledSet
-	variants overlap.VariantCache
+	variants memo.Map[string, *trace.Set] // by variant name
 }
 
 // Original returns the non-overlapped trace.
@@ -92,7 +94,10 @@ func (s *Study) Original() *trace.Set { return s.Profiled.Original }
 // Variant returns (building and caching on first use) the overlapped trace
 // for the given transformation options.
 func (s *Study) Variant(opts overlap.Options) (*trace.Set, error) {
-	return s.variants.Get(s.Profiled, opts)
+	ts, _, err := s.variants.Get(opts.Variant(s.Profiled.Chunks), "transform", func() (*trace.Set, error) {
+		return overlap.Transform(s.Profiled, opts)
+	})
+	return ts, err
 }
 
 // SimulateOriginal replays the original trace on the platform.

@@ -20,7 +20,10 @@
 // Every experiment runs on core.Study, the one traced-study type:
 // Suite.Study traces each application once per suite (through the suite's
 // trace cache, when one is set), and IntermediateBandwidth and
-// IsoBandwidth are plain functions over a study and a base platform.
+// IsoBandwidth are plain functions over a study and a base platform. The
+// Suite memoizes studies and intermediate bandwidths in memo.Maps, so an
+// error, or a panic recorded as a "... panicked" error, is what every
+// later caller gets.
 package experiment
 
 import (
@@ -31,6 +34,7 @@ import (
 	"overlapsim/internal/apps"
 	"overlapsim/internal/core"
 	"overlapsim/internal/machine"
+	"overlapsim/internal/memo"
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/sweep"
 	"overlapsim/internal/tracer"
@@ -132,8 +136,8 @@ type Suite struct {
 	// the first failed one is reported by CacheStoreErr.
 	Cache *sweep.TraceCache
 
-	studies memo[string, *core.Study]
-	interBW memo[bwKey, units.Bandwidth]
+	studies memo.Map[string, *core.Study]
+	interBW memo.Map[bwKey, units.Bandwidth]
 
 	mu       sync.Mutex
 	storeErr error
@@ -144,34 +148,6 @@ type Suite struct {
 type bwKey struct {
 	st   *core.Study
 	base machine.Config
-}
-
-// memo is a single-flight map, safe for concurrent use: the first caller
-// for a key computes the value, concurrent and later callers share it.
-type memo[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*memoSlot[V]
-}
-
-type memoSlot[V any] struct {
-	once sync.Once
-	v    V
-	err  error
-}
-
-func (c *memo[K, V]) get(k K, fill func() (V, error)) (V, error) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = map[K]*memoSlot[V]{}
-	}
-	slot, ok := c.m[k]
-	if !ok {
-		slot = &memoSlot[V]{}
-		c.m[k] = slot
-	}
-	c.mu.Unlock()
-	slot.once.Do(func() { slot.v, slot.err = fill() })
-	return slot.v, slot.err
 }
 
 // NewSuite returns a suite on the default platform.
@@ -210,9 +186,10 @@ func (s *Suite) AppConfig(name string) apps.Config {
 // result. It is safe for concurrent use; parallel callers for the same app
 // share one instrumented run.
 func (s *Suite) Study(name string) (*core.Study, error) {
-	return s.studies.get(name, func() (*core.Study, error) {
+	st, _, err := s.studies.Get(name, "trace", func() (*core.Study, error) {
 		return s.cachedStudy(name, s.AppConfig(name))
 	})
+	return st, err
 }
 
 // cachedStudy traces an arbitrary workload through the suite's trace
@@ -230,7 +207,7 @@ func (s *Suite) cachedStudy(name string, cfg apps.Config) (*core.Study, error) {
 		if err != nil {
 			return nil, err
 		}
-		return tracer.Trace(app, tracer.Options{Chunks: chunks})
+		return traceApp(app, tracer.Options{Chunks: chunks})
 	})
 	s.noteStoreErr(storeErr)
 	if err != nil {
@@ -239,15 +216,20 @@ func (s *Suite) cachedStudy(name string, cfg apps.Config) (*core.Study, error) {
 	return &core.Study{Profiled: ps}, nil
 }
 
+// traceApp is the instrumented run behind cachedStudy. Tests swap it to
+// inject a panicking trace.
+var traceApp = tracer.Trace
+
 // intermediate is IntermediateBandwidth on the suite's platform, memoized
 // per study: every experiment anchors on the same regime, so the grid of
 // original replays is paid once per study even when many sweep workers
 // ask concurrently.
 func (s *Suite) intermediate(st *core.Study) (units.Bandwidth, error) {
 	base := s.Machine
-	return s.interBW.get(bwKey{st, base}, func() (units.Bandwidth, error) {
+	bw, _, err := s.interBW.Get(bwKey{st, base}, "intermediate bandwidth search", func() (units.Bandwidth, error) {
 		return IntermediateBandwidth(st, base)
 	})
+	return bw, err
 }
 
 // CacheStoreErr returns the suite's first failed trace-cache write, if

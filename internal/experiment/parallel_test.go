@@ -3,10 +3,13 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"overlapsim/internal/core"
+	"overlapsim/internal/overlap"
+	"overlapsim/internal/tracer"
 )
 
 // TestExperimentsWorkerCountInvariant is the determinism contract of the
@@ -63,5 +66,38 @@ func TestSuiteStudyConcurrent(t *testing.T) {
 		if sts[i] != sts[0] {
 			t.Fatal("concurrent Study calls returned distinct studies")
 		}
+	}
+}
+
+// TestSuitePanickedFillStaysFailed: a study trace or an intermediate-
+// bandwidth search that panics leaves its memo entry holding the panic as
+// an error. A reused Suite reports it, instead of a nil study or a
+// bandwidth of 0 (infinitely fast) passed off as a result.
+func TestSuitePanickedFillStaysFailed(t *testing.T) {
+	orig := traceApp
+	t.Cleanup(func() { traceApp = orig })
+	traceApp = func(tracer.App, tracer.Options) (*overlap.ProfiledSet, error) {
+		panic("tracer invariant broken")
+	}
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("first %s did not panic", what)
+			}
+		}()
+		f()
+	}
+	s := quickSuite()
+	mustPanic("Study", func() { s.Study("pingpong") })
+	traceApp = orig
+	if st, err := s.Study("pingpong"); err == nil || !strings.Contains(err.Error(), "panicked: tracer invariant broken") {
+		t.Errorf("Study after a panicked trace = %v, %v; want the recorded panic", st, err)
+	}
+
+	broken := &core.Study{} // no profiled set: its first replay panics
+	mustPanic("intermediate", func() { s.intermediate(broken) })
+	if bw, err := s.intermediate(broken); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Errorf("intermediate after a panicked search = %v, %v; want the recorded panic", bw, err)
 	}
 }

@@ -3,7 +3,6 @@ package overlap
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"overlapsim/internal/trace"
 )
@@ -57,35 +56,4 @@ func VariantSet(ps *ProfiledSet, v string) (*trace.Set, error) {
 		return ps.Original, nil
 	}
 	return Transform(ps, opts)
-}
-
-// VariantCache memoizes the transformed variants of one profiled set,
-// keyed by variant name (Options.Variant). It is safe for concurrent use
-// and the zero value is ready: core.Study and the sweep Runner both cache
-// their variants here, so the keying and locking live in one place.
-//
-// The transform runs under the lock: it is cheap next to the replays that
-// consume it, and serializing keeps every variant built exactly once.
-type VariantCache struct {
-	mu sync.Mutex
-	m  map[string]*trace.Set
-}
-
-// Get returns the cached variant for the options, building it on first use.
-func (c *VariantCache) Get(ps *ProfiledSet, opts Options) (*trace.Set, error) {
-	key := opts.Variant(ps.Chunks)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ts, ok := c.m[key]; ok {
-		return ts, nil
-	}
-	ts, err := Transform(ps, opts)
-	if err != nil {
-		return nil, err
-	}
-	if c.m == nil {
-		c.m = map[string]*trace.Set{}
-	}
-	c.m[key] = ts
-	return ts, nil
 }

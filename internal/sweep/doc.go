@@ -72,9 +72,15 @@
 //     entries on disk under the same key (platform hashed losslessly), so
 //     a warm re-run of an identical sweep does zero replays on top of
 //     zero instrumented runs.
-//   - overlap.VariantCache memoizes overlap.Transform per variant name
-//     within a traced workload (core.Study caches its variants the same
+//   - Runner memoizes overlap.Transform per (traced workload, variant
+//     name), single-flight per variant, so one workload's variants
+//     transform in parallel (core.Study caches its variants the same
 //     way).
+//
+// The traced workloads, variants and replays are each a memo.Map: one
+// fill per key, with the lock released while it runs; errors are
+// memoized, and a panicking fill is recorded as a "... panicked" error
+// before the panic is re-raised.
 //
 // Both persistent layers are accelerators, never correctness
 // dependencies: corrupt or truncated entries warn, miss, and are

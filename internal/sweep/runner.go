@@ -9,6 +9,7 @@ import (
 
 	"overlapsim/internal/apps"
 	"overlapsim/internal/machine"
+	"overlapsim/internal/memo"
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/replay"
 	"overlapsim/internal/sweep/replaystore"
@@ -69,9 +70,11 @@ type Runner struct {
 	// replayed per family (at least one). 0 means DefaultApproxSpotCheck.
 	ApproxSpotCheck float64
 
+	traces   memo.Map[pipeKey, *overlap.ProfiledSet]
+	variants memo.Map[variantKey, *trace.Set]
+	replays  memo.Map[memoKey, replaystore.Result]
+
 	mu       sync.Mutex
-	pipes    map[pipeKey]*pipeline
-	memos    map[memoKey]*memoEntry
 	storeErr error
 
 	ctTraces     atomic.Int64
@@ -170,15 +173,11 @@ type pipeKey struct {
 	chunks int
 }
 
-// pipeline is one traced workload with its variant cache. The trace runs
-// under once, so concurrent points that share a workload wait for a single
-// instrumented run instead of repeating it.
-type pipeline struct {
-	once sync.Once
-	ps   *overlap.ProfiledSet
-	err  error
-
-	variants overlap.VariantCache
+// variantKey identifies one transformed variant of a traced workload by
+// its name (overlap.Options.Variant).
+type variantKey struct {
+	pipe pipeKey
+	name string
 }
 
 // NewRunner returns a runner on the given base platform with default scale.
@@ -186,28 +185,12 @@ func NewRunner(base machine.Config) *Runner {
 	return &Runner{Base: base}
 }
 
-func (r *Runner) pipelineFor(key pipeKey) *pipeline {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.pipes == nil {
-		r.pipes = map[pipeKey]*pipeline{}
-	}
-	p, ok := r.pipes[key]
-	if !ok {
-		p = &pipeline{}
-		r.pipes[key] = p
-	}
-	return p
-}
-
 // profiled returns the workload's profiled set, tracing on first use. With
 // a persistent cache configured the instrumented run is skipped when a
 // sibling process (an earlier sweep, another shard) already traced the
 // workload; a fresh trace is stored for them in turn.
 func (r *Runner) profiled(key pipeKey) (*overlap.ProfiledSet, error) {
-	p := r.pipelineFor(key)
-	p.once.Do(func() {
-		defer recordPanic(&p.err, "trace")
+	ps, _, err := r.traces.Get(key, "trace", func() (*overlap.ProfiledSet, error) {
 		cfg := apps.Config{Ranks: key.ranks, Size: r.Size, Iterations: r.Iters}
 		ps, hit, storeErr, err := r.Cache.LoadOrTrace(key.app, cfg, key.chunks, func() (*overlap.ProfiledSet, error) {
 			app, err := apps.New(key.app, cfg)
@@ -221,9 +204,9 @@ func (r *Runner) profiled(key pipeKey) (*overlap.ProfiledSet, error) {
 			r.ctTraceHits.Add(1)
 		}
 		r.noteStoreErr(storeErr)
-		p.ps, p.err = ps, err
+		return ps, err
 	})
-	return p.ps, p.err
+	return ps, err
 }
 
 // CacheStoreErr returns the first cache-write failure of the run — trace
@@ -262,16 +245,6 @@ type memoKey struct {
 	platform machine.Config
 }
 
-// memoEntry is a single-flight slot: the first requester simulates, later
-// and concurrent requesters wait for (and share) the result.
-type memoEntry struct {
-	once    sync.Once
-	total   units.Time
-	steps   int64
-	blocked float64
-	err     error
-}
-
 // replayMemo memoizes one replay per (workload, variant, platform).
 // A sweep grid replays the same trace on the same platform once per other
 // axis value — e.g. every mechanism point re-replays the original trace —
@@ -281,54 +254,36 @@ type memoEntry struct {
 // earlier process paid for) and a simulated result is written back for
 // the next process. Store lookups happen only here, once per memo fill,
 // so they stay off the per-event replay hot path.
-func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (*memoEntry, error) {
+func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (replaystore.Result, error) {
 	key := memoKey{app: ts.Name, ranks: ts.NRanks(), variant: ts.Variant, platform: m}
 	// The platform name is presentation (it is rewritten by WithBandwidth);
 	// drop it so label differences cannot split otherwise equal platforms.
 	key.platform.Name = ""
-	r.mu.Lock()
-	if r.memos == nil {
-		r.memos = map[memoKey]*memoEntry{}
-	}
-	e, hit := r.memos[key]
-	if !hit {
-		e = &memoEntry{}
-		r.memos[key] = e
-	}
-	r.mu.Unlock()
-	if hit {
-		r.ctMemoHits.Add(1)
-	}
-	e.once.Do(func() {
-		defer recordPanic(&e.err, "replay")
+	res, hit, err := r.replays.Get(key, "replay", func() (replaystore.Result, error) {
 		var storeKey string
 		if r.Store != nil {
 			storeKey = r.Store.Key(key.app, key.ranks, r.Size, r.Iters, key.variant, key.platform)
 			if sr := r.Store.Load(storeKey); sr != nil {
 				r.ctStoreHits.Add(1)
-				e.total = sr.Total
-				e.steps = sr.Steps
-				e.blocked = sr.Blocked
-				return
+				return *sr, nil
 			}
 		}
 		r.ctReplays.Add(1)
 		var sum [1]replay.Summary
 		if _, err := simulate(ts, []machine.Config{m}, sum[:], replayWidth(key.ranks)); err != nil {
-			e.err = err
-			return
+			return replaystore.Result{}, err
 		}
 		r.ctWindows.Add(sum[0].Windows)
-		e.total = sum[0].Total
-		e.steps = sum[0].Steps
-		e.blocked = sum[0].Blocked
+		res := replaystore.Result{Total: sum[0].Total, Steps: sum[0].Steps, Blocked: sum[0].Blocked}
 		if r.Store != nil {
-			r.noteStoreErr(r.Store.Store(storeKey, replaystore.Result{
-				Total: e.total, Steps: e.steps, Blocked: e.blocked,
-			}))
+			r.noteStoreErr(r.Store.Store(storeKey, res))
 		}
+		return res, nil
 	})
-	return e, e.err
+	if hit {
+		r.ctMemoHits.Add(1)
+	}
+	return res, err
 }
 
 // replayWidth is the parallel replay width a memo fill asks for: one shard
@@ -342,16 +297,6 @@ func replayWidth(ranks int) int { return min(runtime.GOMAXPROCS(0), ranks/16) }
 // simulate is the replay a memo fill runs: the Summary path, since a sweep
 // consumes no timelines. Tests swap it to inject a panicking replay.
 var simulate = replay.SimulateBatch
-
-// recordPanic, deferred inside a sync.Once fill, stores a panic as the
-// slot's error before re-raising it: Once counts a panicking fill as done,
-// and a reused Runner must not read its zero result as a success.
-func recordPanic(err *error, what string) {
-	if p := recover(); p != nil {
-		*err = fmt.Errorf("%s panicked: %v", what, p)
-		panic(p)
-	}
-}
 
 // machineFor applies the point's platform overrides to the base config: the
 // bandwidth axis first (a negative value, BaseBandwidth, keeps the base
@@ -391,7 +336,10 @@ func (r *Runner) runPoint(p Point) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	ts, err := r.pipelineFor(key).variants.Get(ps, p.Options())
+	opts := p.Options()
+	ts, _, err := r.variants.Get(variantKey{key, opts.Variant(ps.Chunks)}, "transform", func() (*trace.Set, error) {
+		return overlap.Transform(ps, opts)
+	})
 	if err != nil {
 		return Result{}, err
 	}
@@ -402,14 +350,14 @@ func (r *Runner) runPoint(p Point) (Result, error) {
 	res := Result{
 		Point:     p,
 		Bandwidth: m.Bandwidth,
-		TOriginal: orig.total,
-		TOverlap:  over.total,
+		TOriginal: orig.Total,
+		TOverlap:  over.Total,
 		Speedup:   1,
-		Blocked:   orig.blocked,
-		Steps:     orig.steps + over.steps,
+		Blocked:   orig.Blocked,
+		Steps:     orig.Steps + over.Steps,
 	}
-	if over.total > 0 {
-		res.Speedup = float64(orig.total) / float64(over.total)
+	if over.Total > 0 {
+		res.Speedup = float64(orig.Total) / float64(over.Total)
 	}
 	return res, nil
 }

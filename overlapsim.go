@@ -37,7 +37,6 @@ import (
 	"overlapsim/internal/experiment"
 	"overlapsim/internal/machine"
 	"overlapsim/internal/overlap"
-	"overlapsim/internal/serve"
 	"overlapsim/internal/sweep"
 	"overlapsim/internal/sweep/replaystore"
 	"overlapsim/internal/trace"
@@ -60,8 +59,6 @@ type (
 	AppConfig = apps.Config
 	// App is anything the tracing tool can run.
 	App = tracer.App
-	// Proc is the instrumented per-rank interface applications program to.
-	Proc = tracer.Proc
 	// TransformOptions selects mechanisms, pattern and granularity of the
 	// overlap transformation.
 	TransformOptions = overlap.Options
@@ -84,13 +81,8 @@ type (
 type (
 	// SweepGrid declares a parameter sweep as the cross product of axes.
 	SweepGrid = sweep.Grid
-	// SweepPoint is one simulation configuration of a grid.
-	SweepPoint = sweep.Point
-	// SweepPlatformOverlay is the platform-side part of a SweepPoint: the
-	// swept machine-model axes beyond bandwidth.
-	SweepPlatformOverlay = sweep.PlatformOverlay
 	// CollectiveModel selects the collective cost-formula family of a
-	// Machine (CollectivesLog or CollectivesLinear).
+	// Machine, such as CollectivesLog.
 	CollectiveModel = machine.CollectiveModel
 	// SweepResult is the outcome of one grid point.
 	SweepResult = sweep.Result
@@ -98,11 +90,6 @@ type (
 	SweepEngine = sweep.Engine
 	// SweepRunner executes grids with shared trace caches.
 	SweepRunner = sweep.Runner
-	// SweepShard selects a deterministic k-of-N subset of a grid, so one
-	// sweep can be split across machines and recombined with MergeShards.
-	SweepShard = sweep.Shard
-	// SweepShardFile is the mergeable envelope a sharded sweep writes.
-	SweepShardFile = sweep.ShardFile
 	// TraceCache persists profiled trace sets across processes so repeated
 	// sweeps and sibling shards skip the instrumented runs.
 	TraceCache = sweep.TraceCache
@@ -111,10 +98,6 @@ type (
 	// the replays too — zero instrumented runs AND zero replays, visible
 	// through SweepRunner.Stats.
 	ReplayStore = replaystore.Store
-	// SweepCounters is the runner's work accounting (instrumented runs,
-	// cache hits, replays, memo and store hits), returned by
-	// SweepRunner.Stats.
-	SweepCounters = sweep.Counters
 	// SweepSink consumes sweep results as they complete (out of order);
 	// batch writers, the ordered-prefix streamer and the shard envelope
 	// writer are its implementations, and SweepRunner.RunSink feeds any of
@@ -126,54 +109,20 @@ type (
 	OrderedSweepSink = sweep.OrderedSink
 )
 
-// Re-exported sweep-as-a-service and cache-operability types. SweepServer
-// is the HTTP daemon behind `overlapsim serve`: grids arrive as JSON over
-// POST /sweeps and stream back in grid order, with every request sharing
-// one TraceCache and ReplayStore so repeat queries do zero instrumented
-// runs and zero replays (docs/API.md documents the wire contract).
-// CacheEntry and CachePrunePolicy are the enumeration and retention layer
-// behind `overlapsim cache ls` / `cache prune`.
-type (
-	// SweepServerConfig configures a SweepServer (cache and results
-	// directories, admission limits, base platform).
-	SweepServerConfig = serve.Config
-	// SweepServer serves sweeps over HTTP; mount Handler() wherever.
-	SweepServer = serve.Server
-	// SweepJobStatus is the status document of one served sweep job.
-	SweepJobStatus = serve.JobStatus
-	// CacheEntry is one entry of a shared cache directory, either kind
-	// (trace/profile pair or replay result).
-	CacheEntry = sweep.CacheEntry
-	// CachePrunePolicy selects cache entries to remove by key version,
-	// age, and total-size budget; Plan is pure, RemoveCacheEntry applies.
-	CachePrunePolicy = sweep.PrunePolicy
-)
-
 // Re-exported unit types.
 type (
 	// Duration is a span of simulated time in nanoseconds.
 	Duration = units.Duration
 	// Bandwidth is a transfer rate in bytes per simulated second.
 	Bandwidth = units.Bandwidth
-	// Bytes is a size in bytes.
-	Bytes = units.Bytes
 )
 
-// Pattern and mechanism constants for TransformOptions.
-const (
-	PatternReal    = overlap.PatternReal
-	PatternLinear  = overlap.PatternLinear
-	EarlySend      = overlap.EarlySend
-	LateRecv       = overlap.LateRecv
-	BothMechanisms = overlap.BothMechanisms
-)
+// BothMechanisms selects every overlapping mechanism in TransformOptions.
+const BothMechanisms = overlap.BothMechanisms
 
-// Collective cost-model families for Machine.Collectives and the sweep
-// Collectives axis.
-const (
-	CollectivesLog    = machine.CollLog
-	CollectivesLinear = machine.CollLinear
-)
+// CollectivesLog is the logarithmic collective cost-model family for
+// Machine.Collectives and the sweep Collectives axis.
+const CollectivesLog = machine.CollLog
 
 // NewEnvironment returns an environment on the default platform.
 func NewEnvironment() *Environment { return core.NewEnvironment() }
@@ -220,13 +169,6 @@ func NewSuite() *Suite { return experiment.NewSuite() }
 // its Engine field to bound the worker pool (zero means one per CPU).
 func NewSweepRunner(m Machine) *SweepRunner { return sweep.NewRunner(m) }
 
-// ParseSweepShard parses the "k/N" shard syntax (e.g. "1/2").
-func ParseSweepShard(s string) (SweepShard, error) { return sweep.ParseShard(s) }
-
-// MergeShards recombines sharded sweep outputs into unsharded point order,
-// verifying that the shards belong to one sweep and cover it exactly once.
-func MergeShards(shards []*SweepShardFile) ([]SweepResult, error) { return sweep.Merge(shards) }
-
 // WriteSweepResults encodes sweep results in the named format: "table",
 // "csv" or "json".
 func WriteSweepResults(w io.Writer, format string, results []SweepResult) error {
@@ -260,24 +202,11 @@ func NewOrderedSweepSink(w io.Writer, format string, g SweepGrid) (*OrderedSweep
 	return sweep.NewOrderedSink(w, f, g.Expand(), nil), nil
 }
 
-// NewSweepServer returns the sweep-as-a-service HTTP server for the
-// config; serve its Handler() with net/http. `overlapsim serve` is this
-// plus flag parsing and signal handling.
-func NewSweepServer(cfg SweepServerConfig) *SweepServer { return serve.New(cfg) }
-
 // NewTeeSweepSink returns a sink that forwards every result to each leg,
 // so one sweep can feed several outputs (e.g. a network stream and a
 // file) at once. It fails sticky on the first leg error and Close closes
 // every leg.
 func NewTeeSweepSink(legs ...SweepSink) SweepSink { return sweep.NewTeeSink(legs...) }
-
-// CacheEntries enumerates a shared cache directory (traces then replay
-// results, each sorted by key). A missing directory is an empty cache.
-func CacheEntries(dir string) ([]CacheEntry, error) { return sweep.CacheEntries(dir) }
-
-// RemoveCacheEntry deletes one cache entry's files; files already gone
-// are not errors.
-func RemoveCacheEntry(e CacheEntry) error { return sweep.RemoveCacheEntry(e) }
 
 // NewReplayStore returns a persistent replay-result store rooted at dir,
 // for a SweepRunner's Store field. Point it at the same directory as the
