@@ -161,6 +161,73 @@ func TestSummarySteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestArenaStaysAtPeak is the leak guard on transfer recycling: transfers
+// a run leaves out — every transfer of a parallel run, which never
+// recycles mid-run, and the halves and requests a deadlock strands — must
+// come back at the next reset, and requests no Wait consumes must not pin
+// their transfers. Over many runs one replayer's arena and free list never
+// grow past the first run's peak, on either engine.
+func TestArenaStaysAtPeak(t *testing.T) {
+	unwaited := trace.NewSet("unwaited", "original", 2, 1000)
+	unwaited.Traces[0].Append(trace.ISend(1, 0, 64, 1), trace.IRecv(1, 1, 64, 2), trace.Burst(500))
+	unwaited.Traces[1].Append(trace.Burst(100), trace.Recv(0, 0, 64), trace.Send(0, 1, 64))
+
+	// Both ranks open with a rendezvous send the other never receives in
+	// time; rank 0's request and the pending halves are stranded.
+	const big = 1 << 20
+	deadlock := trace.NewSet("deadlock", "original", 2, 1000)
+	deadlock.Traces[0].Append(trace.ISend(1, 2, big, 7), trace.Send(1, 0, big), trace.Recv(1, 1, big), trace.Wait(7))
+	deadlock.Traces[1].Append(trace.Send(0, 1, big), trace.Recv(0, 0, big), trace.Recv(0, 2, big))
+
+	for _, tc := range []struct {
+		ts      *trace.Set
+		par     int
+		wantErr bool
+	}{
+		{unwaited, 0, false},
+		{unwaited, 4, false},
+		{deadlock, 0, true},
+		{deadlock, 4, true},
+	} {
+		cfg := testConfig()
+		cfg.EagerThreshold = 0
+		if tc.par > 0 {
+			cfg.Buses, cfg.InLinks, cfg.OutLinks = 0, 0, 0
+		}
+		cfgs := []machine.Config{cfg}
+		out := make([]Summary, 1)
+		r := newReplayer()
+		r.parallel, r.parThreshold = tc.par, 2
+		peak, freeCap := -1, -1
+		for run := 0; run < 1000; run++ {
+			_, err := r.SimulateBatch(tc.ts, cfgs, out)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("%s par=%d run %d: err = %v, want error %v", tc.ts.Name, tc.par, run, err, tc.wantErr)
+			}
+			if !tc.wantErr && tc.par > 0 && out[0].Windows == 0 {
+				t.Fatalf("%s: parallel engine did not engage", tc.ts.Name)
+			}
+			if run == 0 {
+				peak = len(r.arena.all)
+				if peak == 0 {
+					t.Fatalf("%s par=%d: the run made no transfers", tc.ts.Name, tc.par)
+				}
+			}
+			if run == 1 {
+				freeCap = cap(r.arena.free) // the first reclaim sizes it
+			}
+			if n, f := len(r.arena.all), len(r.arena.free); n != peak || f > peak {
+				t.Fatalf("%s par=%d run %d: arena %d, free list %d, want both at most the first run's peak %d",
+					tc.ts.Name, tc.par, run, n, f, peak)
+			}
+			if run > 1 && cap(r.arena.free) != freeCap {
+				t.Fatalf("%s par=%d run %d: free list capacity %d, was %d after the first reclaim",
+					tc.ts.Name, tc.par, run, cap(r.arena.free), freeCap)
+			}
+		}
+	}
+}
+
 // BenchmarkReplayerReuse measures the steady-state replay hot path without
 // the pooled wrapper: the number every sweep point pays after warm-up.
 func BenchmarkReplayerReuse(b *testing.B) {

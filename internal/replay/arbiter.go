@@ -8,8 +8,10 @@ import "overlapsim/internal/machine"
 // transfer starts as soon as its own resources are free, even when an
 // older one is still blocked. It owns the pending queue and the resource
 // occupancy; the replayer asks it what starts and schedules the wire
-// phases. Sequential engine only: the parallel engine requires a
-// contention-free platform and never arbitrates.
+// phases. The queue holds transfer ids (transferArena), not pointers, so
+// compacting it moves 4-byte words and fires no GC write barriers.
+// Sequential engine only: the parallel engine requires a contention-free
+// platform and never arbitrates.
 //
 // Every queued transfer is blocked once arrive or release returns, and
 // resources change only inside those two calls. That invariant gives the
@@ -18,7 +20,7 @@ import "overlapsim/internal/machine"
 type arbiter struct {
 	outLinks, inLinks, buses int // capacities; 0 means unlimited
 
-	pending []*transfer // blocked transfers, oldest first
+	pending []int32     // ids of the blocked transfers, oldest first
 	started []*transfer // release's result, reused across calls
 	outUse  []int       // per-node output links in use
 	inUse   []int       // per-node input links in use
@@ -32,7 +34,6 @@ type arbiter struct {
 // reset empties the arbiter for a run on the platform.
 func (a *arbiter) reset(cfg *machine.Config) {
 	a.outLinks, a.inLinks, a.buses = cfg.OutLinks, cfg.InLinks, cfg.Buses
-	clear(a.pending)
 	a.pending = a.pending[:0]
 	clear(a.started)
 	a.started = a.started[:0]
@@ -71,15 +72,16 @@ func (a *arbiter) arrive(t *transfer) bool {
 		a.occupy(t)
 		return true
 	}
-	a.pending = append(a.pending, t)
+	a.pending = append(a.pending, t.id)
 	return false
 }
 
 // release frees t's resources and starts the queued transfers that now
-// fit, oldest first. It returns them in start order; the slice is reused
-// by the next call. Once the bus is saturated nothing behind can start, so
-// the scan stops there, and a queue with no starts is left untouched.
-func (a *arbiter) release(t *transfer) []*transfer {
+// fit, oldest first; arena resolves the queued ids. It returns them in
+// start order; the slice is reused by the next call. Once the bus is
+// saturated nothing behind can start, so the scan stops there, and a queue
+// with no starts is left untouched.
+func (a *arbiter) release(t *transfer, arena []*transfer) []*transfer {
 	a.outUse[t.srcNode]--
 	a.inUse[t.dstNode]--
 	a.busUse--
@@ -91,8 +93,8 @@ func (a *arbiter) release(t *transfer) []*transfer {
 		if a.buses > 0 && a.busUse >= a.buses {
 			break
 		}
-		p := q[i]
-		if a.free(p) {
+		id := q[i]
+		if p := arena[id]; a.free(p) {
 			a.occupy(p)
 			if len(started) == 0 {
 				w = i
@@ -101,13 +103,12 @@ func (a *arbiter) release(t *transfer) []*transfer {
 			continue
 		}
 		if len(started) > 0 {
-			q[w] = p
+			q[w] = id
 			w++
 		}
 	}
 	if len(started) > 0 {
 		w += copy(q[w:], q[i:])
-		clear(q[w:])
 		a.pending = q[:w]
 	}
 	a.started = started

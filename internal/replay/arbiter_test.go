@@ -105,7 +105,9 @@ func randomArbiterPlatform(rng *rand.Rand) machine.Config {
 // TestArbiterMatchesRescan drives the arbiter and the rescanning reference
 // with the same seeded sequences of arrivals and releases and requires the
 // same transfers to start in the same order after every operation, the
-// same queue and the same peak queue length.
+// same queue and the same peak queue length. Transfers are registered in a
+// transferArena, as the replayer's are, and the queue is read through
+// their ids.
 func TestArbiterMatchesRescan(t *testing.T) {
 	const sequences, ops = 3000, 120
 	for seq := 0; seq < sequences; seq++ {
@@ -114,6 +116,7 @@ func TestArbiterMatchesRescan(t *testing.T) {
 		ref := newRefArbiter(cfg)
 		var arb arbiter
 		arb.reset(&cfg)
+		var arena transferArena
 		var log, active []*transfer
 		nranks := cfg.Capacity()
 		for op := 0; op < ops; op++ {
@@ -123,13 +126,14 @@ func TestArbiterMatchesRescan(t *testing.T) {
 				tr := active[k]
 				active = slices.Delete(active, k, k+1)
 				ref.release(tr)
-				started := arb.release(tr)
+				started := arb.release(tr, arena.all)
 				log = append(log, started...)
 				active = append(active, started...)
 			} else {
 				src, dst := rng.Intn(nranks), rng.Intn(nranks)
-				tr := &transfer{src: src, dst: dst, tag: op,
-					srcNode: cfg.NodeOf(src), dstNode: cfg.NodeOf(dst)}
+				tr := arena.take(nil)
+				tr.src, tr.dst, tr.tag = src, dst, op
+				tr.srcNode, tr.dstNode = cfg.NodeOf(src), cfg.NodeOf(dst)
 				ref.arrive(tr)
 				if arb.arrive(tr) {
 					log = append(log, tr)
@@ -141,8 +145,12 @@ func TestArbiterMatchesRescan(t *testing.T) {
 					seq, op, platformLimits(cfg), got, want)
 			}
 		}
-		if !slices.Equal(tags(arb.pending), tags(ref.pending)) {
-			t.Fatalf("seq %d: queue %v, reference queue %v", seq, tags(arb.pending), tags(ref.pending))
+		queue := make([]*transfer, len(arb.pending))
+		for i, id := range arb.pending {
+			queue[i] = arena.all[id]
+		}
+		if !slices.Equal(tags(queue), tags(ref.pending)) {
+			t.Fatalf("seq %d: queue %v, reference queue %v", seq, tags(queue), tags(ref.pending))
 		}
 		if arb.maxPending != ref.stats.MaxPending {
 			t.Fatalf("seq %d: MaxPending %d, reference %d", seq, arb.maxPending, ref.stats.MaxPending)

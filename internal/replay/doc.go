@@ -22,12 +22,16 @@
 // allocation. Ranks and transfers implement des.Target and are driven by
 // typed events (advance, wire-done, deliver) instead of closures, and all
 // per-run scratch is owned and recycled by a replayer: the DES engine and
-// its queue, rank state machines with their request tables and timeline
-// builders, per-channel FIFO queues, collective slots, and a transfer free
-// list. A transfer returns to the free list once it is delivered, matched
-// on both sides and unreferenced by any request table (the trace validator
-// guarantees each request is waited at most once, which is what makes the
-// reference count exact).
+// its queue, rank state machines with their request slots and timeline
+// builders, per-channel FIFO queues, collective slots, and a transfer
+// arena. Every transfer is registered in the arena under a stable int32
+// id, and the free list holds ids. A transfer returns to the free list
+// once it is delivered, matched on both sides and unreferenced by any
+// request slot (the trace validator guarantees each request is waited at
+// most once, which is what makes the reference count exact). What a run
+// leaves out — halves and requests a deadlock or model error stranded,
+// every transfer of a parallel run — is reclaimed at the next reset, so
+// the arena stays at the per-run peak.
 //
 // A warm replayer therefore allocates only the result snapshot a Simulate
 // call hands back: one block holding the Result and its timeline set, the
@@ -44,7 +48,22 @@
 // slice indexed by the set's dense channel ids (trace.Set.Channels, also
 // computed once per set), sized to the trace being replayed: a post finds
 // its queue without hashing, and a replayer keeps queues for one trace's
-// channels, not for every trace it has replayed.
+// channels, not for every trace it has replayed. Requests work the same
+// way: Channels gives every Wait the rank-local slot of the request it
+// waits on, a request's slot being its posting order among the rank's
+// waited ISend and IRecv records, so each rank holds its open requests in
+// a slice sized to its slot count — a post writes the next slot and a
+// Wait reads and nils its own, with no map in the loop. A posting no Wait
+// consumes (the overlap transform never waits its chunked ISends) is
+// marked by Channels, takes no slot and holds no reference, so its
+// transfer is recycled once delivered instead of living to the end of the
+// run.
+//
+// Garbage collection empties the replayer pool, so a cold replayer is
+// built after every GC cycle; building one is cheap (procs and their
+// timelines' first room from three allocations, transfers in chunks,
+// channel queues from shared blocks), which is why the pool needs no
+// GC-proof idle set.
 //
 // # Network arbitration
 //
@@ -56,7 +75,9 @@
 // returns, and resources change only when a transfer arrives or releases
 // them — so an arriving transfer checks only itself (it starts or joins
 // the queue), and a release scans the queue oldest first but stops once
-// the bus is saturated, since nothing behind that point can start.
+// the bus is saturated, since nothing behind that point can start. The
+// queue holds arena ids, not pointers: compacting it after a release moves
+// 4-byte words with no GC write barriers.
 //
 // Determinism matters beyond reproducibility: Simulate is a pure function
 // of (trace set, machine configuration), which is what lets the sweep

@@ -17,6 +17,19 @@ func FuzzReplay(f *testing.F) {
 	f.Add([]byte("H 2 1000 \"a\" \"o\"\nT 0\nC 10\nS 1 0 64\nG barrier 0 0\nT 1\nC 20\nR 0 0 64\nG barrier 0 0\n"))
 	// Collective-free pairwise exchange: engages the parallel leg below.
 	f.Add([]byte("H 4 1000 \"par\" \"o\"\nT 0\nC 100\nS 1 0 64\nR 1 1 64\nT 1\nC 120\nR 0 0 64\nS 0 1 64\nT 2\nC 90\nS 3 2 64\nR 3 3 64\nT 3\nC 80\nR 2 2 64\nS 2 3 64\n"))
+	// Collective-free ring of non-blocking exchanges whose request ids are
+	// sparse, negative and past 2^32; the parallel leg replays the
+	// request slots too.
+	f.Add([]byte("H 4 1000 \"ring\" \"o\"\n" +
+		"T 0\nIR 3 0 4096 -3\nIS 1 0 4096 8589934597\nC 50\nW 8589934597\nW -3\n" +
+		"T 1\nIR 0 0 4096 17\nIS 2 0 4096 0\nC 60\nW 17\nW 0\n" +
+		"T 2\nIS 3 0 64 -9223372036854775808\nIR 1 0 4096 2147483648\nC 70\nW 2147483648\nW -9223372036854775808\n" +
+		"T 3\nIR 2 0 64 5\nIS 0 0 4096 1000000\nC 40\nW 5\nW 1000000\n"))
+	// Requests waited out of posting order, one never waited, around a
+	// collective.
+	f.Add([]byte("H 2 1000 \"reqs\" \"o\"\n" +
+		"T 0\nIS 1 1 64 -1\nIS 1 2 100000 4294967296\nIR 1 3 64 42\nW 4294967296\nW -1\nG barrier 0 0\n" +
+		"T 1\nR 0 1 64\nIR 0 2 100000 7\nS 0 3 64\nW 7\nG barrier 0 0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ts, err := trace.Read(bytes.NewReader(data))
 		if err != nil {

@@ -24,7 +24,7 @@ import (
 //     two ranks live on different shards; each side's flags and waiter
 //     lists are written only by its own shard. The extra event per split
 //     is subtracted from the reported step count.
-//   - Matching state (channel FIFOs, the transfer free list) is shared
+//   - Matching state (channel FIFOs, the transfer arena) is shared
 //     under one lock. FIFO pairing stays deterministic regardless of shard
 //     interleaving because a directed channel's sends all come from one
 //     rank and its receives from one rank, each replayed in program order:
@@ -52,7 +52,6 @@ type parState struct {
 	win     *des.Windows
 	mu      sync.Mutex // guards matching state and transfer fields across shards
 	ranks   []int32    // rank -> shard (contiguous blocks)
-	live    []*transfer
 }
 
 func (ps *parState) shardOf(rank int) int { return int(ps.ranks[rank]) }
@@ -152,17 +151,9 @@ func (s *replayer) runParallel(shards int, lookahead units.Duration) (int64, err
 		}
 	}()
 
+	// Mid-run recycling is off under the parallel engine; the next reset
+	// reclaims every transfer the run drew from the root's arena.
 	windows, err := ps.win.Run(lookahead)
-
-	// Sweep every transfer the run touched back to the root free list:
-	// mid-run recycling is off under the parallel engine. Halves stranded
-	// in channel queues are safe to recycle — the next reset clears the
-	// queues before the free list is drawn from.
-	for i, t := range ps.live {
-		s.releaseTransfer(t)
-		ps.live[i] = nil
-	}
-	ps.live = ps.live[:0]
 	if err != nil {
 		return 0, fmt.Errorf("replay: %w", err)
 	}
@@ -203,11 +194,11 @@ func (s *replayer) startPar(t *transfer) {
 		base = t.recvAt
 	}
 	if t.local {
-		at := base.Add(s.cfg.LocalLatency + s.cfg.LocalTransferTime(t.size))
+		at := base.Add(s.cfg.LocalLatency + s.cfg.LocalBandwidth.TransferTime(t.size))
 		s.scheduleDelivery(t, at)
 		return
 	}
-	wire := s.cfg.TransferTime(t.size)
+	wire := s.cfg.Bandwidth.TransferTime(t.size)
 	s.stats.BusTime += wire
 	if s.stats.MaxPending < 1 {
 		// The sequential contention-free peak is exactly 1 whenever any

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"overlapsim/internal/des"
@@ -117,7 +118,10 @@ func (r *Result) MeanBlockedFraction() float64 {
 
 // replayerPool recycles replayers across Simulate calls, so the package-
 // level entry point gets warm free lists for free — in a sweep every worker
-// reuses scratch state from earlier grid points.
+// reuses scratch state from earlier grid points. Garbage collection empties
+// the pool, so the first replay after a GC cycle builds a cold replayer.
+// Building one is kept cheap (see addProcs, enqueue and transferArena.grow)
+// instead of pinning idle replayers: pinned scratch raised peak RSS.
 var replayerPool = sync.Pool{New: func() any { return newReplayer() }}
 
 // Simulate replays the trace set on the platform. The platform is auto-
@@ -185,6 +189,11 @@ type chanPair struct {
 	dirty      bool
 }
 
+// queueRoom is the capacity a channel queue starts with. Most queues never
+// hold more, so a queue's first push carves its room from a shared block
+// (see enqueue) and a cold replayer does not allocate per queue.
+const queueRoom = 2
+
 // reset drops any leftover halves (an aborted run) and rewinds both queues.
 func (pr *chanPair) reset() {
 	pr.send.reset()
@@ -225,12 +234,13 @@ func (q *chanQueue) reset() {
 
 // transfer is one point-to-point message moving through the network model.
 // Before matching, the object represents whichever half was posted first.
-// Transfers are recycled through the replayer's free list: refs counts the
-// request-table references (ISend/IRecv entries not yet consumed by Wait),
-// and the object returns to the pool once delivered, fully matched, and
-// unreferenced.
+// Transfers live in the replayer's arena and are recycled through its free
+// list: refs counts the request-slot references (ISend/IRecv slots not yet
+// consumed by Wait), and the object returns to the free list once
+// delivered, fully matched, and unreferenced.
 type transfer struct {
 	sim              *replayer
+	id               int32 // index in the owning transferArena, fixed for life
 	src, dst, tag    int
 	srcNode, dstNode int // hosting nodes, set when the send is posted
 	size             units.Bytes
@@ -253,7 +263,7 @@ type transfer struct {
 	// be derived from these rather than from Now.
 	sendAt, recvAt units.Time
 
-	refs       int     // live request-table references (sequential only)
+	refs       int     // live request-slot references (sequential only)
 	sender     *proc   // blocked rendezvous sender, resumed at delivery
 	waiters    []*proc // receiver-side procs blocked on delivery
 	srcWaiters []*proc // sender-side procs blocked on delivery (parallel)
@@ -277,6 +287,77 @@ func (t *transfer) HandleEvent(k des.Kind) {
 	}
 }
 
+// transferArena owns every transfer a replayer has made, so each has a
+// stable int32 id — its index in all — that pointer-free structures (the
+// arbiter's queue, the free list) hold instead of the pointer. It never
+// shrinks: recycled transfers are reused, so it stays at the peak number
+// of transfers one run had in flight, rounded up to whole chunks.
+type transferArena struct {
+	all  []*transfer
+	free []int32 // ids of the zeroed transfers ready for reuse
+}
+
+// take returns a zeroed transfer owned by sim, growing the arena when no
+// freed one is left.
+func (a *transferArena) take(sim *replayer) *transfer {
+	if len(a.free) == 0 {
+		a.grow()
+	}
+	n := len(a.free)
+	t := a.all[a.free[n-1]]
+	a.free = a.free[:n-1]
+	t.sim = sim
+	return t
+}
+
+// arenaChunk is how many transfers the arena adds at a time. A fixed
+// chunk, not doubling, keeps the arena close to the peak: under the
+// parallel engine every transfer of a run is out at once.
+const arenaChunk = 128
+
+// grow adds one chunk of transfers from one allocation, each with room for
+// one waiter, so a cold replayer does not allocate per transfer.
+func (a *transferArena) grow() {
+	const n = arenaChunk
+	chunk := make([]transfer, n)
+	waiters := make([]*proc, n)
+	base := int32(len(a.all))
+	for i := range chunk {
+		t := &chunk[i]
+		t.id = base + int32(i)
+		t.waiters = waiters[i : i : i+1]
+		a.all = append(a.all, t)
+	}
+	for i := n - 1; i >= 0; i-- {
+		a.free = append(a.free, base+int32(i))
+	}
+}
+
+// put zeroes t (keeping its id and waiter capacity) and frees it. Zeroing
+// in place and restoring the kept fields clears memory instead of copying
+// a composite literal over it.
+func (a *transferArena) put(t *transfer) {
+	id, w, sw := t.id, t.waiters[:0], t.srcWaiters[:0]
+	*t = transfer{}
+	t.id, t.waiters, t.srcWaiters = id, w, sw
+	a.free = append(a.free, id)
+}
+
+// reclaim frees every transfer still out after a run: the halves and
+// requests a deadlock or model error stranded, and — under the parallel
+// engine, which never recycles mid-run — all of them. Callers must first drop every
+// other reference (request slots, channel queues, the arbiter, queued
+// events). A run that recycled everything costs one comparison.
+func (a *transferArena) reclaim() {
+	if len(a.free) == len(a.all) {
+		return
+	}
+	a.free = a.free[:0]
+	for _, t := range a.all {
+		a.put(t)
+	}
+}
+
 // collSlot synchronizes one collective operation across ranks. Ranks find
 // their slot by their per-rank collective counter; the trace validator
 // guarantees all ranks agree on the sequence. Slots are pooled.
@@ -289,7 +370,7 @@ type collSlot struct {
 
 // replayer is a reusable trace replayer. It owns all replay scratch state —
 // the DES engine and its queue, rank state machines, channel FIFOs, the
-// transfer free list, collective slots — and recycles everything across
+// transfer arena, collective slots — and recycles everything across
 // Simulate calls, so a warm replayer's event loop runs without heap
 // allocation. The zero value is not usable; create replayers with
 // newReplayer. A replayer must not be used concurrently; the package-level
@@ -317,13 +398,14 @@ type replayer struct {
 	finish []units.Time // per-rank finish instants (struct-of-arrays)
 	done   []bool       // per-rank completion flags
 
-	chans  []chanPair // by channel id, sized to the current trace
-	dirtyQ []int32    // ids of the pairs pushed to this run; the reset worklist
-	arb    arbiter    // bus and link arbitration (sequential engine)
+	chans  []chanPair  // by channel id, sized to the current trace
+	dirtyQ []int32     // ids of the pairs pushed to this run; the reset worklist
+	qroom  []*transfer // unused rest of the block new queues take room from
+	arb    arbiter     // bus and link arbitration (sequential engine)
 
 	slots     map[int]*collSlot
-	freeT     []*transfer // transfer free list
-	freeSlots []*collSlot // collective slot free list
+	arena     transferArena // every transfer; the root's under the parallel engine
+	freeSlots []*collSlot   // collective slot free list
 
 	stats    NetworkStats
 	err      error
@@ -461,15 +543,17 @@ func (s *replayer) runPrepared(ts *trace.Set, cfg machine.Config, collectives bo
 // replayer does not pin the last trace set it ran.
 func (s *replayer) dropRecs() {
 	for _, p := range s.procs[:s.nprocs] {
-		p.recs, p.chans = nil, nil
+		p.recs, p.ids = nil, nil
 	}
 }
 
 // reset prepares the replayer for one run, recycling all scratch state. A
 // preceding run that aborted mid-flight (deadlock, model error) may have
-// left events, unmatched halves or collective slots behind; everything is
-// cleared here rather than at the end of a run, so an errored replayer
-// stays reusable.
+// left events, unmatched halves, open requests or collective slots behind,
+// and a parallel run recycles no transfer itself; everything is cleared
+// here rather than at the end of a run, so an errored replayer stays
+// reusable, and every transfer goes back to the free list once nothing
+// references it.
 func (s *replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
 	s.eng.Reset()
 	s.cfg = cfg
@@ -492,25 +576,72 @@ func (s *replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
 	}
 
 	n := ts.NRanks()
-	for len(s.procs) < n {
-		s.procs = append(s.procs, &proc{
-			sim:  s,
-			reqs: map[int]*transfer{},
-			tl:   timeline.NewBuilder(len(s.procs)),
-		})
+	if len(s.procs) < n {
+		s.addProcs(n)
 	}
 	s.nprocs = n
 	s.finish = resizeZeroedTime(s.finish, n)
 	s.done = resizeZeroedBool(s.done, n)
+	// Request slots: only the slots a proc's last run posted can be
+	// non-nil, so clearing those leaves its whole backing array nil and
+	// resizing needs no clearing. Procs that need more room share one new
+	// allocation.
+	grow := 0
+	for i, p := range s.procs[:n] {
+		clear(p.reqs[:p.nextSlot])
+		p.nextSlot = 0
+		if k := int(chans.Slots[i]); cap(p.reqs) < k {
+			grow += k
+		}
+	}
+	var reqBuf []*transfer
+	if grow > 0 {
+		reqBuf = make([]*transfer, grow)
+	}
 	for i, p := range s.procs[:n] {
 		p.rank = i
 		p.recs = ts.Traces[i].Records
-		p.chans = chans.IDs[i]
+		p.ids = chans.IDs[i]
 		p.pc = 0
-		clear(p.reqs)
+		if k := int(chans.Slots[i]); cap(p.reqs) < k {
+			p.reqs, reqBuf = reqBuf[:k:k], reqBuf[k:]
+		} else {
+			p.reqs = p.reqs[:k]
+		}
 		p.tl.Reset(i)
 		p.collIdx = 0
 		p.overheadPaid = false
+	}
+	// Idle procs past n may still hold slots; they are cleared above before
+	// such a proc runs again, so reclaiming their transfers is safe.
+	s.arena.reclaim()
+}
+
+// Timeline room: the interval and event capacity every new rank's
+// timeline starts with, carved from one allocation each, so a cold
+// replayer skips the first doublings of every timeline. A bound from the
+// trace's records would overshoot: overlapped variants split bursts into
+// pieces that merge back into one interval, up to 100x fewer intervals
+// than records. Longer timelines grow as usual.
+const (
+	intervalRoom = 64
+	eventRoom    = 8
+)
+
+// addProcs grows the replayer to n procs. A cold replayer would otherwise
+// allocate per rank and per timeline doubling, so the new procs come from
+// one allocation and their timelines' first room from two.
+func (s *replayer) addProcs(n int) {
+	ps := make([]proc, n-len(s.procs))
+	ivs := make([]timeline.Interval, len(ps)*intervalRoom)
+	evs := make([]timeline.Event, len(ps)*eventRoom)
+	s.procs = slices.Grow(s.procs, len(ps))
+	for j := range ps {
+		p := &ps[j]
+		p.sim = s
+		p.tl.Provide(ivs[:0:intervalRoom], evs[:0:eventRoom])
+		ivs, evs = ivs[intervalRoom:], evs[eventRoom:]
+		s.procs = append(s.procs, p)
 	}
 }
 
@@ -543,48 +674,30 @@ func resizeZeroedBool(s []bool, n int) []bool {
 	return s
 }
 
-// newTransfer draws a zeroed transfer from the free list. Under the
-// parallel engine the free list belongs to the root (callers hold the
-// matching lock) and every instance handed out is tracked so the run can
-// recycle them all at the end — mid-run recycling is disabled there.
+// newTransfer draws a zeroed transfer from the arena. Under the parallel
+// engine the arena belongs to the root (callers hold the matching lock)
+// and mid-run recycling is disabled: the next reset reclaims the lot.
 func (s *replayer) newTransfer(src, dst, tag int) *transfer {
 	owner := s
 	if s.par != nil {
 		owner = s.par.root
 	}
-	var t *transfer
-	if n := len(owner.freeT); n > 0 {
-		t = owner.freeT[n-1]
-		owner.freeT[n-1] = nil
-		owner.freeT = owner.freeT[:n-1]
-		t.src, t.dst, t.tag = src, dst, tag
-	} else {
-		t = &transfer{sim: s, src: src, dst: dst, tag: tag}
-	}
-	if s.par != nil {
-		s.par.live = append(s.par.live, t)
-	}
+	t := owner.arena.take(s)
+	t.src, t.dst, t.tag = src, dst, tag
 	return t
-}
-
-// releaseTransfer zeroes the transfer (keeping its waiter capacity) and
-// returns it to the free list.
-func (s *replayer) releaseTransfer(t *transfer) {
-	*t = transfer{sim: s, waiters: t.waiters[:0], srcWaiters: t.srcWaiters[:0]}
-	s.freeT = append(s.freeT, t)
 }
 
 // maybeRelease recycles a transfer once nothing can reference it again:
 // delivered, matched on both sides (so it sits in no channel queue), no
-// live request-table references, and nobody blocked on it. The parallel
+// live request-slot references, and nobody blocked on it. The parallel
 // engine never recycles mid-run (reference counts would race across
-// shards); runParallel sweeps everything back afterwards instead.
+// shards); the next reset reclaims everything instead.
 func (s *replayer) maybeRelease(t *transfer) {
 	if s.par != nil {
 		return
 	}
 	if t.deliveredSrc && t.deliveredDst && t.sendPosted && t.recvPosted && t.refs == 0 && t.sender == nil && len(t.waiters) == 0 {
-		s.releaseTransfer(t)
+		s.arena.put(t)
 	}
 }
 
@@ -626,12 +739,17 @@ func (s *replayer) checkAllFinished() error {
 // paths scan those without touching the procs). Under the parallel engine
 // sim points at the shard view owning this rank for the duration of a run.
 type proc struct {
-	rank         int
-	recs         []trace.Record
-	chans        []int32 // channel id of each record (trace.Set.Channels)
-	pc           int
-	reqs         map[int]*transfer
-	tl           *timeline.Builder
+	rank int
+	recs []trace.Record
+	// ids holds each record's channel, or for a Wait its request slot
+	// (trace.Set.Channels).
+	ids []int32
+	pc  int
+	// reqs holds the open waited requests by slot: the k-th waited ISend
+	// or IRecv of the run writes slot k, and its Wait reads and nils it.
+	reqs         []*transfer
+	nextSlot     int32
+	tl           timeline.Builder
 	sim          *replayer
 	collIdx      int
 	overheadPaid bool // the CPU overhead of recs[pc] has been charged
@@ -659,6 +777,17 @@ func (p *proc) payOverhead() bool {
 	return true
 }
 
+// hold puts the transfer of a request some later Wait consumes in the
+// rank's next request slot. A request no Wait consumes is not held, so its
+// transfer is recycled once delivered.
+func (p *proc) hold(t *transfer) {
+	p.reqs[p.nextSlot] = t
+	p.nextSlot++
+	if p.sim.par == nil {
+		t.refs++ // recycling is off under the parallel engine
+	}
+}
+
 // advance executes records until the rank blocks or its trace ends.
 func (p *proc) advance() {
 	s := p.sim
@@ -684,10 +813,10 @@ func (p *proc) advance() {
 				return
 			}
 			p.pc++
-			t := s.postSend(p.rank, rec, p.chans[p.pc-1])
-			p.reqs[rec.Req] = t
-			if s.par == nil {
-				t.refs++ // recycling is off under the parallel engine
+			ch, waited := trace.PostChannel(p.ids[p.pc-1])
+			t := s.postSend(p.rank, rec, ch)
+			if waited {
+				p.hold(t)
 			}
 
 		case trace.KindSend:
@@ -695,7 +824,7 @@ func (p *proc) advance() {
 				return
 			}
 			p.pc++
-			t := s.postSend(p.rank, rec, p.chans[p.pc-1])
+			t := s.postSend(p.rank, rec, p.ids[p.pc-1])
 			if !t.eager && !t.deliveredSrc {
 				t.sender = p
 				p.tl.Enter(s.eng.Now(), timeline.SendBlocked)
@@ -707,10 +836,12 @@ func (p *proc) advance() {
 				return
 			}
 			p.pc++
-			t := s.postRecv(p.rank, rec, p.chans[p.pc-1])
-			p.reqs[rec.Req] = t
-			if s.par == nil {
-				t.refs++
+			ch, waited := trace.PostChannel(p.ids[p.pc-1])
+			t := s.postRecv(p.rank, rec, ch)
+			if waited {
+				p.hold(t)
+			} else {
+				s.maybeRelease(t) // an eager send may have delivered already
 			}
 
 		case trace.KindRecv:
@@ -718,7 +849,7 @@ func (p *proc) advance() {
 				return
 			}
 			p.pc++
-			t := s.postRecv(p.rank, rec, p.chans[p.pc-1])
+			t := s.postRecv(p.rank, rec, p.ids[p.pc-1])
 			if !t.deliveredDst {
 				t.waiters = append(t.waiters, p)
 				p.tl.Enter(s.eng.Now(), timeline.RecvBlocked)
@@ -727,15 +858,19 @@ func (p *proc) advance() {
 			s.maybeRelease(t)
 
 		case trace.KindWait:
-			t, ok := p.reqs[rec.Req]
-			if !ok {
+			slot := p.ids[p.pc]
+			var t *transfer
+			if slot >= 0 {
+				t = p.reqs[slot]
+			}
+			if t == nil {
 				s.fail(fmt.Errorf("replay: rank %d waits for unknown request %d", p.rank, rec.Req))
 				return
 			}
 			p.pc++
 			// The trace validator guarantees each request is waited at most
-			// once, so the table entry can be consumed here.
-			delete(p.reqs, rec.Req)
+			// once, so the slot can be consumed here.
+			p.reqs[slot] = nil
 			if s.par == nil {
 				t.refs--
 			}
@@ -818,16 +953,23 @@ func (s *replayer) releaseCollective(slot *collSlot) {
 }
 
 // enqueue appends the transfer to one of channel ch's queues, marking the
-// pair for the next reset. The reset worklist always lives on the root
-// replayer: shard views share one set of matching state.
+// pair for the next reset. The reset worklist and the block new queues take
+// their room from always live on the root replayer: shard views share one
+// set of matching state.
 func (s *replayer) enqueue(ch int32, q *chanQueue, t *transfer) {
+	owner := s
+	if s.par != nil {
+		owner = s.par.root
+	}
 	if pr := &s.chans[ch]; !pr.dirty {
 		pr.dirty = true
-		owner := s
-		if s.par != nil {
-			owner = s.par.root
-		}
 		owner.dirtyQ = append(owner.dirtyQ, ch)
+	}
+	if cap(q.items) == 0 {
+		if len(owner.qroom) < queueRoom {
+			owner.qroom = make([]*transfer, 256*queueRoom)
+		}
+		q.items, owner.qroom = owner.qroom[:0:queueRoom], owner.qroom[queueRoom:]
 	}
 	q.push(t)
 }
@@ -962,7 +1104,7 @@ func (s *replayer) startRemote(t *transfer) {
 // engine holds no resources (it requires a contention-free platform) and
 // folds the wire time into the delivery instant directly (see startPar).
 func (s *replayer) wireDone(t *transfer) {
-	started := s.arb.release(t)
+	started := s.arb.release(t, s.arena.all)
 	s.eng.ScheduleEventAfter(s.cfg.Latency, t, evDeliver)
 	for _, q := range started {
 		s.startRemote(q)

@@ -172,6 +172,14 @@ func (b *Builder) Reset(rank int) {
 	b.open = false
 }
 
+// Provide gives the builder the empty backing arrays ivs and evs to record
+// into, replacing its own, so a caller setting up many builders can size
+// them all from one allocation. Recording past their capacity grows them
+// as usual.
+func (b *Builder) Provide(ivs []Interval, evs []Event) {
+	b.line.Intervals, b.line.Events = ivs[:0], evs[:0]
+}
+
 // Enter switches the rank into the given state at time now, closing any
 // open interval. Zero-length intervals are dropped and adjacent intervals
 // in the same state merge.

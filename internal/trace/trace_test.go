@@ -198,8 +198,13 @@ func TestValidateOnce(t *testing.T) {
 // TestChannels pins the channel numbering the replayer matches on: a
 // send and its receive share an id, a different tag or direction is a
 // different channel, ids are dense in first-appearance order, records
-// that are not point-to-point get -1, and concurrent first calls share
-// one numbering.
+// that are neither point-to-point nor Waits get -1, and concurrent first
+// calls share one numbering. It also pins the request numbering: a
+// posting's slot is its posting order among the rank's waited ISend and
+// IRecv records, whatever its request id (sparse, negative or past 2^31),
+// a posting no Wait consumes is marked and takes no slot, a Wait gets the
+// slot of the latest earlier posting of its id, and a Wait that precedes
+// every posting of its id gets -1.
 func TestChannels(t *testing.T) {
 	s := NewSet("chans", "original", 2, 1000)
 	s.Traces[0].Append(Burst(10), ISend(1, 7, 64, 1), Send(1, 8, 64), Wait(1), Recv(1, 7, 64))
@@ -220,9 +225,44 @@ func TestChannels(t *testing.T) {
 		}
 	}
 	c := got[0]
-	want := [][]int32{{-1, 0, 1, -1, 2}, {0, -1, 1, -1, 2}}
-	if c.N != 3 || !reflect.DeepEqual(c.IDs, want) {
-		t.Fatalf("Channels = %d %v, want 3 %v", c.N, c.IDs, want)
+	want := [][]int32{{-1, 0, 1, 0, 2}, {0, -1, 1, 0, 2}}
+	if c.N != 3 || !reflect.DeepEqual(c.IDs, want) || !reflect.DeepEqual(c.Slots, []int32{1, 1}) {
+		t.Fatalf("Channels = %d %v %v, want 3 %v [1 1]", c.N, c.IDs, c.Slots, want)
+	}
+
+	const big = 1<<40 + 3
+	s = NewSet("slots", "original", 2, 1000)
+	s.Traces[0].Append(
+		Wait(5),             // precedes its post: no slot
+		ISend(1, 1, 8, big), // slot 0
+		IRecv(1, 2, 8, -7),  // slot 1
+		ISend(1, 5, 8, 77),  // never waited: no slot
+		Burst(10),
+		Wait(-7),
+		ISend(1, 3, 8, 5), // slot 2
+		Wait(big),
+		Wait(5),
+		IRecv(1, 4, 8, 1<<31), // slot 3
+		Wait(1<<31),
+		Wait(99), // never posted
+	)
+	s.Traces[1].Append(Recv(0, 1, 8), Send(0, 2, 8), Recv(0, 5, 8), Recv(0, 3, 8), ISend(0, 4, 8, 1000), Wait(1000))
+	c = s.Channels()
+	want = [][]int32{
+		{-1, 0, 1, -2 - 2, -1, 1, 3, 0, 2, 4, 3, -1},
+		{0, 1, 2, 3, 4, 0},
+	}
+	if !reflect.DeepEqual(c.IDs, want) {
+		t.Fatalf("IDs = %v, want %v", c.IDs, want)
+	}
+	if !reflect.DeepEqual(c.Slots, []int32{4, 1}) {
+		t.Fatalf("Slots = %v, want [4 1]", c.Slots)
+	}
+	if ch, waited := PostChannel(c.IDs[0][3]); ch != 2 || waited {
+		t.Fatalf("PostChannel(%d) = %d, %v, want 2, false", c.IDs[0][3], ch, waited)
+	}
+	if ch, waited := PostChannel(c.IDs[0][2]); ch != 1 || !waited {
+		t.Fatalf("PostChannel(%d) = %d, %v, want 1, true", c.IDs[0][2], ch, waited)
 	}
 }
 
