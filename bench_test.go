@@ -1,8 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's
 // evaluation, one per entry of the experiment.All registry. Each
-// iteration runs the complete experiment — trace (cached per suite),
-// transform, replay sweep, table rendering — so `go test -bench=.` both
-// measures the harness and proves every artifact regenerates.
+// iteration runs the complete experiment on a fresh Suite — trace load
+// from a cache primed before the timer starts, transform, replay sweep,
+// table rendering — so `go test -bench=.` both measures the harness and
+// proves every artifact regenerates.
 // Component-level microbenchmarks live in the respective internal
 // packages.
 package overlapsim_test
@@ -14,29 +15,32 @@ import (
 	"overlapsim"
 	"overlapsim/internal/experiment"
 	"overlapsim/internal/overlap"
+	"overlapsim/internal/sweep"
 )
 
-// benchSuite returns a suite for benchmarking: full paper workloads, with
-// the tracing run shared across iterations of the same benchmark (the
-// paper's methodology also traces once and replays many times).
-func benchSuite() *experiment.Suite {
-	return experiment.NewSuite()
-}
-
+// runExperiment times one experiment end to end. The first run traces
+// into a trace cache in b.TempDir() (the paper's methodology also traces
+// once and replays many times); every timed iteration then runs on a
+// fresh Suite over that cache, because a reused Suite would answer every
+// replay after the first iteration from its Runner's memo.
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
-	s := benchSuite()
-	// Prime the pipeline caches (the single instrumented run).
 	d, err := experiment.Find(id)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := d.Run(s, io.Discard); err != nil {
+	cache := &sweep.TraceCache{Dir: b.TempDir()}
+	suite := func() *experiment.Suite {
+		s := experiment.NewSuite()
+		s.Cache = cache
+		return s
+	}
+	if err := d.Run(suite(), io.Discard); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := d.Run(s, io.Discard); err != nil {
+		if err := d.Run(suite(), io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

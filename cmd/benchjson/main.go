@@ -10,8 +10,10 @@
 //	benchjson compare old.json new.json -threshold 10%
 //
 // Lines that are not benchmark results (package headers, PASS/ok trailers)
-// are ignored. The optional -baseline file embeds reference numbers from an
-// earlier PR so one artifact carries both before and after.
+// are ignored; repeated results of one benchmark (-count N) fold into
+// their medians (Fold), so one host stall does not decide the record. The
+// optional -baseline file embeds reference numbers from an earlier PR so
+// one artifact carries both before and after.
 //
 // compare diffs the benchmarks the two records share (old first) and exits
 // nonzero when any regresses beyond the thresholds: -threshold bounds the
@@ -27,11 +29,13 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -48,6 +52,12 @@ type Benchmark struct {
 	// -benchmem.
 	BytesPerOp  int64 `json:"bytes_per_op"`
 	AllocsPerOp int64 `json:"allocs_per_op"`
+	// Runs counts the result lines Fold merged into this entry; 0 means
+	// one. With several, NsPerOp, BytesPerOp and AllocsPerOp are their
+	// medians and MinNsPerOp and MaxNsPerOp bound their ns/op.
+	Runs       int     `json:"runs,omitempty"`
+	MinNsPerOp float64 `json:"min_ns_per_op,omitempty"`
+	MaxNsPerOp float64 `json:"max_ns_per_op,omitempty"`
 }
 
 // Baseline is the committed reference record (-baseline flag).
@@ -87,7 +97,7 @@ func run(in io.Reader, outPath, baselinePath string) error {
 	if len(benches) == 0 {
 		return fmt.Errorf("no benchmark result lines on stdin")
 	}
-	report := Report{Benchmarks: benches}
+	report := Report{Benchmarks: Fold(benches)}
 	if baselinePath != "" {
 		data, err := os.ReadFile(baselinePath)
 		if err != nil {
@@ -129,6 +139,42 @@ func Parse(r io.Reader) ([]Benchmark, error) {
 		}
 	}
 	return out, sc.Err()
+}
+
+// Fold merges the results that share a name into one entry, in order of
+// first appearance: the medians of ns/op, B/op and allocs/op, each taken
+// separately, and the ns/op range. Iterations is the first result's. A
+// name seen once passes unchanged.
+func Fold(benches []Benchmark) []Benchmark {
+	var out []Benchmark
+	runs := map[string][]Benchmark{}
+	for _, b := range benches {
+		if runs[b.Name] == nil {
+			out = append(out, b)
+		}
+		runs[b.Name] = append(runs[b.Name], b)
+	}
+	for i := range out {
+		rs := runs[out[i].Name]
+		if len(rs) == 1 {
+			continue
+		}
+		var ns []float64
+		var bytes, allocs []int64
+		for _, r := range rs {
+			ns, bytes, allocs = append(ns, r.NsPerOp), append(bytes, r.BytesPerOp), append(allocs, r.AllocsPerOp)
+		}
+		out[i].NsPerOp, out[i].BytesPerOp, out[i].AllocsPerOp = median(ns), median(bytes), median(allocs)
+		out[i].Runs, out[i].MinNsPerOp, out[i].MaxNsPerOp = len(rs), ns[0], ns[len(ns)-1]
+	}
+	return out
+}
+
+// median sorts vs and returns its middle element, the lower one for an
+// even count.
+func median[T cmp.Ordered](vs []T) T {
+	slices.Sort(vs)
+	return vs[(len(vs)-1)/2]
 }
 
 // parseLine parses one result line of the form

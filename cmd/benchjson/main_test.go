@@ -54,3 +54,38 @@ func TestParseRejectsCorruptResultLine(t *testing.T) {
 		t.Error("expected error on corrupt iteration count")
 	}
 }
+
+// TestFoldRepeatedRuns: -count results of one benchmark fold into their
+// medians and ns/op range, a stalled run does not move the median, and a
+// benchmark seen once passes unchanged, all in first-appearance order.
+func TestFoldRepeatedRuns(t *testing.T) {
+	in := `BenchmarkWarm-2   100   76000 ns/op   0 B/op   0 allocs/op
+BenchmarkWarm-2   100   449000 ns/op   64 B/op   1 allocs/op
+BenchmarkWarm-2   100   70000 ns/op   0 B/op   0 allocs/op
+BenchmarkWarm-2   100   81000 ns/op   0 B/op   0 allocs/op
+BenchmarkWarm-2   100   74000 ns/op   0 B/op   0 allocs/op
+BenchmarkOnce-2   100   5.5 ns/op
+BenchmarkPair-2   100   20 ns/op   8 B/op   2 allocs/op
+BenchmarkPair-2   100   10 ns/op   16 B/op   1 allocs/op
+`
+	benches, err := Parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Fold(benches)
+	want := []Benchmark{
+		{Name: "BenchmarkWarm", Iterations: 100, NsPerOp: 76000, BytesPerOp: 0, AllocsPerOp: 0,
+			Runs: 5, MinNsPerOp: 70000, MaxNsPerOp: 449000},
+		{Name: "BenchmarkOnce", Iterations: 100, NsPerOp: 5.5, BytesPerOp: -1, AllocsPerOp: -1},
+		{Name: "BenchmarkPair", Iterations: 100, NsPerOp: 10, BytesPerOp: 8, AllocsPerOp: 1,
+			Runs: 2, MinNsPerOp: 10, MaxNsPerOp: 20},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("folded into %d entries, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("entry %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -226,9 +226,11 @@ func runExperiments(args []string) error {
 		}
 		fmt.Println()
 	}
-	if err := suite.CacheStoreErr(); err != nil {
+	runner := suite.Runner()
+	if err := runner.CacheStoreErr(); err != nil {
 		fmt.Fprintf(os.Stderr, "run: warning: cache not updated (next run will recompute): %v\n", err)
 	}
+	fmt.Fprintf(os.Stderr, "run: work: %s\n", workLine(runner.Stats(), false))
 	return nil
 }
 
@@ -498,10 +500,10 @@ func runSweep(args []string, stdout io.Writer) error {
 	return closeOut()
 }
 
-// workLine renders the work counters after the "sweep: work: " and
-// "campaign: work: " prefixes. The surrogate counters appear only in
-// -approx runs, so exact-mode stderr stays byte-identical to earlier
-// releases.
+// workLine renders the work counters after the "sweep: work: ",
+// "campaign: work: " and "run: work: " prefixes. The surrogate counters
+// appear only in -approx runs, so exact-mode stderr stays byte-identical
+// to earlier releases.
 func workLine(st sweep.Counters, approx bool) string {
 	line := fmt.Sprintf("%d instrumented runs, %d trace-cache hits, %d replays, %d replay-memo hits, %d replay-store hits, %d parallel windows",
 		st.Traces, st.TraceCacheHits, st.Replays, st.ReplayMemoHits, st.ReplayStoreHits, st.ParallelWindows)

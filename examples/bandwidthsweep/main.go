@@ -40,7 +40,7 @@ func main() {
 	fmt.Printf("%s: ideal-pattern automatic-overlap speedup vs bandwidth (%d points, %d workers)\n\n",
 		*appName, len(bws), engine.WorkerCount())
 	speedups, err := sweep.Map(engine, len(bws), func(i int) (float64, error) {
-		cmp, err := study.Compare(suite.Machine.WithBandwidth(bws[i]), overlapsim.IdealOverlap())
+		cmp, err := study.Study.Compare(suite.Machine.WithBandwidth(bws[i]), overlapsim.IdealOverlap())
 		if err != nil {
 			return 0, err
 		}

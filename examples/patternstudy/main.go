@@ -31,11 +31,11 @@ func main() {
 	}
 	m := suite.Machine.WithBandwidth(bw)
 
-	real, err := study.Compare(m, overlapsim.MeasuredOverlap())
+	real, err := study.Study.Compare(m, overlapsim.MeasuredOverlap())
 	if err != nil {
 		log.Fatal(err)
 	}
-	ideal, err := study.Compare(m, overlapsim.IdealOverlap())
+	ideal, err := study.Study.Compare(m, overlapsim.IdealOverlap())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func main() {
 	// late to send anything early.
 	fmt.Println("measured production points (fraction of burst, first 5 annotated sends):")
 	shown := 0
-	for rank, ann := range study.Profiled.Annotations {
+	for rank, ann := range study.Study.Profiled.Annotations {
 		// Annotations are keyed by record index; walk them in record order
 		// so the output is deterministic.
 		for _, idx := range slices.Sorted(maps.Keys(ann)) {

@@ -34,7 +34,7 @@ func main() {
 	}
 	m := suite.Machine.WithBandwidth(bw)
 
-	cmp, err := study.Compare(m, overlapsim.IdealOverlap())
+	cmp, err := study.Study.Compare(m, overlapsim.IdealOverlap())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -109,26 +109,6 @@ func (m Model) IntermediateLatency(cfg machine.Config) (units.Duration, bool) {
 	return budget / units.Duration(m.Messages), true
 }
 
-// IsoBandwidth returns the bandwidth at which the *overlapped* execution
-// matches the performance of the *original* execution on the given (high)
-// reference bandwidth — the paper's finding 3. ok is false when even
-// infinite overlap bandwidth cannot reach the target (never happens for
-// positive compute, since overlapped time at the reference bandwidth is
-// already no worse than the original).
-func (m Model) IsoBandwidth(cfg machine.Config, ref units.Bandwidth) (units.Bandwidth, bool) {
-	target := m.OriginalTime(cfg.WithBandwidth(ref))
-	// Overlapped time = max(Compute, m.Messages*L + V/BW) <= target. The
-	// compute term is <= target by construction; solve the comm term.
-	budget := target - units.Duration(m.Messages)*cfg.Latency
-	if budget <= 0 {
-		return 0, false
-	}
-	if m.Volume <= 0 {
-		return units.Bandwidth(1), true // any bandwidth works
-	}
-	return units.Bandwidth(float64(m.Volume) / budget.Seconds()), true
-}
-
 // String summarizes the model.
 func (m Model) String() string {
 	return fmt.Sprintf("analytic{compute=%v, volume=%v, messages=%d}", m.Compute, m.Volume, m.Messages)

@@ -88,39 +88,6 @@ func TestIntermediateBandwidth(t *testing.T) {
 	}
 }
 
-func TestIsoBandwidthOrdersOfMagnitude(t *testing.T) {
-	// The headline of finding 3: matching the original's performance at a
-	// high reference bandwidth needs far less bandwidth with overlap.
-	m := Model{Compute: 1000 * units.Microsecond, Volume: units.MB, Messages: 10}
-	cfg := testMachine(10*units.Microsecond, 0)
-	// "High bandwidth" regime: the reference network is fast enough that
-	// communication is a small share of the original runtime.
-	ref := 1000 * units.GBPerSec
-	iso, ok := m.IsoBandwidth(cfg, ref)
-	if !ok {
-		t.Fatal("expected an iso bandwidth")
-	}
-	ratio := float64(iso) / float64(ref)
-	if ratio > 1e-2 {
-		t.Errorf("iso/ref = %.2e, want <= 1e-2 (couple of orders of magnitude)", ratio)
-	}
-	// The overlapped execution at iso bandwidth indeed meets the target.
-	target := m.OriginalTime(cfg.WithBandwidth(ref))
-	got := m.OverlappedTime(cfg.WithBandwidth(iso))
-	if float64(got) > 1.01*float64(target) {
-		t.Errorf("overlapped at iso bandwidth %v = %v, target %v", iso, got, target)
-	}
-}
-
-func TestIsoBandwidthEdgeCases(t *testing.T) {
-	cfg := testMachine(10*units.Microsecond, 0)
-	// No volume: trivially satisfiable.
-	m := Model{Compute: units.Microsecond, Volume: 0, Messages: 0}
-	if _, ok := m.IsoBandwidth(cfg, units.GBPerSec); !ok {
-		t.Error("zero-volume model should always have an iso bandwidth")
-	}
-}
-
 func TestPropertySpeedupBounds(t *testing.T) {
 	// The analytic speedup is always in [1, 2]: overlap can at most halve
 	// the loop when comm == comp.

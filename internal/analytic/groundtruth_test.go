@@ -184,34 +184,3 @@ func TestGroundTruthLatencyBoundAgreement(t *testing.T) {
 		}
 	}
 }
-
-// TestGroundTruthIsoBandwidthMonotone: IsoBandwidth — the bandwidth at
-// which overlapped execution matches the original's performance at a
-// reference bandwidth — must be monotone in the reference (a faster
-// target needs a faster overlapped network) and never exceed it (finding
-// 3: overlap reaches the reference's performance with less bandwidth).
-func TestGroundTruthIsoBandwidthMonotone(t *testing.T) {
-	base := machine.Default()
-	refs := []units.Bandwidth{
-		64 * units.MBPerSec, 256 * units.MBPerSec,
-		units.Bandwidth(units.GB), 4 * units.Bandwidth(units.GB),
-	}
-	for _, spec := range groundMatrix() {
-		m := modelFor(t, spec)
-		prev := units.Bandwidth(0)
-		for _, ref := range refs {
-			iso, ok := m.IsoBandwidth(base, ref)
-			if !ok {
-				t.Errorf("%s: no iso bandwidth for reference %v", spec, ref)
-				continue
-			}
-			if iso > ref {
-				t.Errorf("%s: iso bandwidth %v exceeds its reference %v — overlap should need less, not more", spec, iso, ref)
-			}
-			if iso < prev {
-				t.Errorf("%s: iso bandwidth fell from %v to %v as the reference rose to %v", spec, prev, iso, ref)
-			}
-			prev = iso
-		}
-	}
-}

@@ -12,11 +12,12 @@
 //	fmt.Println(cmp.Speedup())
 //	cmp.RenderGantt(os.Stdout, 80)              // qualitative comparison
 //
-// Study is the one traced-study type: the experiment harness
-// (internal/experiment) runs every paper experiment on it. It caches its
-// variants in a memo.Map keyed by variant name, the same single-flight
-// memo the sweep Runner uses: variants build in parallel, one transform
-// per name, and a failed or panicked transform stays failed.
+// Study is the one traced-study type: every traced workload of the sweep
+// Runner (sweep.Workload), and so every sweep point and experiment, holds
+// one. It caches its variants in a memo.Map keyed by variant name, the
+// memo the Runner uses for workloads and replays: variants build in
+// parallel, one transform per name, and a failed or panicked transform
+// stays failed.
 package core
 
 import (

@@ -37,10 +37,10 @@ func TestSuiteTraceCache(t *testing.T) {
 	}
 
 	var a, b bytes.Buffer
-	if err := trace.Write(&a, st1.Original()); err != nil {
+	if err := trace.Write(&a, st1.Study.Original()); err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.Write(&b, st2.Original()); err != nil {
+	if err := trace.Write(&b, st2.Study.Original()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -63,7 +63,7 @@ func TestSuiteTraceCache(t *testing.T) {
 // TestSuiteCacheStoreFailure: a cache directory that cannot be created
 // (its parent is a regular file) must not fail the experiment — the trace
 // just succeeded — but the failed write must surface through
-// CacheStoreErr instead of being dropped.
+// the Runner's CacheStoreErr instead of being dropped.
 func TestSuiteCacheStoreFailure(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "file")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
@@ -72,14 +72,14 @@ func TestSuiteCacheStoreFailure(t *testing.T) {
 	s := NewSuite()
 	s.Quick = true
 	s.Cache = &sweep.TraceCache{Dir: filepath.Join(file, "cache")}
-	if s.CacheStoreErr() != nil {
+	if s.Runner().CacheStoreErr() != nil {
 		t.Fatal("store error before any run")
 	}
 	var buf bytes.Buffer
 	if err := RunF1(s, &buf); err != nil {
 		t.Fatalf("an unwritable cache failed the experiment: %v", err)
 	}
-	if s.CacheStoreErr() == nil {
+	if s.Runner().CacheStoreErr() == nil {
 		t.Error("failed cache write was silently discarded")
 	}
 }

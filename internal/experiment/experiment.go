@@ -17,27 +17,24 @@
 //	B1  — analytic baseline vs simulation
 //	S1  — extension: wavefront overlap benefit vs process-grid size
 //
-// Every experiment runs on core.Study, the one traced-study type:
-// Suite.Study traces each application once per suite (through the suite's
-// trace cache, when one is set), and IntermediateBandwidth and
-// IsoBandwidth are plain functions over a study and a base platform. The
-// Suite memoizes studies and intermediate bandwidths in memo.Maps, so an
-// error, or a panic recorded as a "... panicked" error, is what every
-// later caller gets.
+// Every experiment runs on the suite's sweep Runner: Suite.Study returns
+// the Runner's workload for an app, traced once per suite, and the
+// experiments, IntermediateBandwidth and IsoBandwidth replay through its
+// memo, so a (trace, platform) pair replays once per suite and an error,
+// or a recorded panic, is what every later caller gets. Only F1 replays
+// with timelines (Workload.Study.Compare), to render them.
 package experiment
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sync"
 
 	"overlapsim/internal/apps"
-	"overlapsim/internal/core"
 	"overlapsim/internal/machine"
-	"overlapsim/internal/memo"
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/sweep"
-	"overlapsim/internal/tracer"
 	"overlapsim/internal/units"
 )
 
@@ -55,15 +52,15 @@ func bandwidthGrid() []units.Bandwidth {
 // bandwidth at which the original execution spends a time in communication
 // comparable to computation (mean blocked fraction closest to 0.5). The
 // search is a deterministic sweep over the logarithmic grid.
-func IntermediateBandwidth(st *core.Study, base machine.Config) (units.Bandwidth, error) {
+func IntermediateBandwidth(w *sweep.Workload, base machine.Config) (units.Bandwidth, error) {
 	best := units.Bandwidth(0)
 	bestDist := math.Inf(1)
 	for _, bw := range bandwidthGrid() {
-		res, err := st.SimulateOriginal(base.WithBandwidth(bw))
+		res, err := w.Replay(nil, base.WithBandwidth(bw))
 		if err != nil {
 			return 0, err
 		}
-		d := math.Abs(res.MeanBlockedFraction() - 0.5)
+		d := math.Abs(res.Blocked - 0.5)
 		if d < bestDist {
 			bestDist, best = d, bw
 		}
@@ -75,14 +72,14 @@ func IntermediateBandwidth(st *core.Study, base machine.Config) (units.Bandwidth
 // execution matches (within tol) the original execution's runtime on the
 // reference bandwidth — finding 3's measurement. ok is false when even the
 // reference bandwidth cannot reach the target with overlap.
-func IsoBandwidth(st *core.Study, base machine.Config, ref units.Bandwidth, opts overlap.Options, tol float64) (units.Bandwidth, bool, error) {
-	origRef, err := st.SimulateOriginal(base.WithBandwidth(ref))
+func IsoBandwidth(w *sweep.Workload, base machine.Config, ref units.Bandwidth, opts overlap.Options, tol float64) (units.Bandwidth, bool, error) {
+	origRef, err := w.Replay(nil, base.WithBandwidth(ref))
 	if err != nil {
 		return 0, false, err
 	}
 	target := float64(origRef.Total) * (1 + tol)
 	meets := func(bw units.Bandwidth) (bool, error) {
-		res, err := st.SimulateVariant(base.WithBandwidth(bw), opts)
+		res, err := w.Replay(&opts, base.WithBandwidth(bw))
 		if err != nil {
 			return false, err
 		}
@@ -133,26 +130,25 @@ type Suite struct {
 	// Cache, when non-nil, persists profiled trace sets across processes,
 	// so repeated experiment runs skip the instrumented runs. Results are
 	// identical with a cold, warm or absent cache. Writes are best-effort;
-	// the first failed one is reported by CacheStoreErr.
+	// the first failed one is reported by the Runner's CacheStoreErr. It
+	// is read once, when the suite first builds its Runner.
 	Cache *sweep.TraceCache
 
-	studies memo.Map[string, *core.Study]
-	interBW memo.Map[bwKey, units.Bandwidth]
-
-	mu       sync.Mutex
-	storeErr error
-}
-
-// bwKey identifies one intermediate-bandwidth search: a study on a base
-// platform.
-type bwKey struct {
-	st   *core.Study
-	base machine.Config
+	once   sync.Once
+	runner *sweep.Runner
 }
 
 // NewSuite returns a suite on the default platform.
 func NewSuite() *Suite {
 	return &Suite{Machine: machine.Default(), Chunks: 8}
+}
+
+// Runner returns the sweep Runner the suite's experiments trace and replay
+// on, built on first use over the suite's Cache. Its Stats account the
+// work of every experiment the suite has run.
+func (s *Suite) Runner() *sweep.Runner {
+	s.once.Do(func() { s.runner = &sweep.Runner{Cache: s.Cache} })
+	return s.runner
 }
 
 // engine returns the sweep worker pool the suite's experiments fan out on.
@@ -182,73 +178,17 @@ func (s *Suite) AppConfig(name string) apps.Config {
 	return cfg
 }
 
-// Study traces the app once per suite, at AppConfig, and caches the
-// result. It is safe for concurrent use; parallel callers for the same app
-// share one instrumented run.
-func (s *Suite) Study(name string) (*core.Study, error) {
-	st, _, err := s.studies.Get(name, "trace", func() (*core.Study, error) {
-		return s.cachedStudy(name, s.AppConfig(name))
-	})
-	return st, err
+// Study returns the app's workload at AppConfig, traced once per suite.
+// It is safe for concurrent use; parallel callers for the same app share
+// one instrumented run.
+func (s *Suite) Study(name string) (*sweep.Workload, error) {
+	return s.workload(name, s.AppConfig(name))
 }
 
-// cachedStudy traces an arbitrary workload through the suite's trace
-// cache: a cached profiled set skips the instrumented run, a fresh trace
-// is stored for later runs. Unlike Study it is not memoized per suite — it
-// serves experiments that scale workloads beyond the suite defaults (S1's
-// rank sweep).
-func (s *Suite) cachedStudy(name string, cfg apps.Config) (*core.Study, error) {
-	chunks := s.Chunks
-	if chunks == 0 {
-		chunks = 8
-	}
-	ps, _, storeErr, err := s.Cache.LoadOrTrace(name, cfg, chunks, func() (*overlap.ProfiledSet, error) {
-		app, err := apps.New(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return traceApp(app, tracer.Options{Chunks: chunks})
-	})
-	s.noteStoreErr(storeErr)
-	if err != nil {
-		return nil, err
-	}
-	return &core.Study{Profiled: ps}, nil
-}
-
-// traceApp is the instrumented run behind cachedStudy. Tests swap it to
-// inject a panicking trace.
-var traceApp = tracer.Trace
-
-// intermediate is IntermediateBandwidth on the suite's platform, memoized
-// per study: every experiment anchors on the same regime, so the grid of
-// original replays is paid once per study even when many sweep workers
-// ask concurrently.
-func (s *Suite) intermediate(st *core.Study) (units.Bandwidth, error) {
-	base := s.Machine
-	bw, _, err := s.interBW.Get(bwKey{st, base}, "intermediate bandwidth search", func() (units.Bandwidth, error) {
-		return IntermediateBandwidth(st, base)
-	})
-	return bw, err
-}
-
-// CacheStoreErr returns the suite's first failed trace-cache write, if
-// any. A failed write does not fail the experiment — its results are
-// complete and correct — so callers surface it as a warning that the next
-// run will recompute.
-func (s *Suite) CacheStoreErr() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.storeErr
-}
-
-// noteStoreErr records a failed cache write, keeping the first.
-func (s *Suite) noteStoreErr(err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.storeErr == nil {
-		s.storeErr = err
-	}
+// workload returns any workload of the app on the suite's Runner, at the
+// suite's chunk granularity: Study's, or S1's scaled ones.
+func (s *Suite) workload(name string, cfg apps.Config) (*sweep.Workload, error) {
+	return s.Runner().Workload(name, cfg, cmp.Or(s.Chunks, 8))
 }
 
 // bothLinear and bothReal are the two headline variants.

@@ -2,13 +2,14 @@ package experiment
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
 	"overlapsim/internal/apps"
-	"overlapsim/internal/core"
 	"overlapsim/internal/machine"
 	"overlapsim/internal/overlap"
+	"overlapsim/internal/sweep"
 	"overlapsim/internal/units"
 )
 
@@ -18,35 +19,43 @@ func quickSuite() *Suite {
 	return s
 }
 
-// traceStudy traces one workload into a study, outside any suite memo.
-func traceStudy(t *testing.T, name string, cfg apps.Config, chunks int) *core.Study {
+// traceStudy traces one workload on a Runner of its own, outside any
+// suite.
+func traceStudy(t *testing.T, name string, cfg apps.Config, chunks int) *sweep.Workload {
 	t.Helper()
-	st, err := (&Suite{Chunks: chunks}).cachedStudy(name, cfg)
+	w, err := sweep.NewRunner(machine.Default()).Workload(name, cfg, chunks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return w
+}
+
+// speedup is T_original / T_overlapped of the workload on m, through the
+// Runner's replay memo.
+func speedup(w *sweep.Workload, m machine.Config, opts overlap.Options) (float64, error) {
+	res, err := w.ReplayPair(opts, m)
+	return res.Speedup, err
 }
 
 // TestNewPipelineAndCaching traces a workload the way the experiments do
 // and checks its study caches overlapped variants per options.
 func TestNewPipelineAndCaching(t *testing.T) {
 	st := traceStudy(t, "pingpong", apps.Config{Ranks: 2, Size: 256, Iterations: 2}, 4)
-	if st.Original().Name != "pingpong" {
-		t.Errorf("set name = %q", st.Original().Name)
+	if st.Study.Original().Name != "pingpong" {
+		t.Errorf("set name = %q", st.Study.Original().Name)
 	}
-	a, err := st.Variant(bothLinear)
+	a, err := st.Study.Variant(bothLinear)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := st.Variant(bothLinear)
+	b, err := st.Study.Variant(bothLinear)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("variant sets should be cached")
 	}
-	c, err := st.Variant(bothReal)
+	c, err := st.Study.Variant(bothReal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +119,11 @@ func TestIsoBandwidthMeetsTarget(t *testing.T) {
 	}
 	// Verify the claim: the overlapped run at iso bandwidth meets the
 	// original's runtime at the reference bandwidth (within tolerance).
-	origRef, err := st.SimulateOriginal(base.WithBandwidth(ref))
+	origRef, err := st.Study.SimulateOriginal(base.WithBandwidth(ref))
 	if err != nil {
 		t.Fatal(err)
 	}
-	overIso, err := st.SimulateVariant(base.WithBandwidth(iso), bothLinear)
+	overIso, err := st.Study.SimulateVariant(base.WithBandwidth(iso), bothLinear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,6 +163,27 @@ func TestRunAllExperimentsQuick(t *testing.T) {
 				t.Errorf("%s: suspiciously short output: %q", d.ID, buf.String())
 			}
 		})
+	}
+}
+
+// TestRunAllTracesEachWorkloadOnce: the experiments share one Runner, so a
+// quick `run all` traces each distinct workload exactly once — bt, cg,
+// sweep3d, pingpong (F1) and S1's 16-rank sweep3d; S1's 4-rank sweep3d is
+// the suite's own — and answers repeated (trace, platform) pairs from the
+// replay memo.
+func TestRunAllTracesEachWorkloadOnce(t *testing.T) {
+	s := quickSuite()
+	for _, d := range All {
+		if err := d.Run(s, io.Discard); err != nil {
+			t.Fatalf("%s: %v", d.ID, err)
+		}
+	}
+	st := s.Runner().Stats()
+	if st.Traces != 5 || st.TraceCacheHits != 0 {
+		t.Errorf("%d instrumented runs, %d trace-cache hits; want 5 and 0", st.Traces, st.TraceCacheHits)
+	}
+	if lookups := st.Replays + st.ReplayMemoHits; st.Replays == 0 || st.Replays >= lookups {
+		t.Errorf("%d replays for %d replay lookups; want fewer replays than lookups", st.Replays, lookups)
 	}
 }
 

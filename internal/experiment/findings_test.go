@@ -28,7 +28,7 @@ func TestFindingsShapeFullScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bw, err := s.intermediate(st)
+		bw, err := IntermediateBandwidth(st, s.Machine)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,13 +3,14 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
-	"overlapsim/internal/core"
-	"overlapsim/internal/overlap"
-	"overlapsim/internal/tracer"
+	"overlapsim/internal/sweep"
+	"overlapsim/internal/sweep/replaystore"
 )
 
 // TestExperimentsWorkerCountInvariant is the determinism contract of the
@@ -42,13 +43,14 @@ func TestExperimentsWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// TestSuiteStudyConcurrent hammers the suite's study cache: every
-// goroutine must get the same traced study, with the trace run once.
+// TestSuiteStudyConcurrent hammers the Runner's workload memo through the
+// suite: every goroutine must get the same traced workload, with the
+// trace run once.
 func TestSuiteStudyConcurrent(t *testing.T) {
 	s := NewSuite()
 	s.Quick = true
 	const goroutines = 16
-	sts := make([]*core.Study, goroutines)
+	sts := make([]*sweep.Workload, goroutines)
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
 	for i := 0; i < goroutines; i++ {
@@ -67,17 +69,25 @@ func TestSuiteStudyConcurrent(t *testing.T) {
 			t.Fatal("concurrent Study calls returned distinct studies")
 		}
 	}
+	if n := s.Runner().Stats().Traces; n != 1 {
+		t.Errorf("%d instrumented runs, want 1", n)
+	}
 }
 
-// TestSuitePanickedFillStaysFailed: a study trace or an intermediate-
-// bandwidth search that panics leaves its memo entry holding the panic as
-// an error. A reused Suite reports it, instead of a nil study or a
-// bandwidth of 0 (infinitely fast) passed off as a result.
+// TestSuitePanickedFillStaysFailed: a workload trace or a replay that
+// panics leaves its Runner memo entry holding the panic as an error. A
+// reused Suite reports it, instead of a nil workload or an intermediate
+// bandwidth of 0 (infinitely fast) passed off as a result. The panics are
+// injected through the persistent caches' Warn hooks, which the trace and
+// replay fills call when they meet a corrupt entry; each hook panics once,
+// so a fill that ran again would succeed and fail the test.
 func TestSuitePanickedFillStaysFailed(t *testing.T) {
-	orig := traceApp
-	t.Cleanup(func() { traceApp = orig })
-	traceApp = func(tracer.App, tracer.Options) (*overlap.ProfiledSet, error) {
-		panic("tracer invariant broken")
+	armed := true
+	panicOnce := func(string) {
+		if armed {
+			armed = false
+			panic("cache hook broken")
+		}
 	}
 	mustPanic := func(what string, f func()) {
 		t.Helper()
@@ -88,16 +98,36 @@ func TestSuitePanickedFillStaysFailed(t *testing.T) {
 		}()
 		f()
 	}
+	corrupt := func(path string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte("corrupt"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
 	s := quickSuite()
+	s.Cache = &sweep.TraceCache{Dir: dir, Warn: panicOnce}
+	pp := s.AppConfig("pingpong")
+	corrupt(filepath.Join(dir, s.Cache.Key("pingpong", pp.Ranks, s.Chunks, pp.Size, pp.Iterations)+".trace"))
 	mustPanic("Study", func() { s.Study("pingpong") })
-	traceApp = orig
-	if st, err := s.Study("pingpong"); err == nil || !strings.Contains(err.Error(), "panicked: tracer invariant broken") {
+	if st, err := s.Study("pingpong"); err == nil || !strings.Contains(err.Error(), "panicked: cache hook broken") {
 		t.Errorf("Study after a panicked trace = %v, %v; want the recorded panic", st, err)
 	}
 
-	broken := &core.Study{} // no profiled set: its first replay panics
-	mustPanic("intermediate", func() { s.intermediate(broken) })
-	if bw, err := s.intermediate(broken); err == nil || !strings.Contains(err.Error(), "panicked") {
+	// The intermediate-bandwidth search's first probe replays bt's
+	// original trace at the bottom of the bandwidth grid.
+	st, err := s.Study("bt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &replaystore.Store{Dir: dir, Warn: panicOnce}
+	s.Runner().Store = store
+	bt := s.AppConfig("bt")
+	first := s.Machine.WithBandwidth(bandwidthGrid()[0])
+	corrupt(filepath.Join(dir, store.Key("bt", bt.Ranks, bt.Size, bt.Iterations, "original", first)+replaystore.Ext))
+	armed = true
+	mustPanic("intermediate", func() { IntermediateBandwidth(st, s.Machine) })
+	if bw, err := IntermediateBandwidth(st, s.Machine); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Errorf("intermediate after a panicked search = %v, %v; want the recorded panic", bw, err)
 	}
 }

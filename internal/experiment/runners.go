@@ -7,7 +7,6 @@ import (
 
 	"overlapsim/internal/analytic"
 	"overlapsim/internal/apps"
-	"overlapsim/internal/core"
 	"overlapsim/internal/machine"
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/stats"
@@ -61,12 +60,12 @@ func RunF1(s *Suite, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	bw, err := s.intermediate(st)
+	bw, err := IntermediateBandwidth(st, s.Machine)
 	if err != nil {
 		return err
 	}
 	m := s.Machine.WithBandwidth(bw)
-	cmp, err := st.Compare(m, bothLinear)
+	cmp, err := st.Study.Compare(m, bothLinear)
 	if err != nil {
 		return err
 	}
@@ -89,24 +88,24 @@ func RunE1(s *Suite, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		bw, err := s.intermediate(st)
+		bw, err := IntermediateBandwidth(st, s.Machine)
 		if err != nil {
 			return err
 		}
 		m := s.Machine.WithBandwidth(bw)
-		real, err := speedup(st, m, bothReal)
+		real, err := st.ReplayPair(bothReal, m)
 		if err != nil {
 			return err
 		}
-		ideal, err := speedup(st, m, bothLinear)
+		ideal, err := st.ReplayPair(bothLinear, m)
 		if err != nil {
 			return err
 		}
 		verdict := "real<<ideal"
-		if stats.PercentGain(real) > stats.PercentGain(ideal)/2 {
+		if stats.PercentGain(real.Speedup) > stats.PercentGain(ideal.Speedup)/2 {
 			verdict = "comparable"
 		}
-		tb.AddRow(name, fmtBW(bw), fmtPct(stats.PercentGain(real)), fmtPct(stats.PercentGain(ideal)), verdict)
+		tb.AddRow(name, fmtBW(bw), fmtPct(stats.PercentGain(real.Speedup)), fmtPct(stats.PercentGain(ideal.Speedup)), verdict)
 	}
 	return tb.Render(w)
 }
@@ -124,17 +123,17 @@ func RunE2(s *Suite, w io.Writer) error {
 		if err != nil {
 			return nil, err
 		}
-		bw, err := s.intermediate(st)
+		bw, err := IntermediateBandwidth(st, s.Machine)
 		if err != nil {
 			return nil, err
 		}
-		cmp, err := st.Compare(s.Machine.WithBandwidth(bw), bothLinear)
+		res, err := st.ReplayPair(bothLinear, s.Machine.WithBandwidth(bw))
 		if err != nil {
 			return nil, err
 		}
 		return []string{name, fmtBW(bw),
-			units.Duration(cmp.Original.Total).String(), units.Duration(cmp.Overlapped.Total).String(),
-			fmtPct(stats.PercentGain(cmp.Speedup())), fmtPct(PaperE2[name])}, nil
+			units.Duration(res.TOriginal).String(), units.Duration(res.TOverlap).String(),
+			fmtPct(stats.PercentGain(res.Speedup)), fmtPct(PaperE2[name])}, nil
 	})
 	if err != nil {
 		return err
@@ -162,11 +161,11 @@ func RunE2f(s *Suite, w io.Writer) error {
 		if err != nil {
 			return "", err
 		}
-		sp, err := speedup(st, s.Machine.WithBandwidth(p.Bandwidth), bothLinear)
+		res, err := st.ReplayPair(bothLinear, s.Machine.WithBandwidth(p.Bandwidth))
 		if err != nil {
 			return "", err
 		}
-		return fmt.Sprintf("%.2f", sp), nil
+		return fmt.Sprintf("%.2f", res.Speedup), nil
 	})
 	if err != nil {
 		return err
@@ -196,7 +195,7 @@ func RunE3(s *Suite, w io.Writer) error {
 		if err != nil {
 			return nil, err
 		}
-		origRef, err := st.SimulateOriginal(s.Machine.WithBandwidth(ref))
+		origRef, err := st.Replay(nil, s.Machine.WithBandwidth(ref))
 		if err != nil {
 			return nil, err
 		}
@@ -233,16 +232,16 @@ func RunA1(s *Suite, w io.Writer) error {
 		if err != nil {
 			return "", err
 		}
-		bw, err := s.intermediate(st)
+		bw, err := IntermediateBandwidth(st, s.Machine)
 		if err != nil {
 			return "", err
 		}
-		sp, err := speedup(st, s.Machine.WithBandwidth(bw),
-			overlap.Options{Mechanisms: p.Mechanisms, Pattern: overlap.PatternLinear})
+		res, err := st.ReplayPair(overlap.Options{Mechanisms: p.Mechanisms, Pattern: overlap.PatternLinear},
+			s.Machine.WithBandwidth(bw))
 		if err != nil {
 			return "", err
 		}
-		return fmtPct(stats.PercentGain(sp)), nil
+		return fmtPct(stats.PercentGain(res.Speedup)), nil
 	})
 	if err != nil {
 		return err
@@ -270,18 +269,18 @@ func RunA2(s *Suite, w io.Writer) error {
 			if err != nil {
 				return "", err
 			}
-			bw, err := s.intermediate(st)
+			bw, err := IntermediateBandwidth(st, s.Machine)
 			if err != nil {
 				return "", err
 			}
 			m := s.Machine.WithBandwidth(bw)
 			m.CPUOverhead = ovh
-			sp, err := speedup(st, m, overlap.Options{
-				Mechanisms: overlap.BothMechanisms, Pattern: overlap.PatternLinear, Chunks: p.Chunks})
+			res, err := st.ReplayPair(overlap.Options{
+				Mechanisms: overlap.BothMechanisms, Pattern: overlap.PatternLinear, Chunks: p.Chunks}, m)
 			if err != nil {
 				return "", err
 			}
-			return fmtPct(stats.PercentGain(sp)), nil
+			return fmtPct(stats.PercentGain(res.Speedup)), nil
 		})
 		if err != nil {
 			return err
@@ -311,7 +310,7 @@ func RunA3(s *Suite, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	bw, err := s.intermediate(st)
+	bw, err := IntermediateBandwidth(st, s.Machine)
 	if err != nil {
 		return err
 	}
@@ -321,12 +320,12 @@ func RunA3(s *Suite, w io.Writer) error {
 	// variants: fan the replays out, then render rows in axis order.
 	paramSweep := func(n int, machineAt func(i int) machine.Config, labelAt func(i int) string) ([][]string, error) {
 		return sweep.Map(s.engine(), n, func(i int) ([]string, error) {
-			cmp, err := st.Compare(machineAt(i), bothLinear)
+			res, err := st.ReplayPair(bothLinear, machineAt(i))
 			if err != nil {
 				return nil, err
 			}
-			return []string{labelAt(i), units.Duration(cmp.Original.Total).String(),
-				units.Duration(cmp.Overlapped.Total).String(), fmtPct(stats.PercentGain(cmp.Speedup()))}, nil
+			return []string{labelAt(i), units.Duration(res.TOriginal).String(),
+				units.Duration(res.TOverlap).String(), fmtPct(stats.PercentGain(res.Speedup))}, nil
 		})
 	}
 	renderParam := func(header string, rows [][]string) error {
@@ -401,28 +400,28 @@ func RunB1(s *Suite, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		bw, err := s.intermediate(st)
+		bw, err := IntermediateBandwidth(st, s.Machine)
 		if err != nil {
 			return err
 		}
 		m := s.Machine.WithBandwidth(bw)
 		mips := m.MIPS
 		if mips == 0 {
-			mips = st.Original().MIPS
+			mips = st.Study.Original().MIPS
 		}
-		model := analytic.FromStats(trace.Stats(st.Original()), mips)
-		ideal, err := speedup(st, m, bothLinear)
+		model := analytic.FromStats(trace.Stats(st.Study.Original()), mips)
+		ideal, err := st.ReplayPair(bothLinear, m)
 		if err != nil {
 			return err
 		}
-		real, err := speedup(st, m, bothReal)
+		real, err := st.ReplayPair(bothReal, m)
 		if err != nil {
 			return err
 		}
 		tb.AddRow(name, fmtBW(bw),
 			fmtPct(stats.PercentGain(model.Speedup(m))),
-			fmtPct(stats.PercentGain(ideal)),
-			fmtPct(stats.PercentGain(real)))
+			fmtPct(stats.PercentGain(ideal.Speedup)),
+			fmtPct(stats.PercentGain(real.Speedup)))
 	}
 	return tb.Render(w)
 }
@@ -442,7 +441,7 @@ func RunS1(s *Suite, w io.Writer) error {
 	}
 	tb := stats.NewTable("ranks", "grid", "bandwidth", "T-original", "T-overlap", "speedup")
 	for _, ranks := range rankCounts {
-		st, err := s.cachedStudy("sweep3d", apps.Config{Ranks: ranks, Size: size, Iterations: iters})
+		st, err := s.workload("sweep3d", apps.Config{Ranks: ranks, Size: size, Iterations: iters})
 		if err != nil {
 			return err
 		}
@@ -450,7 +449,7 @@ func RunS1(s *Suite, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		cmp, err := st.Compare(s.Machine.WithBandwidth(bw), bothLinear)
+		res, err := st.ReplayPair(bothLinear, s.Machine.WithBandwidth(bw))
 		if err != nil {
 			return err
 		}
@@ -459,20 +458,10 @@ func RunS1(s *Suite, w io.Writer) error {
 			side++
 		}
 		tb.AddRow(fmt.Sprint(ranks), fmt.Sprintf("%dx%d", side, side), fmtBW(bw),
-			units.Duration(cmp.Original.Total).String(), units.Duration(cmp.Overlapped.Total).String(),
-			fmtPct(stats.PercentGain(cmp.Speedup())))
+			units.Duration(res.TOriginal).String(), units.Duration(res.TOverlap).String(),
+			fmtPct(stats.PercentGain(res.Speedup)))
 	}
 	return tb.Render(w)
-}
-
-// speedup replays the study's original and overlapped executions on m and
-// returns T_original / T_overlapped.
-func speedup(st *core.Study, m machine.Config, opts overlap.Options) (float64, error) {
-	cmp, err := st.Compare(m, opts)
-	if err != nil {
-		return 0, err
-	}
-	return cmp.Speedup(), nil
 }
 
 // paperAppsOf returns the evaluation app list, shrunk in quick mode.

@@ -1,7 +1,6 @@
 // Package memo is the single-flight map behind every in-process cache of
-// the simulator: the sweep Runner's traced workloads, transformed variants
-// and replay results, core.Study's variants and the experiment Suite's
-// studies and intermediate bandwidths.
+// the simulator: the sweep Runner's traced workloads and replay results,
+// and core.Study's transformed variants.
 package memo
 
 import (

@@ -262,11 +262,11 @@ func (r *Runner) approxResults(pts []Point, indices []int) []*family {
 func (r *Runner) approxFamily(f *family, covered []bool) []row {
 	n := len(f.members)
 	rep := f.members[0].p
-	ps, err := r.profiled(pipeKey{app: rep.App, ranks: rep.Ranks, chunks: rep.Chunks})
+	w, err := r.pointWorkload(rep)
 	if err != nil {
 		return nil
 	}
-	nranks := ps.Original.NRanks()
+	nranks := w.Study.Original().NRanks()
 
 	anchors := append([]int(nil), f.anchors...)
 	ares := make([]Result, 0, len(anchors))
@@ -483,10 +483,11 @@ func (r *Runner) kneePosition(axis approxAxis, rep Point, xs []float64) (int, bo
 	if axis == axisEager {
 		return 0, false
 	}
-	ps, err := r.profiled(pipeKey{app: rep.App, ranks: rep.Ranks, chunks: rep.Chunks})
+	w, err := r.pointWorkload(rep)
 	if err != nil {
 		return 0, false
 	}
+	ps := w.Study.Profiled
 	m := r.machineFor(rep, ps.Original.NRanks())
 	mips := m.MIPS
 	if mips == 0 {

@@ -55,32 +55,32 @@
 // transformation. Four caching layers collapse the duplicates a grid
 // inevitably contains:
 //
+//   - Runner.Workload memoizes each traced workload (an app at an
+//     apps.Config, profiled at a chunk count) as a *Workload holding a
+//     core.Study; the experiment harness asks the same Runner for its own.
 //   - Runner.Cache (*TraceCache) persists profiled trace sets on disk,
 //     keyed by (app, ranks, chunks, size, iters). It works across
 //     processes: repeated sweeps and sibling shards of one campaign skip
 //     the instrumented run entirely. TraceCache.LoadOrTrace is the one
-//     load-else-trace-and-store path, shared with the experiment harness.
-//   - Runner's replay memo keys completed replays by (app, resolved
-//     ranks, trace variant, platform). The original trace's variant is
-//     independent of the mechanism/pattern/chunk axes, so sweeping those
-//     axes pays for the original replay once instead of once per point —
-//     roughly halving the replays of such grids. A fill replays on the
-//     Summary path (replay.SimulateBatch with one platform), which
+//     load-else-trace-and-store path.
+//   - Workload.Replay memoizes completed replays by (app, resolved
+//     ranks, size, iters, trace variant, platform), plus the profiled
+//     chunk count for overlapped variants. The original trace's variant
+//     is independent of the mechanism/pattern/chunk axes, so sweeping
+//     those axes pays for the original replay once instead of once per
+//     point — roughly halving the replays of such grids. A fill replays
+//     on the Summary path (replay.SimulateBatch with one platform), which
 //     builds no timelines, and each trace set validates once however
 //     often the workers alternate between sets (trace.Set.ValidateOnce).
 //   - Runner.Store (*replaystore.Store) persists the replay memo's
 //     entries on disk under the same key (platform hashed losslessly), so
 //     a warm re-run of an identical sweep does zero replays on top of
 //     zero instrumented runs.
-//   - Runner memoizes overlap.Transform per (traced workload, variant
-//     name), single-flight per variant, so one workload's variants
-//     transform in parallel (core.Study caches its variants the same
-//     way).
 //
-// The traced workloads, variants and replays are each a memo.Map: one
-// fill per key, with the lock released while it runs; errors are
-// memoized, and a panicking fill is recorded as a "... panicked" error
-// before the panic is re-raised.
+// The workloads, the replays and core.Study's variants (one transform
+// per variant name) are each a memo.Map: one fill per key, with the lock
+// released while it runs; errors are memoized, and a panicking fill is
+// recorded as a "... panicked" error before the panic is re-raised.
 //
 // Both persistent layers are accelerators, never correctness
 // dependencies: corrupt or truncated entries warn, miss, and are

@@ -1,7 +1,7 @@
 // Package replaystore persists replay outcomes across processes. A replay
 // is a pure function of (trace set, platform); the sweep runner already
-// memoizes it in memory per (app, resolved ranks, trace variant, resolved
-// platform), but that memo dies with the process — and on platform grids
+// memoizes it in memory per (workload, trace variant, resolved platform),
+// but that memo dies with the process — and on platform grids
 // every point past the first instrumented run is a replay, so a re-run of
 // an identical campaign repaid the whole replay bill. The store writes one
 // small file per memo entry next to the trace cache, so a warm re-run (or

@@ -8,27 +8,28 @@ import (
 	"sync/atomic"
 
 	"overlapsim/internal/apps"
+	"overlapsim/internal/core"
 	"overlapsim/internal/machine"
 	"overlapsim/internal/memo"
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/replay"
 	"overlapsim/internal/sweep/replaystore"
-	"overlapsim/internal/trace"
 	"overlapsim/internal/tracer"
 	"overlapsim/internal/units"
 )
 
-// Runner executes grids: it traces every distinct (app, ranks, chunks)
+// Runner executes grids: it traces every distinct (app, config, chunks)
 // workload exactly once — the single instrumented run of the paper's
-// methodology — caches the overlapped trace variants, memoizes replay
-// results per (workload, variant, platform), and replays each grid point
-// on its platform. All methods are safe for concurrent use; the engine's
-// workers share the caches.
+// methodology — as a Workload, memoizes replay results per (workload,
+// variant, platform), and replays each grid point on its platform. It
+// owns every traced workload and replay of a process: the experiment
+// harness runs on it too. All methods are safe for concurrent use; the
+// engine's workers share the caches.
 type Runner struct {
 	// Base is the platform every point starts from; a point's Bandwidth
 	// (when non-negative) overrides the base network bandwidth.
 	Base machine.Config
-	// Size and Iters scale every traced workload; 0 keeps app defaults.
+	// Size and Iters scale every grid point's workload; 0 keeps defaults.
 	Size  int
 	Iters int
 	// Engine is the worker pool configuration.
@@ -70,9 +71,8 @@ type Runner struct {
 	// replayed per family (at least one). 0 means DefaultApproxSpotCheck.
 	ApproxSpotCheck float64
 
-	traces   memo.Map[pipeKey, *overlap.ProfiledSet]
-	variants memo.Map[variantKey, *trace.Set]
-	replays  memo.Map[memoKey, replaystore.Result]
+	traces  memo.Map[pipeKey, *Workload]
+	replays memo.Map[memoKey, replaystore.Result]
 
 	mu       sync.Mutex
 	storeErr error
@@ -167,17 +167,13 @@ func (r *Runner) Stats() Counters {
 	}
 }
 
+// pipeKey identifies one traced workload: the application at a full
+// configuration (0 fields mean the app default) and the chunk granularity
+// the tracer profiles at.
 type pipeKey struct {
 	app    string
-	ranks  int
+	cfg    apps.Config
 	chunks int
-}
-
-// variantKey identifies one transformed variant of a traced workload by
-// its name (overlap.Options.Variant).
-type variantKey struct {
-	pipe pipeKey
-	name string
 }
 
 // NewRunner returns a runner on the given base platform with default scale.
@@ -185,28 +181,50 @@ func NewRunner(base machine.Config) *Runner {
 	return &Runner{Base: base}
 }
 
-// profiled returns the workload's profiled set, tracing on first use. With
-// a persistent cache configured the instrumented run is skipped when a
-// sibling process (an earlier sweep, another shard) already traced the
+// Workload is one traced workload as the Runner holds it, shared by every
+// caller that asks for the same (app, config, chunks). Its methods are
+// safe for concurrent use.
+type Workload struct {
+	// Study is the traced workload; its Compare replays with timelines,
+	// for callers that render them.
+	Study *core.Study
+
+	r   *Runner
+	key pipeKey
+}
+
+// Workload returns the traced workload of app at cfg (0 fields mean the
+// app default), profiled at chunks granularity, tracing it on first use.
+// With a persistent cache configured the instrumented run is skipped when
+// a sibling process (an earlier sweep, another shard) already traced the
 // workload; a fresh trace is stored for them in turn.
-func (r *Runner) profiled(key pipeKey) (*overlap.ProfiledSet, error) {
-	ps, _, err := r.traces.Get(key, "trace", func() (*overlap.ProfiledSet, error) {
-		cfg := apps.Config{Ranks: key.ranks, Size: r.Size, Iterations: r.Iters}
-		ps, hit, storeErr, err := r.Cache.LoadOrTrace(key.app, cfg, key.chunks, func() (*overlap.ProfiledSet, error) {
-			app, err := apps.New(key.app, cfg)
+func (r *Runner) Workload(app string, cfg apps.Config, chunks int) (*Workload, error) {
+	key := pipeKey{app: app, cfg: cfg, chunks: chunks}
+	w, _, err := r.traces.Get(key, "trace", func() (*Workload, error) {
+		ps, hit, storeErr, err := r.Cache.LoadOrTrace(app, cfg, chunks, func() (*overlap.ProfiledSet, error) {
+			a, err := apps.New(app, cfg)
 			if err != nil {
 				return nil, err
 			}
 			r.ctTraces.Add(1)
-			return tracer.Trace(app, tracer.Options{Chunks: key.chunks})
+			return tracer.Trace(a, tracer.Options{Chunks: chunks})
 		})
 		if hit {
 			r.ctTraceHits.Add(1)
 		}
 		r.noteStoreErr(storeErr)
-		return ps, err
+		if err != nil {
+			return nil, err
+		}
+		return &Workload{Study: &core.Study{Profiled: ps}, r: r, key: key}, nil
 	})
-	return ps, err
+	return w, err
+}
+
+// pointWorkload returns the workload a grid point replays: its app and
+// ranks at the runner's problem scale, profiled at its chunk count.
+func (r *Runner) pointWorkload(p Point) (*Workload, error) {
+	return r.Workload(p.App, apps.Config{Ranks: p.Ranks, Size: r.Size, Iterations: r.Iters}, p.Chunks)
 }
 
 // CacheStoreErr returns the first cache-write failure of the run — trace
@@ -233,37 +251,55 @@ func (r *Runner) noteStoreErr(err error) {
 }
 
 // memoKey identifies one replay semantically: the traced workload (its
-// name and resolved rank count; problem scale is fixed per runner), the
-// trace variant, and the full platform. The variant name embeds pattern,
-// mechanisms and chunk count for overlapped traces and is "original" for
-// the untransformed one — which is identical across the chunk axis, so
-// chunk sweeps share a single original replay.
+// name, resolved rank count and problem scale), the trace variant, and the
+// full platform. The variant name embeds pattern, mechanisms and chunk
+// count for overlapped traces and is "original" for the untransformed one
+// — identical across the chunk axis, so chunk sweeps share one original
+// replay. chunks, 0 for the original, is the granularity an overlapped
+// variant's trace was profiled at (a c16 variant can come from a c8 one).
 type memoKey struct {
-	app      string
-	ranks    int
-	variant  string
-	platform machine.Config
+	app         string
+	ranks       int
+	size, iters int
+	variant     string
+	chunks      int
+	platform    machine.Config
 }
 
-// replayMemo memoizes one replay per (workload, variant, platform).
-// A sweep grid replays the same trace on the same platform once per other
-// axis value — e.g. every mechanism point re-replays the original trace —
-// and the memo collapses those duplicates. With a persistent Store
-// configured the memo is additionally backed by disk: a fill first
-// consults the store (a hit skips the simulation entirely — work some
-// earlier process paid for) and a simulated result is written back for
-// the next process. Store lookups happen only here, once per memo fill,
-// so they stay off the per-event replay hot path.
-func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (replaystore.Result, error) {
-	key := memoKey{app: ts.Name, ranks: ts.NRanks(), variant: ts.Variant, platform: m}
+// Replay returns the outcome of replaying the workload on m: of the
+// original trace when opts is nil, otherwise of the overlapped variant
+// opts builds. Replays are memoized per memoKey, which collapses the
+// duplicates a grid contains (every mechanism point re-replays the
+// original trace). With a persistent Store the memo is backed by disk: a
+// fill first consults the store, and a simulated result is written back
+// for the next process — once per fill, off the replay hot path. The
+// store key has no room for the profiled granularity, so a variant whose
+// chunk count differs from it stays in memory.
+func (w *Workload) Replay(opts *overlap.Options, m machine.Config) (replaystore.Result, error) {
+	ps := w.Study.Profiled
+	ts := ps.Original
+	key := memoKey{app: w.key.app, size: w.key.cfg.Size, iters: w.key.cfg.Iterations, platform: m}
+	store := w.r.Store
+	if opts != nil {
+		var err error
+		if ts, err = w.Study.Variant(*opts); err != nil {
+			return replaystore.Result{}, err
+		}
+		key.chunks = ps.Chunks
+		if opts.Chunks != 0 && opts.Chunks != ps.Chunks {
+			store = nil
+		}
+	}
+	key.ranks, key.variant = ts.NRanks(), ts.Variant
 	// The platform name is presentation (it is rewritten by WithBandwidth);
 	// drop it so label differences cannot split otherwise equal platforms.
 	key.platform.Name = ""
+	r := w.r
 	res, hit, err := r.replays.Get(key, "replay", func() (replaystore.Result, error) {
 		var storeKey string
-		if r.Store != nil {
-			storeKey = r.Store.Key(key.app, key.ranks, r.Size, r.Iters, key.variant, key.platform)
-			if sr := r.Store.Load(storeKey); sr != nil {
+		if store != nil {
+			storeKey = store.Key(key.app, key.ranks, key.size, key.iters, key.variant, key.platform)
+			if sr := store.Load(storeKey); sr != nil {
 				r.ctStoreHits.Add(1)
 				return *sr, nil
 			}
@@ -275,8 +311,8 @@ func (r *Runner) replayMemo(ts *trace.Set, m machine.Config) (replaystore.Result
 		}
 		r.ctWindows.Add(sum[0].Windows)
 		res := replaystore.Result{Total: sum[0].Total, Steps: sum[0].Steps, Blocked: sum[0].Blocked}
-		if r.Store != nil {
-			r.noteStoreErr(r.Store.Store(storeKey, res))
+		if store != nil {
+			r.noteStoreErr(store.Store(storeKey, res))
 		}
 		return res, nil
 	})
@@ -320,35 +356,38 @@ func (r *Runner) machineFor(p Point, nranks int) machine.Config {
 	return m
 }
 
-// runPoint simulates one grid point: the original replay, the overlapped
-// replay, and the derived speedup.
+// runPoint simulates one grid point: its workload's ReplayPair on the
+// point's platform.
 func (r *Runner) runPoint(p Point) (Result, error) {
 	if p.Chunks == 0 {
 		p.Chunks = DefaultChunks
 	}
-	key := pipeKey{app: p.App, ranks: p.Ranks, chunks: p.Chunks}
-	ps, err := r.profiled(key)
+	w, err := r.pointWorkload(p)
 	if err != nil {
 		return Result{}, err
 	}
-	m := r.machineFor(p, ps.Original.NRanks())
-	orig, err := r.replayMemo(ps.Original, m)
+	res, err := w.ReplayPair(p.Options(), r.machineFor(p, w.Study.Original().NRanks()))
 	if err != nil {
 		return Result{}, err
 	}
-	opts := p.Options()
-	ts, _, err := r.variants.Get(variantKey{key, opts.Variant(ps.Chunks)}, "transform", func() (*trace.Set, error) {
-		return overlap.Transform(ps, opts)
-	})
+	res.Point = p
+	return res, nil
+}
+
+// ReplayPair replays the workload's original trace and the overlapped
+// variant opts builds on m, both through Replay, and pairs them as a
+// Result with Point left zero: the two runtimes, the speedup, the
+// original's blocked fraction and the DES steps of both.
+func (w *Workload) ReplayPair(opts overlap.Options, m machine.Config) (Result, error) {
+	orig, err := w.Replay(nil, m)
 	if err != nil {
 		return Result{}, err
 	}
-	over, err := r.replayMemo(ts, m)
+	over, err := w.Replay(&opts, m)
 	if err != nil {
 		return Result{}, err
 	}
 	res := Result{
-		Point:     p,
 		Bandwidth: m.Bandwidth,
 		TOriginal: orig.Total,
 		TOverlap:  over.Total,
