@@ -281,14 +281,7 @@ func runCampaign(args []string, stdout io.Writer) error {
 	fmt.Fprintf(os.Stderr, "campaign: work: %s\n", workLine(ct.Work, ap.Enabled))
 
 	w, closeOut := outputTarget(stdout, *out)
-	sink := sweep.NewBatchSink(w, f)
-	sink.SetApprox(ap.Enabled)
-	for i, r := range results {
-		if err := sink.Accept(i, r); err != nil {
-			return err
-		}
-	}
-	if err := sink.Close(); err != nil {
+	if err := sweep.Write(w, f, results, ap.Enabled); err != nil {
 		return err
 	}
 	return closeOut()

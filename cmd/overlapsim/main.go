@@ -535,7 +535,8 @@ func (s *streamLogger) Close() error { return s.inner.Close() }
 
 // runMerge recombines shard files written by sweep -shard into the final
 // table/CSV/JSON, byte-identical to the same sweep run unsharded: the
-// merged results flow through the same batch sink an unsharded sweep uses.
+// merged results go through the same Write an unsharded sweep's batch
+// sink calls.
 func runMerge(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("merge", flag.ExitOnError)
 	format := fs.String("format", "table", "output format: table, csv or json")
@@ -571,14 +572,7 @@ func runMerge(args []string, stdout io.Writer) error {
 		return err
 	}
 	w, closeOut := outputTarget(stdout, *out)
-	sink := sweep.NewBatchSink(w, f)
-	sink.SetApprox(approxMode)
-	for i, r := range results {
-		if err := sink.Accept(i, r); err != nil {
-			return err
-		}
-	}
-	if err := sink.Close(); err != nil {
+	if err := sweep.Write(w, f, results, approxMode); err != nil {
 		return err
 	}
 	return closeOut()

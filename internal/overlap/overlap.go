@@ -19,6 +19,14 @@
 // computation order — the assumption of Sancho et al. that the paper
 // challenges). Each mechanism can also be enabled separately, mirroring the
 // paper's ability to study every overlapping mechanism in isolation.
+//
+// The partial sends are never waited. Each chunked ISend gets a request id,
+// but the transformation emits no Wait for it, so in every overlapped
+// variant a send's completion never holds back the sender, even for a
+// rendezvous-sized chunk: only the receiver's waits synchronize. Adding
+// those waits would change the model. Every overlapped replay would move,
+// and with it the byte-identity gates and the benchmark's reference
+// outputs, so it belongs in a change of its own.
 package overlap
 
 import (

@@ -8,8 +8,10 @@
 // sweep package's OrderedSink, so rows arrive incrementally in grid order
 // as the finished prefix grows, and a completed response is byte-for-byte
 // identical to the batch CLI output for the same grid. With a results
-// directory configured, a TeeSink feeds the identical ordered stream to a
-// server-side file at the same time.
+// directory configured, the bytes the client received are also copied
+// into a server-side file. The copy is best-effort: the first file error
+// is logged once and the file abandoned, and only a connection error
+// fails the job.
 //
 // Every request's runner shares the server's single TraceCache and
 // replaystore.Store. That sharing is the point of running a daemon: the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -26,10 +27,10 @@ type Config struct {
 	// request, so repeat queries are warm hits doing zero instrumented
 	// runs and zero replays.
 	CacheDir string
-	// ResultsDir, when non-empty, additionally tees each job's streamed
+	// ResultsDir, when non-empty, additionally copies each job's streamed
 	// body into <ResultsDir>/<job-id>.<ext> — the same bytes the client
-	// received, kept server-side. Best-effort: a failed file never fails
-	// the request.
+	// received, kept server-side. Best-effort: a failed file is logged
+	// once and abandoned, and never fails the request.
 	ResultsDir string
 	// MaxConcurrent bounds how many sweeps run at once (min 1).
 	MaxConcurrent int
@@ -369,42 +370,36 @@ func (s *Server) runJob(w http.ResponseWriter, jb *job, ctx context.Context) {
 	h.Set("Trailer", trailerStatus+", "+trailerError)
 	w.WriteHeader(http.StatusOK)
 
-	fw := &flushWriter{w: w}
+	// One ordered sink encodes the body once; the writer copies it,
+	// best-effort, into the results-dir file.
+	body := &bodyWriter{conn: w}
 	if f, ok := w.(http.Flusher); ok {
-		fw.flush = f
+		body.flush = f
 	}
-	ordered := sweep.NewOrderedSink(fw, jb.format, jb.grid.Expand(), nil)
-	ordered.SetApprox(jb.approx.enabled)
-	sink := sweep.Sink(ordered)
-
-	// The results-dir leg: tee the same ordered stream into a file. The
-	// tee is why one run can feed socket and file at once; the file leg
-	// is best-effort and never fails the request.
-	var file *os.File
 	if s.cfg.ResultsDir != "" {
 		if err := os.MkdirAll(s.cfg.ResultsDir, 0o777); err != nil {
 			s.logf("%s: results dir: %v", jb.id, err)
 		} else if f, err := os.Create(filepath.Join(s.cfg.ResultsDir, jb.id+"."+resultExt(jb.format))); err != nil {
 			s.logf("%s: results file: %v", jb.id, err)
 		} else {
-			file = f
-			fileSink := sweep.NewOrderedSink(file, jb.format, jb.grid.Expand(), nil)
-			fileSink.SetApprox(jb.approx.enabled)
-			sink = sweep.NewTeeSink(ordered, fileSink)
+			body.file = f
+			body.fileErr = func(err error) { s.logf("%s: results file: %v", jb.id, err) }
 		}
 	}
+	sink := sweep.NewOrderedSink(body, jb.format, jb.grid.Expand(), nil)
+	sink.SetApprox(jb.approx.enabled)
 
 	err := runner.RunSinkContext(ctx, jb.grid, sink)
-	// Close terminates the encodings around the flushed prefix no matter
+	// Close terminates the encoding around the flushed prefix no matter
 	// how the run ended: a complete body on success, a well-formed
 	// partial one on cancel or failure.
 	cerr := sink.Close()
 	if err == nil && cerr != nil {
 		err = cerr
 	}
-	if file != nil {
-		if ferr := file.Close(); ferr != nil {
-			s.logf("%s: results file: %v", jb.id, ferr)
+	if body.file != nil {
+		if ferr := body.file.Close(); ferr != nil {
+			body.fileErr(ferr)
 		}
 	}
 	if serr := runner.CacheStoreErr(); serr != nil {
@@ -524,18 +519,31 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, st)
 }
 
-// flushWriter flushes after every write, so each flushed prefix row
-// reaches the client the moment the ordered sink emits it — the streaming
-// half of the sink-over-HTTP seam.
-type flushWriter struct {
-	w     interface{ Write([]byte) (int, error) }
-	flush http.Flusher
+// bodyWriter carries a job's encoded body. Each write goes to the
+// connection and is flushed at once, so every prefix the ordered sink
+// flushes reaches the client as it completes; a connection error fails
+// the job. With a results file open, the bytes the client received are
+// copied into it too. That copy is best-effort: its first error is
+// reported once through fileErr, and the file is dropped.
+type bodyWriter struct {
+	conn    io.Writer
+	flush   http.Flusher
+	file    *os.File
+	fileErr func(error)
 }
 
-func (f *flushWriter) Write(p []byte) (int, error) {
-	n, err := f.w.Write(p)
-	if f.flush != nil {
-		f.flush.Flush()
+func (b *bodyWriter) Write(p []byte) (int, error) {
+	n, err := b.conn.Write(p)
+	if b.flush != nil {
+		b.flush.Flush()
+	}
+	if b.file != nil {
+		if _, ferr := b.file.Write(p[:n]); ferr != nil {
+			b.fileErr(ferr)
+			// The write error is the one reported; the file is abandoned.
+			_ = b.file.Close()
+			b.file = nil
+		}
 	}
 	return n, err
 }

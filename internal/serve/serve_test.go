@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -41,7 +42,7 @@ func batchCSV(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := sweep.Write(&buf, sweep.FormatCSV, results); err != nil {
+	if err := sweep.Write(&buf, sweep.FormatCSV, results, false); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -151,6 +152,56 @@ func TestServeStreamMatchesBatchAndWarmRepeat(t *testing.T) {
 	}
 	if stats.Work.Traces == 0 || stats.Work.ReplayStoreHits == 0 {
 		t.Errorf("stats work should mix the cold and warm rounds: %+v", stats.Work)
+	}
+}
+
+// TestServeResultsFileFailureKeepsRequest: the results-dir file is
+// best-effort. A file that cannot be written (here a full device) is
+// logged once and abandoned; the client still gets the complete body and
+// an ok verdict.
+func TestServeResultsFileFailureKeepsRequest(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this platform")
+	}
+	results := t.TempDir()
+	if err := os.Symlink("/dev/full", filepath.Join(results, "job-1.csv")); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var logs []string
+	s := New(Config{ResultsDir: results, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	resp := postSweep(t, ts.URL, testBody)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := batchCSV(t); !bytes.Equal(body, want) {
+		t.Errorf("body with a failing results file:\n%s\n--- want:\n%s", body, want)
+	}
+	if got := resp.Trailer.Get("X-Overlapsim-Status"); got != "ok" {
+		t.Errorf("status trailer %q (error %q), want ok", got, resp.Trailer.Get("X-Overlapsim-Error"))
+	}
+	if st := getStatus(t, ts.URL, "job-1"); st.State != JobDone || st.Completed != 3 {
+		t.Errorf("status %+v, want done with 3 points", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	fileErrs := 0
+	for _, line := range logs {
+		if strings.Contains(line, "job-1.csv") && strings.Contains(line, "no space left on device") {
+			fileErrs++
+		}
+	}
+	if fileErrs != 1 {
+		t.Errorf("%d log lines name the results-file error, want 1:\n%s", fileErrs, strings.Join(logs, "\n"))
 	}
 }
 

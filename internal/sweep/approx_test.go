@@ -193,10 +193,10 @@ func TestApproxDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	var a, b bytes.Buffer
-	if err := Write(&a, FormatCSV, ref); err != nil {
+	if err := Write(&a, FormatCSV, ref, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&b, FormatCSV, ref); err != nil {
+	if err := Write(&b, FormatCSV, ref, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -40,11 +40,14 @@
 //
 // Results leave the system through the Sink interface: Accept receives
 // each completed point (out of order, serialized), Close finalizes the
-// encoding. BatchSink re-expresses the batch writers, OrderedSink flushes
-// the longest finished prefix of grid order incrementally (an interrupted
-// sweep keeps a well-formed ordered partial file; a completed one is
-// byte-identical to the batch path), and ShardSink writes the merge
-// envelope; TeeSink fans one run out to several sinks. Runner.RunSink
+// output. One unexported encoder writes each of the table, CSV and JSON
+// encodings: the header, one row per result, the terminator. Write
+// runs it over a slice; BatchSink buffers the results and calls Write on
+// Close; OrderedSink is an ordering buffer in front of the encoder that
+// flushes the longest finished prefix of grid order as it grows (an
+// interrupted sweep keeps a well-formed ordered partial file). So every
+// path gives the same bytes for the same rows. ShardSink writes the merge
+// envelope, and TeeSink fans one run out to several sinks. Runner.RunSink
 // feeds any sink while retaining nothing, so a campaign-scale grid
 // streams through constant memory.
 //
@@ -98,7 +101,6 @@
 // ShardFile — results plus a sweep Signature and the total point count —
 // and Merge recombines shard files, verifying signature agreement and
 // exactly-once coverage, into the unsharded point order. Rendering merged
-// results through the table/CSV/JSON writers yields byte-identical output
-// to an unsharded run, which makes sweep campaigns splittable across
-// machines and CI jobs.
+// results through Write yields byte-identical output to an unsharded run,
+// which makes sweep campaigns splittable across machines and CI jobs.
 package sweep

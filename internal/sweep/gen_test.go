@@ -42,7 +42,7 @@ func TestGenSweepWorkerInvariant(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, FormatCSV, results); err != nil {
+		if err := Write(&buf, FormatCSV, results, false); err != nil {
 			t.Fatal(err)
 		}
 		outs = append(outs, buf.Bytes())
@@ -115,10 +115,10 @@ func TestGenWarmRerunZeroWork(t *testing.T) {
 	}
 
 	var coldOut, warmOut bytes.Buffer
-	if err := Write(&coldOut, FormatCSV, coldResults); err != nil {
+	if err := Write(&coldOut, FormatCSV, coldResults, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&warmOut, FormatCSV, warmResults); err != nil {
+	if err := Write(&warmOut, FormatCSV, warmResults, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(coldOut.Bytes(), warmOut.Bytes()) {

@@ -2,13 +2,13 @@ package sweep
 
 import "fmt"
 
-// This file is the single place that labels point axes. Point.String, the
-// table writer, the CSV writer and the JSON writer all pull from here, so
+// This file is the single place that labels point axes. Point.String and
+// the result encoder's table, CSV and JSON rows all pull from here, so
 // adding an axis means adding one entry — not chasing format strings
-// through every encoder.
+// through every format.
 
 // ranksLabel renders the rank-count axis ("default" for the app default),
-// shared by Point.String ("rdefault"/"r4") and the result writers.
+// shared by Point.String ("rdefault"/"r4") and the result encoder.
 func ranksLabel(r int) string {
 	if r == 0 {
 		return "default"
@@ -20,7 +20,7 @@ func ranksLabel(r int) string {
 // that renders points: the Point.String suffix key, the table column
 // header, the CSV header, and two renderings of the value — a human one
 // with adaptive units (tables, labels, signatures) and an exact one with
-// machine precision (CSV). Dynamic columns appear in writer output only
+// machine precision (CSV). Dynamic columns appear in encoded output only
 // when the axis is actually swept, which keeps the output of grids without
 // platform axes byte-identical to earlier releases.
 type overlayColumn struct {
@@ -70,32 +70,16 @@ var overlayColumns = []overlayColumn{
 	},
 }
 
-// activeOverlayColumns returns the overlay columns swept by at least one
-// of the results — the dynamic columns the writers must render.
-func activeOverlayColumns(results []Result) []overlayColumn {
+// activeOverlayColumns returns the overlay columns that at least one of
+// the n points sweeps: the dynamic columns an encoding renders. A batch
+// write reads the points from its results; a streaming sink reads them
+// from the grid expansion, since it commits its header before any result
+// exists. A result carries its point verbatim, so both agree.
+func activeOverlayColumns(n int, point func(i int) Point) []overlayColumn {
 	var active []overlayColumn
 	for _, c := range overlayColumns {
-		for _, r := range results {
-			if c.set(r.Point) {
-				active = append(active, c)
-				break
-			}
-		}
-	}
-	return active
-}
-
-// activeOverlayColumnsIndices is activeOverlayColumns over the selected
-// points of an expansion instead of results — what a streaming sink must
-// use, since it has to commit to its header columns before any result
-// exists. A point's overlay is copied verbatim into its result, so both
-// computations agree and the streamed header is byte-identical to the
-// batch one.
-func activeOverlayColumnsIndices(pts []Point, indices []int) []overlayColumn {
-	var active []overlayColumn
-	for _, c := range overlayColumns {
-		for _, i := range indices {
-			if c.set(pts[i]) {
+		for i := 0; i < n; i++ {
+			if c.set(point(i)) {
 				active = append(active, c)
 				break
 			}

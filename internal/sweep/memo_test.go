@@ -76,7 +76,7 @@ func TestRunnerPicksReplayEngine(t *testing.T) {
 		out := map[Format]string{}
 		for _, f := range []Format{FormatTable, FormatCSV, FormatJSON} {
 			var b bytes.Buffer
-			if err := Write(&b, f, res); err != nil {
+			if err := Write(&b, f, res, false); err != nil {
 				t.Fatal(err)
 			}
 			out[f] = b.String()

@@ -133,10 +133,10 @@ func TestPlatformAxesShareOneTrace(t *testing.T) {
 		t.Fatalf("warm platform-axes sweep: %+v, want 0 instrumented runs, 1 cache hit", s)
 	}
 	var a, b bytes.Buffer
-	if err := Write(&a, FormatCSV, coldResults); err != nil {
+	if err := Write(&a, FormatCSV, coldResults, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&b, FormatCSV, warmResults); err != nil {
+	if err := Write(&b, FormatCSV, warmResults, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -220,7 +220,7 @@ func TestWriterDynamicColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var csvPlain bytes.Buffer
-	if err := WriteCSV(&csvPlain, plain); err != nil {
+	if err := Write(&csvPlain, FormatCSV, plain, false); err != nil {
 		t.Fatal(err)
 	}
 	// The exact pre-platform-axis header: dynamic columns must not leak
@@ -240,7 +240,7 @@ func TestWriterDynamicColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	var csvSwept bytes.Buffer
-	if err := WriteCSV(&csvSwept, swept); err != nil {
+	if err := Write(&csvSwept, FormatCSV, swept, false); err != nil {
 		t.Fatal(err)
 	}
 	wantSwept := "app,ranks,bandwidth_bytes_per_sec,latency_ns,buses,chunks,mechanisms,pattern,t_original_ns,t_overlap_ns,speedup,blocked_fraction,des_steps"
@@ -252,7 +252,7 @@ func TestWriterDynamicColumns(t *testing.T) {
 	}
 
 	var tbl bytes.Buffer
-	if err := WriteTable(&tbl, swept); err != nil {
+	if err := Write(&tbl, FormatTable, swept, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, frag := range []string{"latency", "buses", "5.000us"} {
@@ -262,7 +262,7 @@ func TestWriterDynamicColumns(t *testing.T) {
 	}
 
 	var js bytes.Buffer
-	if err := WriteJSON(&js, swept); err != nil {
+	if err := Write(&js, FormatJSON, swept, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, frag := range []string{`"latency_ns": 5000`, `"buses": 4`} {
@@ -271,7 +271,7 @@ func TestWriterDynamicColumns(t *testing.T) {
 		}
 	}
 	var jsPlain bytes.Buffer
-	if err := WriteJSON(&jsPlain, plain); err != nil {
+	if err := Write(&jsPlain, FormatJSON, plain, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, frag := range []string{"latency_ns", "buses", "ranks_per_node", "eager_threshold_bytes", "collective"} {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -10,7 +11,7 @@ import (
 	"overlapsim/internal/units"
 )
 
-// Format names a result encoding the writers support.
+// Format names a result encoding.
 type Format string
 
 // Result encodings.
@@ -30,33 +31,23 @@ func ParseFormat(s string) (Format, error) {
 	}
 }
 
-// Write encodes the results in the given format. Platform-axis columns are
-// dynamic: they appear (between the bandwidth and chunks columns) only when
-// the results sweep the axis, so output for grids without platform axes is
-// byte-identical to earlier releases. An `approx` column is appended when
-// any result is surrogate-predicted; streaming consumers that must commit
-// a header before seeing data use WriteMode / Sink.SetApprox to fix the
-// column from the run mode instead. Write is the batch path; the same
-// rows flow through the Sink implementations, which share these builders,
-// so batch and streamed encodings cannot drift apart.
-func Write(w io.Writer, f Format, results []Result) error {
-	return WriteMode(w, f, results, anyApprox(results))
-}
-
-// WriteMode is Write with the approx column fixed by the caller: on for a
-// `-approx` run (every row carries its exact/predicted marking, whether
-// or not any prediction survived the gate), off otherwise. Exact-mode
-// output never has the column, keeping it byte-identical to earlier
-// releases.
-func WriteMode(w io.Writer, f Format, results []Result, approx bool) error {
-	switch f {
-	case FormatCSV:
-		return writeCSV(w, results, approx)
-	case FormatJSON:
-		return writeJSON(w, results, approx)
-	default:
-		return writeTable(w, results, approx)
+// Write encodes the results in the given format, in slice order. approx
+// is the run mode: an `approx` column is added when it is on (every row
+// carries its exact/predicted marking, whether or not any prediction
+// survived the gate) or when any result is predicted. Platform-axis
+// columns are dynamic: they appear (between the bandwidth and chunks
+// columns) only when the results sweep the axis. Write and the sinks
+// share one encoder, so a batch and a streamed encoding of the same rows
+// are the same bytes.
+func Write(w io.Writer, f Format, results []Result, approx bool) error {
+	overlay := activeOverlayColumns(len(results), func(i int) Point { return results[i].Point })
+	e := newEncoder(w, f, overlay, approx || anyApprox(results))
+	for _, r := range results {
+		if err := e.row(r); err != nil {
+			return err
+		}
 	}
+	return e.close()
 }
 
 // anyApprox reports whether any result is surrogate-predicted.
@@ -111,21 +102,6 @@ func yesNo(b bool) string {
 	return "no"
 }
 
-// WriteTable renders the results as the aligned text table the experiment
-// harness uses.
-func WriteTable(w io.Writer, results []Result) error {
-	return writeTable(w, results, anyApprox(results))
-}
-
-func writeTable(w io.Writer, results []Result, approx bool) error {
-	overlay := activeOverlayColumns(results)
-	tb := stats.NewTable(tableHeader(overlay, approx)...)
-	for _, r := range results {
-		tb.AddRow(tableRow(overlay, r, approx)...)
-	}
-	return tb.Render(w)
-}
-
 // csvHeader builds the CSV header row for the given dynamic overlay columns.
 func csvHeader(overlay []overlayColumn, approx bool) []string {
 	header := []string{"app", "ranks", "bandwidth_bytes_per_sec"}
@@ -171,26 +147,6 @@ func csvRecord(overlay []overlayColumn, r Result, approx bool) []string {
 		rec = append(rec, fmt.Sprint(r.Approx))
 	}
 	return rec
-}
-
-// WriteCSV encodes the results as one CSV row per point.
-func WriteCSV(w io.Writer, results []Result) error {
-	return writeCSV(w, results, anyApprox(results))
-}
-
-func writeCSV(w io.Writer, results []Result, approx bool) error {
-	cw := csv.NewWriter(w)
-	overlay := activeOverlayColumns(results)
-	if err := cw.Write(csvHeader(overlay, approx)); err != nil {
-		return err
-	}
-	for _, r := range results {
-		if err := cw.Write(csvRecord(overlay, r, approx)); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }
 
 // jsonResult is the stable JSON projection of a Result. The platform-axis
@@ -262,17 +218,109 @@ func jsonRow(r Result, approx bool) jsonResult {
 	return out
 }
 
-// WriteJSON encodes the results as an indented JSON array in point order.
-func WriteJSON(w io.Writer, results []Result) error {
-	return writeJSON(w, results, anyApprox(results))
+// encoder writes one result encoding: the header, one row per result and
+// the terminator. Unknown formats render as a table. CSV and JSON rows
+// reach the writer at each flush; the aligned table cannot commit column
+// widths before it has seen every row, so it renders whole at close. The
+// header is committed with the first row (or at close), so the approx
+// mode may still change until then.
+type encoder struct {
+	out     *bufio.Writer
+	f       Format
+	overlay []overlayColumn
+	approx  bool
+	rows    int
+	cw      *csv.Writer
+	tb      *stats.Table
 }
 
-func writeJSON(w io.Writer, results []Result, approx bool) error {
-	out := make([]jsonResult, len(results))
-	for i, r := range results {
-		out[i] = jsonRow(r, approx)
+func newEncoder(w io.Writer, f Format, overlay []overlayColumn, approx bool) *encoder {
+	if f != FormatCSV && f != FormatJSON {
+		f = FormatTable
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return &encoder{out: bufio.NewWriter(w), f: f, overlay: overlay, approx: approx}
+}
+
+// header commits the header row and the approx mode.
+func (e *encoder) header() error {
+	switch e.f {
+	case FormatCSV:
+		e.cw = csv.NewWriter(e.out)
+		return e.cw.Write(csvHeader(e.overlay, e.approx))
+	case FormatJSON:
+		_, err := e.out.WriteString("[")
+		return err
+	default:
+		e.tb = stats.NewTable(tableHeader(e.overlay, e.approx)...)
+		return nil
+	}
+}
+
+// row appends one result. Its bytes are buffered until the next flush.
+func (e *encoder) row(r Result) error {
+	if e.rows == 0 {
+		if err := e.header(); err != nil {
+			return err
+		}
+	}
+	e.rows++
+	switch e.f {
+	case FormatCSV:
+		return e.cw.Write(csvRecord(e.overlay, r, e.approx))
+	case FormatJSON:
+		// The framing json.Encoder gives an indented array, one element
+		// at a time.
+		b, err := json.MarshalIndent(jsonRow(r, e.approx), "  ", "  ")
+		if err != nil {
+			return err
+		}
+		sep := ",\n  "
+		if e.rows == 1 {
+			sep = "\n  "
+		}
+		if _, err := e.out.WriteString(sep); err != nil {
+			return err
+		}
+		_, err = e.out.Write(b)
+		return err
+	default:
+		e.tb.AddRow(tableRow(e.overlay, r, e.approx)...)
+		return nil
+	}
+}
+
+// flush writes every buffered row to the underlying writer.
+func (e *encoder) flush() error {
+	if e.cw != nil {
+		e.cw.Flush()
+		if err := e.cw.Error(); err != nil {
+			return err
+		}
+	}
+	return e.out.Flush()
+}
+
+// close terminates the encoding after the rows written so far and flushes
+// it.
+func (e *encoder) close() error {
+	if e.rows == 0 {
+		if err := e.header(); err != nil {
+			return err
+		}
+	}
+	switch e.f {
+	case FormatJSON:
+		term := "\n]\n"
+		if e.rows == 0 {
+			term = "]\n"
+		}
+		if _, err := e.out.WriteString(term); err != nil {
+			return err
+		}
+	case FormatTable:
+		if err := e.tb.Render(e.out); err != nil {
+			return err
+		}
+	}
+	return e.flush()
 }

@@ -66,10 +66,10 @@ func TestReplayStoreWarmRunDoesZeroWork(t *testing.T) {
 	}
 
 	var coldOut, warmOut bytes.Buffer
-	if err := Write(&coldOut, FormatCSV, coldResults); err != nil {
+	if err := Write(&coldOut, FormatCSV, coldResults, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&warmOut, FormatCSV, warmResults); err != nil {
+	if err := Write(&warmOut, FormatCSV, warmResults, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(coldOut.Bytes(), warmOut.Bytes()) {
@@ -125,10 +125,10 @@ func TestReplayStoreServesSiblingShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want, got bytes.Buffer
-	if err := Write(&want, FormatCSV, full); err != nil {
+	if err := Write(&want, FormatCSV, full, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&got, FormatCSV, merged); err != nil {
+	if err := Write(&got, FormatCSV, merged, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got.Bytes()) {
@@ -162,7 +162,7 @@ func TestCacheCorruptionFallsBackToRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	var refCSV bytes.Buffer
-	if err := Write(&refCSV, FormatCSV, reference); err != nil {
+	if err := Write(&refCSV, FormatCSV, reference, false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -226,7 +226,7 @@ func TestCacheCorruptionFallsBackToRecompute(t *testing.T) {
 			}
 			tc.wants(t, r.Stats())
 			var got bytes.Buffer
-			if err := Write(&got, FormatCSV, results); err != nil {
+			if err := Write(&got, FormatCSV, results, false); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(refCSV.Bytes(), got.Bytes()) {

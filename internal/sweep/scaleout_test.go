@@ -73,10 +73,10 @@ func TestShardMergeByteIdentical(t *testing.T) {
 		}
 		for _, f := range []Format{FormatTable, FormatCSV, FormatJSON} {
 			var want, got bytes.Buffer
-			if err := Write(&want, f, full); err != nil {
+			if err := Write(&want, f, full, false); err != nil {
 				t.Fatal(err)
 			}
-			if err := Write(&got, f, merged); err != nil {
+			if err := Write(&got, f, merged, false); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(want.Bytes(), got.Bytes()) {
@@ -139,10 +139,10 @@ func TestTraceCacheWarm(t *testing.T) {
 	}
 
 	var coldOut, warmOut bytes.Buffer
-	if err := Write(&coldOut, FormatCSV, coldResults); err != nil {
+	if err := Write(&coldOut, FormatCSV, coldResults, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(&warmOut, FormatCSV, warmResults); err != nil {
+	if err := Write(&warmOut, FormatCSV, warmResults, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(coldOut.Bytes(), warmOut.Bytes()) {

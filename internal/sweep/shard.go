@@ -313,7 +313,7 @@ func ReadShard(r io.Reader) (*ShardFile, error) {
 // Merge recombines shard outputs into the unsharded result order. It
 // verifies that every shard carries the same sweep signature and total, and
 // that together they cover every point index exactly once — so the merged
-// results are byte-identical to an unsharded run through the same writers.
+// results written by Write are byte-identical to an unsharded run.
 func Merge(shards []*ShardFile) ([]Result, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("sweep: merge of zero shards")

@@ -1,13 +1,9 @@
 package sweep
 
 import (
-	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-
-	"overlapsim/internal/stats"
 )
 
 // Sink consumes sweep results as they complete. Accept receives each
@@ -18,9 +14,9 @@ import (
 // Close finalizes the output: what that means is the implementation's
 // contract (encode everything, flush a terminator, write an envelope).
 //
-// Sink is the architecture every output format plugs into: the batch
-// writers, the ordered-prefix streamer and the shard envelope are all
-// sinks, so the engine and runner carry results exactly one way.
+// Sink is the architecture every output plugs into: the batch writer, the
+// ordered-prefix streamer and the shard envelope are all sinks, so the
+// engine and runner carry results exactly one way.
 type Sink interface {
 	// Accept delivers one completed point. An error aborts the sweep (the
 	// runner reports it as a *SinkError); a sink must keep failing once it
@@ -39,10 +35,8 @@ type indexedResult struct {
 	res   Result
 }
 
-// BatchSink buffers every accepted result and writes the complete encoding
-// on Close, in index order — the historical batch writers (Write/WriteCSV/
-// WriteJSON) re-expressed as a sink. Its output is byte-identical to
-// calling Write on the same results because Close does exactly that.
+// BatchSink buffers every accepted result and, on Close, calls Write on
+// them in index order.
 type BatchSink struct {
 	w       io.Writer
 	f       Format
@@ -57,10 +51,8 @@ func NewBatchSink(w io.Writer, f Format) *BatchSink {
 	return &BatchSink{w: w, f: f, seen: map[int]bool{}}
 }
 
-// SetApprox marks the run as approx-mode: Close emits the approx column
-// even if every prediction was demoted, matching the streaming sinks
-// (whose headers commit before the data is known). Without the mark the
-// column still appears when any buffered result is predicted.
+// SetApprox sets the run mode Close passes to Write: on, the approx
+// column appears even if every prediction was demoted.
 func (s *BatchSink) SetApprox(on bool) { s.approx = on }
 
 // Accept buffers one result.
@@ -77,9 +69,9 @@ func (s *BatchSink) Accept(index int, r Result) error {
 	return nil
 }
 
-// Close sorts the buffered results into index order and writes the batch
-// encoding. It encodes exactly what arrived: callers that require
-// completeness (the CLI does) must not Close after a failed run.
+// Close sorts the buffered results into index order and writes them. It
+// encodes exactly what arrived: callers that require completeness (the
+// CLI does) must not Close after a failed run.
 func (s *BatchSink) Close() error {
 	if s.err != nil {
 		return s.err
@@ -89,7 +81,7 @@ func (s *BatchSink) Close() error {
 	for i, ir := range s.results {
 		out[i] = ir.res
 	}
-	s.err = WriteMode(s.w, s.f, out, s.approx || anyApprox(out))
+	s.err = Write(s.w, s.f, out, s.approx)
 	if s.err != nil {
 		return s.err
 	}
@@ -98,41 +90,31 @@ func (s *BatchSink) Close() error {
 }
 
 // OrderedSink streams results in grid order: it holds out-of-order arrivals
-// and flushes the longest contiguous prefix of the expected index sequence
-// the moment it becomes complete. An interrupted sweep therefore leaves a
-// well-formed, ordered partial file containing exactly the finished prefix —
-// and a sweep that completes produces output byte-identical to the batch
-// writers (pinned by test, format by format).
+// and writes the longest contiguous prefix of the expected index sequence
+// the moment it becomes complete, flushing it before Accept returns. An
+// interrupted sweep therefore leaves a well-formed, ordered partial file
+// containing exactly the finished prefix, and a sweep that completes
+// produces the bytes Write gives for the same results: both run the same
+// encoder.
 //
-// Flush granularity is per format: CSV emits the header up front and each
-// row as its prefix position completes; JSON emits array elements the same
-// way and closes the array on Close; the aligned table cannot commit to
-// column widths until its rows are known, so rows accumulate and Close
-// renders the flushed prefix. In every format Close terminates the
-// encoding, so even the interrupted file parses.
+// CSV and JSON rows reach the writer as their prefix completes; the
+// aligned table cannot commit to column widths until its rows are known,
+// so Close renders the flushed prefix. In every format Close terminates
+// the encoding, so even the interrupted file parses.
 type OrderedSink struct {
-	w       io.Writer
-	f       Format
-	overlay []overlayColumn
-	approx  bool
-
+	enc     *encoder
 	order   []int // expected indices, ascending grid order
 	posOf   map[int]int
-	next    int // position in order of the next row to flush
+	next    int // position in order of the next row to write
 	pending map[int]Result
-
-	tb         *stats.Table // table rows accumulate here
-	cw         *csv.Writer
-	headerDone bool
-	jsonCount  int
-	err        error
+	err     error
 }
 
 // NewOrderedSink returns an ordered-prefix sink for the given expected
-// points. pts is the grid's full expansion (it determines the dynamic
-// platform columns, exactly as the batch writers would derive them from
-// the results); indices selects the expected subset in ascending grid
-// order, with nil meaning every point.
+// points. pts is the grid's full expansion; indices selects the expected
+// subset in ascending grid order, with nil meaning every point. The
+// selected points determine the dynamic platform columns, as the results
+// do for Write.
 func NewOrderedSink(w io.Writer, f Format, pts []Point, indices []int) *OrderedSink {
 	if indices == nil {
 		indices = make([]int, len(pts))
@@ -144,40 +126,23 @@ func NewOrderedSink(w io.Writer, f Format, pts []Point, indices []int) *OrderedS
 	for pos, i := range indices {
 		posOf[i] = pos
 	}
-	s := &OrderedSink{
-		w:       w,
-		f:       f,
-		overlay: activeOverlayColumnsIndices(pts, indices),
+	overlay := activeOverlayColumns(len(indices), func(pos int) Point { return pts[indices[pos]] })
+	return &OrderedSink{
+		enc:     newEncoder(w, f, overlay, false),
 		order:   indices,
 		posOf:   posOf,
 		pending: map[int]Result{},
 	}
-	// Any format that is not CSV or JSON renders as a table, exactly like
-	// the batch Write path, so an unknown Format degrades identically in
-	// both pipelines instead of diverging.
-	switch f {
-	case FormatCSV:
-		s.cw = csv.NewWriter(w)
-	case FormatJSON:
-	default:
-		s.tb = stats.NewTable(tableHeader(s.overlay, false)...)
-	}
-	return s
 }
 
 // SetApprox fixes the approx column for the whole stream. A streaming
 // encoding must commit its header before any data arrives, so the column
 // reflects the run mode (-approx), not whether a prediction ultimately
-// survives the gate. Call it before the first Accept; later calls cannot
-// retroactively reshape flushed rows and are ignored once data has been
-// written.
+// survives the gate. Call it before the first Accept; once a row has been
+// written later calls cannot reshape it and are ignored.
 func (s *OrderedSink) SetApprox(on bool) {
-	if s.headerDone || s.next > 0 || s.jsonCount > 0 {
-		return
-	}
-	s.approx = on
-	if s.tb != nil {
-		s.tb = stats.NewTable(tableHeader(s.overlay, on)...)
+	if s.next == 0 {
+		s.enc.approx = on
 	}
 }
 
@@ -200,6 +165,7 @@ func (s *OrderedSink) Accept(index int, r Result) error {
 		return s.err
 	}
 	s.pending[index] = r
+	start := s.next
 	for s.next < len(s.order) {
 		i := s.order[s.next]
 		res, ready := s.pending[i]
@@ -207,51 +173,15 @@ func (s *OrderedSink) Accept(index int, r Result) error {
 			break
 		}
 		delete(s.pending, i)
-		if s.err = s.writeRow(res); s.err != nil {
+		if s.err = s.enc.row(res); s.err != nil {
 			return s.err
 		}
 		s.next++
 	}
-	return nil
-}
-
-// writeRow appends one in-order row to the encoding.
-func (s *OrderedSink) writeRow(r Result) error {
-	switch s.f {
-	case FormatCSV:
-		if !s.headerDone {
-			if err := s.cw.Write(csvHeader(s.overlay, s.approx)); err != nil {
-				return err
-			}
-			s.headerDone = true
-		}
-		if err := s.cw.Write(csvRecord(s.overlay, r, s.approx)); err != nil {
-			return err
-		}
-		s.cw.Flush()
-		return s.cw.Error()
-	case FormatJSON:
-		// Reproduce json.Encoder's indented-array framing element by
-		// element, so the concatenation of flushes is byte-identical to the
-		// batch encoder's single Encode call.
-		b, err := json.MarshalIndent(jsonRow(r, s.approx), "  ", "  ")
-		if err != nil {
-			return err
-		}
-		sep := ",\n  "
-		if s.jsonCount == 0 {
-			sep = "[\n  "
-		}
-		s.jsonCount++
-		if _, err := io.WriteString(s.w, sep); err != nil {
-			return err
-		}
-		_, err = s.w.Write(b)
-		return err
-	default:
-		s.tb.AddRow(tableRow(s.overlay, r, s.approx)...)
-		return nil
+	if s.next > start {
+		s.err = s.enc.flush()
 	}
+	return s.err
 }
 
 // Close terminates the encoding around the flushed prefix. Results still
@@ -262,31 +192,11 @@ func (s *OrderedSink) Close() error {
 	if s.err != nil {
 		return s.err
 	}
-	defer func() {
-		if s.err == nil {
-			s.err = fmt.Errorf("sweep: ordered sink closed")
-		}
-	}()
-	switch s.f {
-	case FormatCSV:
-		if !s.headerDone {
-			if err := s.cw.Write(csvHeader(s.overlay, s.approx)); err != nil {
-				return err
-			}
-			s.headerDone = true
-		}
-		s.cw.Flush()
-		return s.cw.Error()
-	case FormatJSON:
-		terminator := "\n]\n"
-		if s.jsonCount == 0 {
-			terminator = "[]\n"
-		}
-		_, err := io.WriteString(s.w, terminator)
-		return err
-	default:
-		return s.tb.Render(s.w)
+	if s.err = s.enc.close(); s.err != nil {
+		return s.err
 	}
+	s.err = fmt.Errorf("sweep: ordered sink closed")
+	return nil
 }
 
 // ShardSink collects one shard's results and writes the mergeable envelope

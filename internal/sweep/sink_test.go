@@ -34,7 +34,7 @@ func shuffledOrder(n int, seed int64) []int {
 // TestSinksByteIdenticalToBatchWriters is the sink oracle: for every
 // format, feeding results through the batch sink and through the
 // ordered-prefix sink — in shuffled completion order — produces output
-// byte-identical to the historical Write path.
+// byte-identical to Write.
 func TestSinksByteIdenticalToBatchWriters(t *testing.T) {
 	for _, g := range []Grid{scaleoutGrid(), sinkGrid()} {
 		pts := g.Expand()
@@ -45,7 +45,7 @@ func TestSinksByteIdenticalToBatchWriters(t *testing.T) {
 		order := shuffledOrder(len(results), 1)
 		for _, f := range []Format{FormatTable, FormatCSV, FormatJSON} {
 			var want bytes.Buffer
-			if err := Write(&want, f, results); err != nil {
+			if err := Write(&want, f, results, false); err != nil {
 				t.Fatal(err)
 			}
 			for name, sink := range map[string]func(*bytes.Buffer) Sink{
@@ -82,7 +82,7 @@ func TestOrderedSinkUnknownFormatDegradesLikeWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want, got bytes.Buffer
-	if err := Write(&want, Format("yaml"), results); err != nil {
+	if err := Write(&want, Format("yaml"), results, false); err != nil {
 		t.Fatal(err)
 	}
 	s := NewOrderedSink(&got, Format("yaml"), pts, nil)
@@ -106,7 +106,7 @@ func TestOrderedSinkUnknownFormatDegradesLikeWrite(t *testing.T) {
 func TestOrderedSinkEmptyMatchesBatch(t *testing.T) {
 	for _, f := range []Format{FormatTable, FormatCSV, FormatJSON} {
 		var want, got bytes.Buffer
-		if err := Write(&want, f, nil); err != nil {
+		if err := Write(&want, f, nil, false); err != nil {
 			t.Fatal(err)
 		}
 		s := NewOrderedSink(&got, f, nil, nil)
@@ -158,7 +158,7 @@ func TestOrderedSinkFlushesContiguousPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	if err := Write(&want, FormatCSV, results[:2]); err != nil {
+	if err := Write(&want, FormatCSV, results[:2], false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), buf.Bytes()) {
@@ -187,7 +187,7 @@ func TestOrderedSinkPartialJSONParses(t *testing.T) {
 			t.Fatal(err)
 		}
 		var want bytes.Buffer
-		if err := Write(&want, FormatJSON, results[:flushed]); err != nil {
+		if err := Write(&want, FormatJSON, results[:flushed], false); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(want.Bytes(), buf.Bytes()) {
@@ -318,7 +318,7 @@ func TestRunSinkMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wantCSV bytes.Buffer
-	if err := Write(&wantCSV, FormatCSV, want); err != nil {
+	if err := Write(&wantCSV, FormatCSV, want, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {

@@ -181,10 +181,10 @@ func TestRunnerWorkerCountInvariance(t *testing.T) {
 		// Byte-identity of every encoding, the property the CLI exposes.
 		for _, f := range []Format{FormatTable, FormatCSV, FormatJSON} {
 			var a, b bytes.Buffer
-			if err := Write(&a, f, serial); err != nil {
+			if err := Write(&a, f, serial, false); err != nil {
 				t.Fatal(err)
 			}
-			if err := Write(&b, f, par); err != nil {
+			if err := Write(&b, f, par, false); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(a.Bytes(), b.Bytes()) {

@@ -2,12 +2,10 @@ package sweep
 
 import "errors"
 
-// TeeSink fans every accepted result out to several sinks — the transport
-// seam that lets one sweep feed an HTTP connection and an on-disk results
-// file at once (the serve daemon's results-dir mode), or a streaming view
-// plus a batch archive. Accept forwards to each sink in construction
-// order; Close closes every sink, even after an earlier one fails, so no
-// output path is left unterminated.
+// TeeSink fans every accepted result out to several sinks, so one sweep
+// can feed, say, a streaming view plus a batch archive. Accept forwards to
+// each sink in construction order; Close closes every sink, even after an
+// earlier one fails, so no output path is left unterminated.
 //
 // The error contract follows the Sink interface: the first Accept failure
 // makes the tee sticky-fail (further Accepts return the same error without

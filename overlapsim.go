@@ -99,13 +99,13 @@ type (
 	// through SweepRunner.Stats.
 	ReplayStore = replaystore.Store
 	// SweepSink consumes sweep results as they complete (out of order);
-	// batch writers, the ordered-prefix streamer and the shard envelope
+	// the batch writer, the ordered-prefix streamer and the shard envelope
 	// writer are its implementations, and SweepRunner.RunSink feeds any of
 	// them without retaining results in memory.
 	SweepSink = sweep.Sink
 	// OrderedSweepSink streams results in grid order, flushing the longest
 	// finished prefix as it becomes contiguous; its completed output is
-	// byte-identical to the batch writers.
+	// byte-identical to WriteSweepResults.
 	OrderedSweepSink = sweep.OrderedSink
 )
 
@@ -176,12 +176,12 @@ func WriteSweepResults(w io.Writer, format string, results []SweepResult) error 
 	if err != nil {
 		return err
 	}
-	return sweep.Write(w, f, results)
+	return sweep.Write(w, f, results, false)
 }
 
 // NewBatchSweepSink returns a sink that buffers results and writes the
 // complete encoding ("table", "csv" or "json") on Close — the batch
-// writers as a SweepSink.
+// writer as a SweepSink.
 func NewBatchSweepSink(w io.Writer, format string) (SweepSink, error) {
 	f, err := sweep.ParseFormat(format)
 	if err != nil {
