@@ -82,8 +82,11 @@ func (w *Worker) logf(format string, args ...any) {
 }
 
 // Run pulls and executes chunks until the campaign completes (returns
-// nil), the context is cancelled, or the coordinator errors.
+// nil), the context is cancelled, or the coordinator errors. It retains
+// the grid's variants on the Runner while it runs, so a lease never
+// transforms a variant an earlier lease already built.
 func (w *Worker) Run(ctx context.Context) error {
+	defer w.Runner.Retain(w.Grid)()
 	for {
 		lease, wait, err := w.Board.Lease(ctx)
 		switch {

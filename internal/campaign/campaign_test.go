@@ -10,9 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"overlapsim/internal/apps"
 	"overlapsim/internal/machine"
 	"overlapsim/internal/serve"
 	"overlapsim/internal/sweep"
+	"overlapsim/internal/trace"
 	"overlapsim/internal/units"
 )
 
@@ -189,6 +191,63 @@ func TestWorkerChaosDropRecovers(t *testing.T) {
 	}
 	if ct := c.Counters(); ct.Expired == 0 {
 		t.Fatalf("chaos drop produced no lease expiries: %+v", ct)
+	}
+}
+
+// completeHook is a Board that calls before ahead of every Complete.
+type completeHook struct {
+	Board
+	before func()
+}
+
+func (b *completeHook) Complete(ctx context.Context, chunk int, work sweep.Counters, envelope []byte) error {
+	b.before()
+	return b.Board.Complete(ctx, chunk, work, envelope)
+}
+
+// TestWorkerRetainsVariantsAcrossLeases: a worker keeps the variants its
+// leases build for as long as it runs, so a later lease that replays the
+// same variant finds the one an earlier lease transformed. The grid's two
+// leases (one per bandwidth) replay the same three variants.
+func TestWorkerRetainsVariantsAcrossLeases(t *testing.T) {
+	g, base, size, iters := testSweep()
+	sig := sweep.Signature(g, base, size, iters)
+	total := g.Size()
+	c, err := New(Config{Signature: sig, Total: total, ChunkPoints: 3, LeaseTTL: 5 * time.Second, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := testRunner(base)
+	p := g.Expand()[0]
+	var seen []*trace.Set
+	variant := func() {
+		w, err := r.Workload(p.App, apps.Config{Size: size, Iterations: iters}, p.Chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := w.Study.Variant(p.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen = append(seen, ts)
+	}
+	w := &Worker{
+		Board:     &completeHook{Board: &LocalBoard{C: c, Worker: "w"}, before: variant},
+		ID:        "w",
+		Runner:    r,
+		Grid:      g,
+		Signature: sig,
+		Total:     total,
+		NumChunks: numChunks(total, 3),
+	}
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 {
+		t.Fatalf("%d completions, want 2", len(seen))
+	}
+	if seen[0] != seen[1] {
+		t.Error("the second lease transformed the first point's variant again")
 	}
 }
 

@@ -17,7 +17,13 @@
 // one. It caches its variants in a memo.Map keyed by variant name, the
 // memo the Runner uses for workloads and replays: variants build in
 // parallel, one transform per name, and a failed or panicked transform
-// stays failed.
+// stays failed. ReleaseVariant drops one variant, and a later Variant
+// transforms it again. The sweep Runner releases a variant once no
+// in-flight run has a pending point that replays it and nothing retains
+// it; a campaign worker retains its whole grid while it runs, so no lease
+// transforms a variant an earlier lease built. The experiment Suite
+// replays outside any sweep run and releases nothing: its variants live
+// as long as their study.
 package core
 
 import (
@@ -99,6 +105,14 @@ func (s *Study) Variant(opts overlap.Options) (*trace.Set, error) {
 		return overlap.Transform(s.Profiled, opts)
 	})
 	return ts, err
+}
+
+// ReleaseVariant drops the overlapped trace for opts from the study's
+// memo, so it can be collected once no caller holds it. A transform still
+// running finishes for the callers waiting on it; the next Variant builds
+// it again.
+func (s *Study) ReleaseVariant(opts overlap.Options) {
+	s.variants.Delete(opts.Variant(s.Profiled.Chunks))
 }
 
 // SimulateOriginal replays the original trace on the platform.

@@ -18,6 +18,13 @@ import (
 // records "<what> panicked: <value>" as the key's error and re-raises the
 // panic, so its caller still sees the panic while every later Get sees a
 // failure, never a zero value passed off as a success.
+//
+// Delete forgets a key, so its value can be collected. The sweep Runner
+// uses it to drop a transformed variant once no in-flight run has a
+// pending point that replays it and nothing retains it (a campaign worker
+// retains its grid for its lifetime); the experiment Suite replays
+// outside any sweep run and never releases. Workloads and replay results
+// are never deleted.
 type Map[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*slot[V]
@@ -56,4 +63,31 @@ func (c *Map[K, V]) Get(key K, what string, fill func() (V, error)) (v V, hit bo
 	}()
 	s.v, s.err = fill()
 	return s.v, false, s.err
+}
+
+// Lookup returns the key's value if its fill has finished without error.
+// It never fills, inserts or waits: a missing, failed or in-flight key
+// reports ok false.
+func (c *Map[K, V]) Lookup(key K) (v V, ok bool) {
+	c.mu.Lock()
+	s := c.m[key]
+	c.mu.Unlock()
+	if s == nil {
+		return v, false
+	}
+	select {
+	case <-s.done:
+		return s.v, s.err == nil
+	default:
+		return v, false
+	}
+}
+
+// Delete forgets the key; deleting an absent key does nothing. A fill
+// still running finishes for the Gets already waiting on it, and the next
+// Get of the key fills it again.
+func (c *Map[K, V]) Delete(key K) {
+	c.mu.Lock()
+	delete(c.m, key)
+	c.mu.Unlock()
 }

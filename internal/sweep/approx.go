@@ -127,8 +127,9 @@ func approxFamilyKey(a approxAxis, p Point) Point {
 	return p
 }
 
-// normPoint applies the same chunk-count default runPoint applies, so
-// family grouping and predicted results agree with the exact path.
+// normPoint applies the chunk-count default. It is the one place the
+// default lives: runPoint, family grouping and the variant a point holds
+// (variantOf) all use it, so they agree on the workload a point replays.
 func normPoint(p Point) Point {
 	if p.Chunks == 0 {
 		p.Chunks = DefaultChunks

@@ -85,6 +85,19 @@
 // released while it runs; errors are memoized, and a panicking fill is
 // recorded as a "... panicked" error before the panic is re-raised.
 //
+// Workloads and replays live as long as the Runner; variants do not. A
+// run counts its points per variant into a tally shared by every in-
+// flight run, each point job gives its count back when it ends (a point
+// that never ran, when its run returns), and a variant whose tally
+// reaches zero is released from its study. So a variant lives until no
+// in-flight run has a pending point that replays it, and a later run
+// transforms it again, without tracing or replaying anything twice.
+// Runner.Retain adds one count per variant of a grid until its caller
+// lets go: a campaign worker retains its grid for its lifetime, so its
+// leases, each a run of a few points, transform each variant once. The
+// experiment Suite replays through Workload.Replay, never a run, so it
+// releases nothing.
+//
 // Both persistent layers are accelerators, never correctness
 // dependencies: corrupt or truncated entries warn, miss, and are
 // recomputed and rewritten; writes are atomic and best-effort.

@@ -77,6 +77,11 @@ type Runner struct {
 	mu       sync.Mutex
 	storeErr error
 
+	// pending counts, per variant, the points of in-flight runs that have
+	// yet to finish, plus one per Retain still held; see hold and release.
+	pendMu  sync.Mutex
+	pending map[variantKey]int
+
 	ctTraces     atomic.Int64
 	ctTraceHits  atomic.Int64
 	ctReplays    atomic.Int64
@@ -176,6 +181,13 @@ type pipeKey struct {
 	chunks int
 }
 
+// variantKey identifies one overlapped variant the Runner holds: the
+// traced workload and the options that transform it.
+type variantKey struct {
+	pipe pipeKey
+	opts overlap.Options
+}
+
 // NewRunner returns a runner on the given base platform with default scale.
 func NewRunner(base machine.Config) *Runner {
 	return &Runner{Base: base}
@@ -224,7 +236,76 @@ func (r *Runner) Workload(app string, cfg apps.Config, chunks int) (*Workload, e
 // pointWorkload returns the workload a grid point replays: its app and
 // ranks at the runner's problem scale, profiled at its chunk count.
 func (r *Runner) pointWorkload(p Point) (*Workload, error) {
-	return r.Workload(p.App, apps.Config{Ranks: p.Ranks, Size: r.Size, Iterations: r.Iters}, p.Chunks)
+	k := r.pointKey(&p)
+	return r.Workload(k.app, k.cfg, k.chunks)
+}
+
+// pointKey is the key of the workload a grid point replays.
+func (r *Runner) pointKey(p *Point) pipeKey {
+	return pipeKey{app: p.App, cfg: apps.Config{Ranks: p.Ranks, Size: r.Size, Iterations: r.Iters}, chunks: p.Chunks}
+}
+
+// variantOf is the variant a grid point replays.
+func (r *Runner) variantOf(p *Point) variantKey {
+	q := normPoint(*p)
+	return variantKey{pipe: r.pointKey(&q), opts: q.Options()}
+}
+
+// Retain keeps every variant g's points replay until the returned
+// function is called, so a caller that runs g in pieces on this Runner
+// transforms each variant once rather than once per piece. A campaign
+// worker, which runs one lease of its grid at a time, retains the grid
+// for its lifetime. The returned function is safe to call more than once.
+func (r *Runner) Retain(g Grid) (release func()) {
+	pts := g.Expand()
+	seen := make(map[variantKey]bool)
+	var keys []variantKey
+	for i := range pts {
+		if k := r.variantOf(&pts[i]); !seen[k] {
+			seen[k] = true
+			keys = append(keys, k)
+		}
+	}
+	r.hold(keys)
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			for _, k := range keys {
+				r.release(k)
+			}
+		})
+	}
+}
+
+// hold registers one pending point per entry of keys.
+func (r *Runner) hold(keys []variantKey) {
+	r.pendMu.Lock()
+	defer r.pendMu.Unlock()
+	if r.pending == nil {
+		r.pending = make(map[variantKey]int, len(keys))
+	}
+	for _, k := range keys {
+		r.pending[k]++
+	}
+}
+
+// release retires one pending point (or Retain) of k. The last one drops
+// the variant from its workload's study, so a variant lives until no
+// in-flight run has a pending point that replays it and no Retain holds
+// it. The workload is looked up without
+// inserting, and the drop happens under the lock, so a run that holds
+// the variant again cannot lose a transform it has just built.
+func (r *Runner) release(k variantKey) {
+	r.pendMu.Lock()
+	defer r.pendMu.Unlock()
+	if n := r.pending[k] - 1; n > 0 {
+		r.pending[k] = n
+		return
+	}
+	delete(r.pending, k)
+	if w, ok := r.traces.Lookup(k.pipe); ok {
+		w.Study.ReleaseVariant(k.opts)
+	}
 }
 
 // CacheStoreErr returns the first cache-write failure of the run — trace
@@ -359,9 +440,7 @@ func (r *Runner) machineFor(p Point, nranks int) machine.Config {
 // runPoint simulates one grid point: its workload's ReplayPair on the
 // point's platform.
 func (r *Runner) runPoint(p Point) (Result, error) {
-	if p.Chunks == 0 {
-		p.Chunks = DefaultChunks
-	}
+	p = normPoint(p)
 	w, err := r.pointWorkload(p)
 	if err != nil {
 		return Result{}, err
@@ -459,6 +538,13 @@ func (r *Runner) RunIndicesSinkContext(ctx context.Context, g Grid, indices []in
 // its position in indices, as with Approx off, a panicking family job
 // fails the run as a planning error, and the engine's Progress counts
 // delivered points against len(indices).
+//
+// Each point holds its variant from before any job starts until its job
+// ends, whether the job replayed it or its family covered it; a point
+// whose job never ran (a cancelled or failed run) lets go when the run
+// returns. The last point to let go of a variant releases it (see
+// release). Workloads and replay results stay memoized, so a later run
+// transforms the variant again but traces and replays nothing twice.
 func (r *Runner) run(ctx context.Context, g Grid, indices []int, sink Sink) error {
 	if err := g.Validate(); err != nil {
 		return err
@@ -484,6 +570,19 @@ func (r *Runner) run(ctx context.Context, g Grid, indices []int, sink Sink) erro
 	if err != nil {
 		return fmt.Errorf("sweep: planning: %w", err)
 	}
+	vks := make([]variantKey, len(indices))
+	for pos, i := range indices {
+		vks[pos] = r.variantOf(&pts[i])
+	}
+	r.hold(vks)
+	ended := make([]bool, len(indices)) // by position: its job released vks[pos]
+	defer func() {
+		for pos, ok := range ended {
+			if !ok {
+				r.release(vks[pos])
+			}
+		}
+	}()
 	nf := len(fams)
 	var famOf []*family // by position: the family holding the point, if any
 	var covered []bool  // by position: resolved and delivered by its family
@@ -520,6 +619,10 @@ func (r *Runner) run(ctx context.Context, g Grid, indices []int, sink Sink) erro
 			return Result{}, nil
 		}
 		pos := j - nf
+		defer func() {
+			ended[pos] = true
+			r.release(vks[pos])
+		}()
 		if famOf != nil && famOf[pos] != nil {
 			<-famOf[pos].done
 			if covered[pos] {
