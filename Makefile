@@ -45,7 +45,7 @@ bench-smoke:
 # stall during a short timed loop cannot fail bench-compare on its own.
 bench-json:
 	$(GO) test -run '^$$' -count 5 -benchtime 100x -benchmem \
-		-bench 'BenchmarkEngine$$|BenchmarkEngineTyped$$|BenchmarkSimulatePipeline$$|BenchmarkReplayerReuse$$|BenchmarkReplayBT$$|BenchmarkReplayGen64Seq$$|BenchmarkReplayGen64Par4$$|BenchmarkReplayBatchWarm$$|BenchmarkReplayContended$$|BenchmarkSweepDenseExact$$|BenchmarkSweepDenseApprox$$' \
+		-bench 'BenchmarkEngine$$|BenchmarkEngineTyped$$|BenchmarkSimulatePipeline$$|BenchmarkReplayerReuse$$|BenchmarkReplayBT$$|BenchmarkReplayGen64Seq$$|BenchmarkReplayGen64Par4$$|BenchmarkReplayBatchWarm$$|BenchmarkReplayContended$$|BenchmarkSweepDenseExact$$|BenchmarkSweepDenseApprox$$|BenchmarkTransformBT$$|BenchmarkVariantFactsBT$$' \
 		./internal/des ./internal/replay ./internal/sweep . > BENCH.txt
 	$(GO) run ./cmd/benchjson -baseline docs/bench-baseline.json -o BENCH.json < BENCH.txt
 	@echo wrote BENCH.json

@@ -119,10 +119,9 @@ func BenchmarkReplayBT(b *testing.B) {
 	}
 }
 
-// BenchmarkTransformBT measures the overlap transformation alone, building
-// a fresh study per iteration group so the variant cache cannot hide the
-// cost.
-func BenchmarkTransformBT(b *testing.B) {
+// tracedBT traces BT at its default size for the transform benchmarks.
+func tracedBT(b *testing.B) *overlap.ProfiledSet {
+	b.Helper()
 	env := overlapsim.NewEnvironment()
 	app, err := overlapsim.NewApp("bt", overlapsim.AppConfig{})
 	if err != nil {
@@ -132,7 +131,13 @@ func BenchmarkTransformBT(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ps := study.Profiled
+	return study.Profiled
+}
+
+// BenchmarkTransformBT measures the overlap transformation alone: calling
+// overlap.Transform directly, so no variant cache can hide the cost.
+func BenchmarkTransformBT(b *testing.B) {
+	ps := tracedBT(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -140,5 +145,26 @@ func BenchmarkTransformBT(b *testing.B) {
 			Mechanisms: overlap.BothMechanisms, Pattern: overlap.PatternLinear}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkVariantFactsBT measures what a variant costs before its first
+// replay: the transformation plus the replayer's validation and channel
+// numbering of the result (trace.Set.ValidateOnce and Channels), which
+// answer from memos when Transform derived the facts.
+func BenchmarkVariantFactsBT(b *testing.B) {
+	ps := tracedBT(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ts, err := overlap.Transform(ps, overlap.Options{
+			Mechanisms: overlap.BothMechanisms, Pattern: overlap.PatternLinear})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ts.ValidateOnce(); err != nil {
+			b.Fatal(err)
+		}
+		ts.Channels()
 	}
 }

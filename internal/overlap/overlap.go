@@ -27,12 +27,22 @@
 // those waits would change the model. Every overlapped replay would move,
 // and with it the byte-identity gates and the benchmark's reference
 // outputs, so it belongs in a change of its own.
+//
+// A variant of a tracer or tracegen trace arrives pre-validated and
+// pre-numbered: Transform derives its replay facts (validity, the
+// collectives flag and trace.Channels) while it writes the records, so
+// the replayer neither validates nor numbers it. Transform states the
+// originals whose variants instead validate and number themselves on
+// first replay.
 package overlap
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strings"
+	"sync"
 
 	"overlapsim/internal/memory"
 	"overlapsim/internal/trace"
@@ -140,12 +150,16 @@ type Profile struct {
 // Burst.
 func (p *Profile) Clamp() {
 	for i, o := range p.Offsets {
-		if o == memory.Unread || o > p.Burst {
-			p.Offsets[i] = p.Burst
-		} else if o < 0 {
-			p.Offsets[i] = 0
-		}
+		p.Offsets[i] = clampOffset(o, p.Burst)
 	}
+}
+
+// clampOffset is one offset of Profile.Clamp.
+func clampOffset(o, burst int64) int64 {
+	if o == memory.Unread || o > burst {
+		return burst
+	}
+	return max(o, 0)
 }
 
 // Annotation attaches measured profiles to one point-to-point record.
@@ -194,6 +208,17 @@ func (o Options) Variant(defaultChunks int) string {
 
 // Transform builds the overlapped (potential) trace set for the given
 // options. The input set is not modified.
+//
+// The variant usually arrives with its replay facts filled in
+// (trace.Set.MarkValid): it is marked valid, with the original's
+// collectives flag, and numbered with the channels and request slots
+// trace.Set.Channels would compute. Transform derives them while it
+// writes the records, when the original validates, holds no ISend, IRecv
+// or Wait record and uses only tags chunkTag maps injectively. The tracer
+// and tracegen emit only such originals. The variant is then valid by
+// construction, given the local invariant Transform checks as it writes
+// (see checkSplit and scratch.put). Any other original gives a variant
+// without facts, which validates and numbers itself on first replay.
 func Transform(ps *ProfiledSet, opts Options) (*trace.Set, error) {
 	if ps == nil || ps.Original == nil {
 		return nil, fmt.Errorf("overlap: nil profiled set")
@@ -208,292 +233,511 @@ func Transform(ps *ProfiledSet, opts Options) (*trace.Set, error) {
 	if len(ps.Annotations) != ps.Original.NRanks() {
 		return nil, fmt.Errorf("overlap: %d annotation maps for %d ranks", len(ps.Annotations), ps.Original.NRanks())
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer sc.free()
+	collectives, derive := derivable(ps.Original)
+	sc.start(ps.Original, chunks, derive)
 	out := trace.NewSet(ps.Original.Name, opts.Variant(ps.Chunks), ps.Original.NRanks(), ps.Original.MIPS)
 	for rank := range ps.Original.Traces {
-		tr, err := transformRank(&ps.Original.Traces[rank], ps.Annotations[rank], chunks, opts)
-		if err != nil {
+		if err := sc.transformRank(&out.Traces[rank], &ps.Original.Traces[rank], rank, ps.Annotations[rank], opts); err != nil {
 			return nil, fmt.Errorf("overlap: rank %d: %w", rank, err)
 		}
-		out.Traces[rank] = *tr
-		out.Traces[rank].Rank = rank
+	}
+	if derive {
+		out.MarkValid(collectives, sc.channels(out))
 	}
 	return out, nil
 }
 
-// injection is a record to insert into a burst at a given instruction
-// offset. Priority breaks ties: sends go before waits so that available
-// data departs before the process blocks.
+// derivable reports whether Transform may derive a variant's facts from
+// the original (see Transform), and the original's collectives flag.
+// Non-blocking records are excluded because they pass through unchanged
+// with request ids that the chunk records' fresh ones may collide with.
+func derivable(s *trace.Set) (collectives, ok bool) {
+	collectives, err := s.ValidateOnce()
+	if err != nil {
+		return false, false
+	}
+	for i := range s.Traces {
+		recs := s.Traces[i].Records
+		for j := range recs {
+			switch r := &recs[j]; r.Kind {
+			case trace.KindISend, trace.KindIRecv, trace.KindWait:
+				return false, false
+			case trace.KindSend, trace.KindRecv:
+				if r.Tag < minTag || r.Tag > maxTag {
+					return false, false
+				}
+			}
+		}
+	}
+	return collectives, true
+}
+
+// injection is one chunk record of a transformed rank: an ISend, IRecv
+// or Wait for chunk c of the Send or Recv at index src. It is emitted at
+// the original record with index at: inside that burst at an instruction
+// offset, or in place of that Send or Recv. At one offset, priority
+// orders preposted receives before sends before waits, so that available
+// data departs before the process blocks; generation order breaks the
+// remaining ties. It holds no pointer and no record, so grouping and
+// sorting injections moves little memory.
 type injection struct {
 	offset int64
-	pri    int
-	seq    int
-	rec    trace.Record
+	size   units.Bytes
+	at     int32
+	src    int32
+	c      int32
+	req    int32
+	kind   trace.Kind
+	pri    int8
 }
 
-// element is one original record together with the transformation state
-// attached to it.
-type element struct {
-	rec        trace.Record
-	isBurst    bool
-	injections []injection
-	replaced   bool           // original record dropped
-	replace    []trace.Record // records emitted in place of the original
+// scratch is the working storage of one Transform call. It is pooled, and
+// the ranks of a set are transformed one after another through it, so
+// repeated transforms settle to allocating little more than their output.
+type scratch struct {
+	chunks int
+	inj    []injection   // the rank's chunk records in generation order
+	byAt   []injection   // inj grouped by injection.at
+	ends   []int32       // byAt[ends[i-1]:ends[i]] is record i's group
+	offs   []int64       // one message's chunk offsets
+	sizes  []units.Bytes // one message's chunk sizes
+
+	recs []trace.Record // the original records of the rank being written
+
+	// Fact derivation, done only when derive is set.
+	derive  bool
+	orig    *trace.Channels
+	origIDs []int32 // the original channels of the rank being written
+	chans   []int32 // origChannel*chunks + c -> variant channel, -1 if unseen
+	n       int32   // variant channels numbered so far
+	req     []int32 // the rank's request id -> slot of its IRecv, or a req state
+	posted  int32   // the rank's IRecvs so far: the next slot
+	waits   int32   // the rank's Waits so far
+	ids     []int32 // Channels.IDs of every rank, back to back
+	slots   []int32 // Channels.Slots
 }
 
-func transformRank(t *trace.Trace, ann map[int]Annotation, chunks int, opts Options) (*trace.Trace, error) {
-	elems := make([]*element, len(t.Records))
-	for i, r := range t.Records {
-		elems[i] = &element{rec: r, isBurst: r.Kind == trace.KindBurst}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// Request states in scratch.req other than a slot.
+const (
+	reqUnposted int32 = -1
+	reqWaited   int32 = -2
+)
+
+// start prepares the scratch for transforming s with the given chunk count.
+func (sc *scratch) start(s *trace.Set, chunks int, derive bool) {
+	sc.chunks = chunks
+	sc.derive = derive
+	sc.n = 0
+	sc.ids = sc.ids[:0]
+	sc.slots = sc.slots[:0]
+	if !derive {
+		return
+	}
+	sc.orig = s.Channels()
+	sc.chans = resize(sc.chans, sc.orig.N*chunks)
+	for i := range sc.chans {
+		sc.chans[i] = -1
+	}
+}
+
+// free returns the scratch to the pool, without its references into the
+// sets of the call.
+func (sc *scratch) free() {
+	sc.recs, sc.orig, sc.origIDs = nil, nil, nil
+	scratchPool.Put(sc)
+}
+
+// channels returns the numbering derived while out's ranks were written.
+func (sc *scratch) channels(out *trace.Set) *trace.Channels {
+	c := &trace.Channels{N: int(sc.n), IDs: make([][]int32, len(out.Traces)), Slots: slices.Clone(sc.slots)}
+	ids := slices.Clone(sc.ids)
+	for i := range out.Traces {
+		n := len(out.Traces[i].Records)
+		c.IDs[i] = ids[:n:n]
+		ids = ids[n:]
+	}
+	return c
+}
+
+// resize returns s with length n and zeroed contents, reusing its storage.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// transformRank writes the overlapped records of rank t into out.
+func (sc *scratch) transformRank(out, t *trace.Trace, rank int, ann map[int]Annotation, opts Options) error {
+	recs := t.Records
+	sc.recs = recs
+	if sc.derive {
+		sc.origIDs = sc.orig.IDs[rank]
+	}
+	sc.inj = sc.inj[:0]
+	add := func(at, pri int, offset int64, kind trace.Kind, src, c int, size units.Bytes, req int) {
+		sc.inj = append(sc.inj, injection{offset: offset, size: size, at: int32(at), src: int32(src),
+			c: int32(c), req: int32(req), kind: kind, pri: int8(pri)})
 	}
 	nextReq := 1
-	injSeq := 0
-
-	prevBurst := func(i int) *element {
-		for j := i - 1; j >= 0; j-- {
-			switch elems[j].rec.Kind {
-			case trace.KindBurst:
-				return elems[j]
-			case trace.KindSend, trace.KindISend, trace.KindMarker:
-				// Other sends off the same burst are fine to skip.
-			default:
-				// A receive, wait or collective breaks the production
-				// relationship: the tracer profiles production only against
-				// the burst directly feeding the send.
-				return nil
-			}
+	bound := len(recs) // an upper bound on the output length, completed below
+	for i := range recs {
+		r := &recs[i]
+		if r.Kind != trace.KindSend && r.Kind != trace.KindRecv {
+			continue
 		}
-		return nil
-	}
-	nextBurst := func(i int) *element {
-		for j := i + 1; j < len(elems); j++ {
-			if elems[j].isBurst {
-				return elems[j]
-			}
-			if elems[j].rec.Kind == trace.KindCollective {
-				return nil
-			}
+		bound--
+		n := effectiveChunks(sc.chunks, r.Size)
+		sizes, err := sc.split(r, n)
+		if err != nil {
+			return fmt.Errorf("record %d (%s): %w", i, r, err)
 		}
-		return nil
-	}
-	// prepostTarget finds the burst preceding a receive into which its
-	// postings may safely move: the scan stops at collectives and at any
-	// earlier receive on the same channel (moving past it would invert
-	// FIFO matching).
-	prepostTarget := func(i int, rec trace.Record) *element {
-		for j := i - 1; j >= 0; j-- {
-			switch elems[j].rec.Kind {
-			case trace.KindBurst:
-				return elems[j]
-			case trace.KindCollective:
-				return nil
-			case trace.KindRecv, trace.KindIRecv:
-				if elems[j].rec.Peer == rec.Peer && elems[j].rec.Tag == rec.Tag {
-					return nil
+		if r.Kind == trace.KindSend {
+			target := prevBurst(recs, i)
+			early := opts.Mechanisms&EarlySend != 0 && target >= 0
+			var offs []int64
+			if early {
+				offs = sendOffsets(sc.offsets(n), ann[i], recs[target].Instr, opts)
+			}
+			for c, size := range sizes {
+				if early {
+					add(target, 0, offs[c], trace.KindISend, i, c, size, nextReq)
+				} else {
+					add(i, 0, 0, trace.KindISend, i, c, size, nextReq)
 				}
-			}
-		}
-		return nil
-	}
-
-	for i, e := range elems {
-		switch e.rec.Kind {
-		case trace.KindSend:
-			n := effectiveChunks(chunks, e.rec.Size)
-			sizes := splitSize(e.rec.Size, n)
-			target := prevBurst(i)
-			offsets, err := sendOffsets(ann[i], target, n, opts)
-			if err != nil {
-				return nil, fmt.Errorf("record %d (%s): %w", i, e.rec, err)
-			}
-			e.replaced = true
-			for c := 0; c < n; c++ {
-				rec := trace.ISend(e.rec.Peer, chunkTag(e.rec.Tag, c), sizes[c], nextReq)
 				nextReq++
-				if opts.Mechanisms&EarlySend != 0 && target != nil {
-					injSeq++
-					target.injections = append(target.injections,
-						injection{offset: offsets[c], pri: 0, seq: injSeq, rec: rec})
-				} else {
-					e.replace = append(e.replace, rec)
-				}
 			}
-
-		case trace.KindRecv:
-			n := effectiveChunks(chunks, e.rec.Size)
-			sizes := splitSize(e.rec.Size, n)
-			target := nextBurst(i)
-			offsets, err := recvOffsets(ann[i], target, n, opts)
-			if err != nil {
-				return nil, fmt.Errorf("record %d (%s): %w", i, e.rec, err)
+			continue
+		}
+		target := nextBurst(recs, i)
+		late := opts.Mechanisms&LateRecv != 0 && target >= 0
+		var offs []int64
+		if late {
+			offs = recvOffsets(sc.offsets(n), ann[i], recs[target].Instr, opts)
+		}
+		pre := -1
+		if opts.Mechanisms&PrepostRecv != 0 {
+			pre = prepostTarget(recs, i)
+		}
+		for c, size := range sizes {
+			req := nextReq
+			nextReq++
+			if pre >= 0 {
+				add(pre, -1, 0, trace.KindIRecv, i, c, size, req)
+			} else {
+				add(i, 0, 0, trace.KindIRecv, i, c, size, req)
 			}
-			e.replaced = true
-			var preTarget *element
-			if opts.Mechanisms&PrepostRecv != 0 {
-				preTarget = prepostTarget(i, e.rec)
-			}
-			for c := 0; c < n; c++ {
-				req := nextReq
-				nextReq++
-				irecv := trace.IRecv(e.rec.Peer, chunkTag(e.rec.Tag, c), sizes[c], req)
-				if preTarget != nil {
-					injSeq++
-					preTarget.injections = append(preTarget.injections,
-						injection{offset: 0, pri: -1, seq: injSeq, rec: irecv})
-				} else {
-					e.replace = append(e.replace, irecv)
-				}
-				wait := trace.Wait(req)
-				if opts.Mechanisms&LateRecv != 0 && target != nil {
-					injSeq++
-					target.injections = append(target.injections,
-						injection{offset: offsets[c], pri: 1, seq: injSeq, rec: wait})
-				} else {
-					// Blocking behaviour retained: wait for every chunk at
-					// the original receive point.
-					e.replace = append(e.replace, wait)
-				}
+			if late {
+				add(target, 1, offs[c], trace.KindWait, i, c, 0, req)
+			} else {
+				// Blocking behaviour retained: wait for every chunk at
+				// the original receive point.
+				add(i, 0, 0, trace.KindWait, i, c, 0, req)
 			}
 		}
 	}
 
-	// Presize the output to an upper bound: a burst splits around each of
-	// its injections, a replaced record becomes its replacements.
-	bound := 0
-	for _, e := range elems {
-		switch {
-		case e.isBurst:
-			bound += 1 + 2*len(e.injections)
-		case e.replaced:
-			bound += len(e.replace)
-		default:
+	// Group the chunk records by the record they are emitted at, in
+	// generation order within a group (a stable counting sort), and
+	// presize the output to an upper bound: a burst splits around each of
+	// its injections, a Send or Recv becomes the chunk records left at it.
+	sc.ends = resize(sc.ends, len(recs)+1)
+	for k := range sc.inj {
+		in := &sc.inj[k]
+		sc.ends[in.at+1]++
+		switch recs[in.at].Kind {
+		case trace.KindBurst:
+			bound += 2
+		case trace.KindSend, trace.KindRecv:
 			bound++
 		}
 	}
-	out := &trace.Trace{Rank: t.Rank, Records: make([]trace.Record, 0, bound)}
-	for _, e := range elems {
+	for i := 1; i < len(sc.ends); i++ {
+		sc.ends[i] += sc.ends[i-1]
+	}
+	sc.byAt = resize(sc.byAt, len(sc.inj))
+	for k := range sc.inj {
+		at := sc.inj[k].at
+		sc.byAt[sc.ends[at]] = sc.inj[k]
+		sc.ends[at]++
+	}
+	// Now ends[i] is where record i's group ends and record i+1's begins.
+
+	if sc.derive {
+		sc.req = resize(sc.req, nextReq)
+		for i := range sc.req {
+			sc.req[i] = reqUnposted
+		}
+		sc.posted, sc.waits = 0, 0
+	}
+	out.Records = make([]trace.Record, 0, bound)
+	base := len(sc.ids)
+	var lo int32
+	for i := range recs {
+		r := &recs[i]
+		group := sc.byAt[lo:sc.ends[i]]
+		lo = sc.ends[i]
 		switch {
-		case e.isBurst:
-			emitBurst(out, e)
-		case e.replaced:
-			out.Append(e.replace...)
+		case r.Kind == trace.KindBurst && len(group) > 0:
+			slices.SortStableFunc(group, func(a, b injection) int {
+				if c := cmp.Compare(a.offset, b.offset); c != 0 {
+					return c
+				}
+				return cmp.Compare(a.pri, b.pri)
+			})
+			total := r.Instr
+			var prev int64
+			for k := range group {
+				off := min(max(group[k].offset, 0), total)
+				out.Append(trace.Burst(off - prev))
+				if err := sc.put(out, base, &group[k]); err != nil {
+					return err
+				}
+				prev = off
+			}
+			out.Append(trace.Burst(total - prev))
+		case r.Kind == trace.KindSend || r.Kind == trace.KindRecv:
+			for k := range group {
+				if err := sc.put(out, base, &group[k]); err != nil {
+					return err
+				}
+			}
 		default:
-			out.Append(e.rec)
+			out.Append(*r)
 		}
 	}
-	return out, nil
+	if !sc.derive {
+		return nil
+	}
+	sc.pad(out, base)
+	if sc.waits != sc.posted {
+		return fmt.Errorf("%d chunk receives posted but %d waited", sc.posted, sc.waits)
+	}
+	sc.slots = append(sc.slots, sc.posted)
+	return nil
 }
 
-// emitBurst writes a burst split at its injection offsets.
-func emitBurst(out *trace.Trace, e *element) {
-	if len(e.injections) == 0 {
-		out.Append(e.rec)
-		return
+// put appends the chunk record of an injection to out and, when deriving,
+// its Channels.IDs entry, checking that every Wait consumes a request its
+// rank posted earlier and has not waited yet. base is where the rank's
+// IDs begin.
+func (sc *scratch) put(out *trace.Trace, base int, in *injection) error {
+	if in.kind == trace.KindWait {
+		out.Records = append(out.Records, trace.Wait(int(in.req)))
+	} else {
+		r := &sc.recs[in.src]
+		out.Records = append(out.Records, trace.Record{Kind: in.kind, Peer: r.Peer,
+			Tag: chunkTag(r.Tag, int(in.c)), Size: in.size, Req: int(in.req)})
 	}
-	inj := e.injections
-	sort.Slice(inj, func(a, b int) bool {
-		if inj[a].offset != inj[b].offset {
-			return inj[a].offset < inj[b].offset
-		}
-		if inj[a].pri != inj[b].pri {
-			return inj[a].pri < inj[b].pri
-		}
-		return inj[a].seq < inj[b].seq
-	})
-	total := e.rec.Instr
-	var prev int64
-	for _, in := range inj {
-		off := in.offset
-		if off < 0 {
-			off = 0
-		}
-		if off > total {
-			off = total
-		}
-		out.Append(trace.Burst(off - prev))
-		out.Append(in.rec)
-		prev = off
+	if !sc.derive {
+		return nil
 	}
-	out.Append(trace.Burst(total - prev))
+	var id int32
+	switch in.kind {
+	case trace.KindISend:
+		// No Wait consumes a chunk send (see the package comment), so it
+		// takes no request slot.
+		id = -2 - sc.channel(in)
+	case trace.KindIRecv:
+		id = sc.channel(in)
+		sc.req[in.req] = sc.posted
+		sc.posted++
+	case trace.KindWait:
+		id = sc.req[in.req]
+		if id < 0 {
+			return fmt.Errorf("wait for request %d, which the rank has not posted or already waited", in.req)
+		}
+		sc.req[in.req] = reqWaited
+		sc.waits++
+	}
+	sc.pad(out, base)
+	sc.ids[len(sc.ids)-1] = id
+	return nil
 }
 
-// sendOffsets determines the production offsets for a send's chunks.
-func sendOffsets(a Annotation, target *element, n int, opts Options) ([]int64, error) {
-	if opts.Mechanisms&EarlySend == 0 || target == nil {
-		return make([]int64, n), nil // unused
+// pad extends the rank's IDs to out's length with -1, the entry of every
+// record but a chunk record.
+func (sc *scratch) pad(out *trace.Trace, base int) {
+	for len(sc.ids)-base < len(out.Records) {
+		sc.ids = append(sc.ids, -1)
 	}
-	burst := target.rec.Instr
-	if opts.Pattern == PatternLinear {
-		return linearOffsets(burst, n, true), nil
+}
+
+// channel returns the variant channel of a chunk record, numbering
+// channels in order of first appearance as trace.Set.Channels does.
+func (sc *scratch) channel(in *injection) int32 {
+	key := int(sc.origIDs[in.src])*sc.chunks + int(in.c)
+	id := sc.chans[key]
+	if id < 0 {
+		id = sc.n
+		sc.n++
+		sc.chans[key] = id
 	}
-	if a.Production == nil {
+	return id
+}
+
+// mutateSplit, when set, alters the chunk sizes of every Send or Recv
+// before they are checked; tests use it to break the local invariant.
+var mutateSplit func(kind trace.Kind, sizes []units.Bytes) []units.Bytes
+
+// split returns the chunk sizes of a Send or Recv record split into n
+// chunks, after checking them (checkSplit).
+func (sc *scratch) split(r *trace.Record, n int) ([]units.Bytes, error) {
+	sc.sizes = splitSize(sc.sizes[:0], r.Size, n)
+	sizes := sc.sizes
+	if mutateSplit != nil {
+		sizes = mutateSplit(r.Kind, sizes)
+	}
+	return sizes, checkSplit(sizes, r.Size, n)
+}
+
+// checkSplit checks the local invariant that makes a variant valid by
+// construction: a message becomes n chunks whose sizes sum to its size,
+// with n a function of the size alone, so a matched send and receive
+// split alike.
+func checkSplit(sizes []units.Bytes, size units.Bytes, n int) error {
+	var sum units.Bytes
+	for _, s := range sizes {
+		sum += s
+	}
+	if len(sizes) != n || sum != size {
+		return fmt.Errorf("split into %d chunks of %d bytes in all, want %d chunks of %d", len(sizes), int64(sum), n, int64(size))
+	}
+	return nil
+}
+
+func (sc *scratch) offsets(n int) []int64 {
+	if cap(sc.offs) < n {
+		sc.offs = make([]int64, n)
+	}
+	return sc.offs[:n]
+}
+
+// prevBurst returns the index of the burst whose production feeds the
+// Send at index i, or -1.
+func prevBurst(recs []trace.Record, i int) int {
+	for j := i - 1; j >= 0; j-- {
+		switch recs[j].Kind {
+		case trace.KindBurst:
+			return j
+		case trace.KindSend, trace.KindISend, trace.KindMarker:
+			// Other sends off the same burst are fine to skip.
+		default:
+			// A receive, wait or collective breaks the production
+			// relationship: the tracer profiles production only against
+			// the burst directly feeding the send.
+			return -1
+		}
+	}
+	return -1
+}
+
+// nextBurst returns the index of the burst that consumes the Recv at
+// index i, or -1.
+func nextBurst(recs []trace.Record, i int) int {
+	for j := i + 1; j < len(recs); j++ {
+		switch recs[j].Kind {
+		case trace.KindBurst:
+			return j
+		case trace.KindCollective:
+			return -1
+		}
+	}
+	return -1
+}
+
+// prepostTarget returns the index of the burst preceding the Recv at
+// index i into which its postings may safely move, or -1: the scan stops
+// at collectives and at any earlier receive on the same channel (moving
+// past it would invert FIFO matching).
+func prepostTarget(recs []trace.Record, i int) int {
+	rec := &recs[i]
+	for j := i - 1; j >= 0; j-- {
+		switch r := &recs[j]; r.Kind {
+		case trace.KindBurst:
+			return j
+		case trace.KindCollective:
+			return -1
+		case trace.KindRecv, trace.KindIRecv:
+			if r.Peer == rec.Peer && r.Tag == rec.Tag {
+				return -1
+			}
+		}
+	}
+	return -1
+}
+
+// sendOffsets fills dst with the production offsets of a send's chunks in
+// the preceding burst of the given length.
+func sendOffsets(dst []int64, a Annotation, burst int64, opts Options) []int64 {
+	switch {
+	case opts.Pattern == PatternLinear:
+		linearOffsets(dst, burst, true)
+	case a.Production == nil:
 		// No measurement: the conservative truth is that the data is only
 		// known to be complete at the end of the burst.
-		return uniformOffsets(burst, n), nil
+		for c := range dst {
+			dst[c] = burst
+		}
+	default:
+		resample(dst, a.Production, burst, true)
 	}
-	return resample(a.Production, burst, n, true), nil
+	return dst
 }
 
-// recvOffsets determines the first-need offsets for a receive's chunks.
-func recvOffsets(a Annotation, target *element, n int, opts Options) ([]int64, error) {
-	if opts.Mechanisms&LateRecv == 0 || target == nil {
-		return make([]int64, n), nil // unused
-	}
-	burst := target.rec.Instr
-	if opts.Pattern == PatternLinear {
-		return linearOffsets(burst, n, false), nil
-	}
-	if a.Consumption == nil {
+// recvOffsets fills dst with the first-need offsets of a receive's chunks
+// in the following burst of the given length.
+func recvOffsets(dst []int64, a Annotation, burst int64, opts Options) []int64 {
+	switch {
+	case opts.Pattern == PatternLinear:
+		linearOffsets(dst, burst, false)
+	case a.Consumption == nil:
 		// No measurement: assume the data is needed immediately.
-		return make([]int64, n), nil
+		clear(dst)
+	default:
+		resample(dst, a.Consumption, burst, false)
 	}
-	return resample(a.Consumption, burst, n, false), nil
+	return dst
 }
 
 // linearOffsets models the ideal sequential pattern: chunk c of a send is
 // produced at (c+1)/n of the burst; chunk c of a receive is first needed at
-// c/n of the burst.
-func linearOffsets(burst int64, n int, production bool) []int64 {
-	out := make([]int64, n)
-	for c := 0; c < n; c++ {
+// c/n of the burst, for n = len(dst).
+func linearOffsets(dst []int64, burst int64, production bool) {
+	n := int64(len(dst))
+	for c := range dst {
 		k := int64(c)
 		if production {
 			k++
 		}
-		out[c] = burst * k / int64(n)
+		dst[c] = burst * k / n
 	}
-	return out
-}
-
-// uniformOffsets places every chunk at the end of the burst.
-func uniformOffsets(burst int64, n int) []int64 {
-	out := make([]int64, n)
-	for c := range out {
-		out[c] = burst
-	}
-	return out
 }
 
 // resample adapts a measured profile (possibly of a different granularity
-// or burst length) to n chunks over the given burst. When merging source
-// chunks it takes the conservative direction for correctness: the maximum
-// for production profiles (a chunk may not depart before its last element
-// is produced) and the minimum for consumption profiles (a chunk must be
-// waited for no later than its first use). When the tracer profiled with
-// the chunk count the transform uses, resampling is the identity apart
-// from clamping.
-func resample(p *Profile, burst int64, n int, takeMax bool) []int64 {
-	src := append([]int64(nil), p.Offsets...)
-	prof := Profile{Offsets: src, Burst: p.Burst}
-	prof.Clamp()
-	m := len(src)
-	out := make([]int64, n)
+// or burst length) to len(dst) chunks over the given burst. When merging
+// source chunks it takes the conservative direction for correctness: the
+// maximum for production profiles (a chunk may not depart before its last
+// element is produced) and the minimum for consumption profiles (a chunk
+// must be waited for no later than its first use). Source offsets are
+// read clamped (Profile.Clamp) without modifying the profile. When the
+// tracer profiled with the chunk count the transform uses, resampling is
+// the identity apart from clamping.
+func resample(dst []int64, p *Profile, burst int64, takeMax bool) {
+	m, n := len(p.Offsets), len(dst)
 	if m == 0 {
-		for c := range out {
-			out[c] = burst
+		for c := range dst {
+			dst[c] = burst
 		}
-		return out
+		return
 	}
-	for c := 0; c < n; c++ {
+	for c := range dst {
 		// Map target chunk c to the source chunk range [lo,hi).
 		lo := c * m / n
 		hi := (c + 1) * m / n
@@ -502,26 +746,22 @@ func resample(p *Profile, burst int64, n int, takeMax bool) []int64 {
 		}
 		var v int64
 		if !takeMax {
-			v = prof.Burst
+			v = p.Burst
 		}
 		for s := lo; s < hi && s < m; s++ {
-			if takeMax && src[s] > v {
-				v = src[s]
-			}
-			if !takeMax && src[s] < v {
-				v = src[s]
+			o := clampOffset(p.Offsets[s], p.Burst)
+			if takeMax {
+				v = max(v, o)
+			} else {
+				v = min(v, o)
 			}
 		}
 		// Rescale from the profiled burst length to the target burst.
-		if prof.Burst > 0 && prof.Burst != burst {
-			v = int64(float64(v) / float64(prof.Burst) * float64(burst))
+		if p.Burst > 0 && p.Burst != burst {
+			v = int64(float64(v) / float64(p.Burst) * float64(burst))
 		}
-		if v > burst {
-			v = burst
-		}
-		out[c] = v
+		dst[c] = min(v, burst)
 	}
-	return out
 }
 
 // effectiveChunks reduces the chunk count for tiny messages: a message is
@@ -536,19 +776,28 @@ func effectiveChunks(chunks int, size units.Bytes) int {
 	return chunks
 }
 
-// splitSize partitions size into n near-equal parts that sum to size.
-func splitSize(size units.Bytes, n int) []units.Bytes {
-	out := make([]units.Bytes, n)
+// splitSize appends to dst the n near-equal parts of size, which sum to
+// size.
+func splitSize(dst []units.Bytes, size units.Bytes, n int) []units.Bytes {
 	var prev int64
 	for c := 1; c <= n; c++ {
 		bound := int64(size) * int64(c) / int64(n)
-		out[c-1] = units.Bytes(bound - prev)
+		dst = append(dst, units.Bytes(bound-prev))
 		prev = bound
 	}
-	return out
+	return dst
 }
 
+// Tags chunkTag maps without overflowing int.
+const (
+	minTag = math.MinInt / MaxChunks
+	maxTag = math.MaxInt / MaxChunks
+)
+
 // chunkTag derives the wire tag of chunk c of a message with the given
-// original tag. Original tags must be non-negative and chunk counts at most
-// MaxChunks, which Transform enforces.
+// original tag. For 0 <= c < MaxChunks it is injective on tags in
+// [minTag, maxTag], negative ones included, where tag*MaxChunks + c
+// cannot overflow. Transform bounds the chunk count by MaxChunks; it
+// derives a variant's channel numbering only when every tag is in range,
+// since outside it two original channels could share a chunk channel.
 func chunkTag(tag, c int) int { return tag*MaxChunks + c }

@@ -349,7 +349,7 @@ func TestSplitSizeConserves(t *testing.T) {
 	f := func(szU uint32, nU uint8) bool {
 		size := units.Bytes(szU % (1 << 24))
 		n := int(nU)%16 + 1
-		parts := splitSize(size, n)
+		parts := splitSize(nil, size, n)
 		var sum units.Bytes
 		for _, p := range parts {
 			if p < 0 {
@@ -366,7 +366,11 @@ func TestSplitSizeConserves(t *testing.T) {
 
 func TestChunkTagsInjective(t *testing.T) {
 	seen := map[int]bool{}
-	for tag := 0; tag < 8; tag++ {
+	tags := []int{minTag, minTag + 1, maxTag - 1, maxTag}
+	for tag := -8; tag < 8; tag++ {
+		tags = append(tags, tag)
+	}
+	for _, tag := range tags {
 		for c := 0; c < MaxChunks; c++ {
 			k := chunkTag(tag, c)
 			if seen[k] {
@@ -378,6 +382,9 @@ func TestChunkTagsInjective(t *testing.T) {
 }
 
 // randomProfiledSet builds a random but structurally valid profiled set.
+// Messages share channels, some are zero-size and some are smaller than
+// the chunk counts the property tests use; tags may be negative, and some
+// sets carry collectives.
 func randomProfiledSet(rng *rand.Rand) *ProfiledSet {
 	nranks := rng.Intn(3) + 2
 	chunks := rng.Intn(8) + 1
@@ -390,8 +397,16 @@ func randomProfiledSet(rng *rand.Rand) *ProfiledSet {
 	for p := 0; p < pairs; p++ {
 		src := rng.Intn(nranks)
 		dst := (src + 1 + rng.Intn(nranks-1)) % nranks
-		size := units.Bytes(rng.Intn(1<<14) + 1)
-		tag := p
+		var size units.Bytes
+		switch rng.Intn(4) {
+		case 0:
+			size = 0
+		case 1:
+			size = units.Bytes(rng.Intn(20) + 1)
+		default:
+			size = units.Bytes(rng.Intn(1<<14) + 1)
+		}
+		tag := rng.Intn(4) - 1
 		burstS := int64(rng.Intn(5000) + 1)
 		burstR := int64(rng.Intn(5000) + 1)
 
@@ -412,35 +427,60 @@ func randomProfiledSet(rng *rand.Rand) *ProfiledSet {
 		}
 		ann[dst][idxR] = Annotation{Consumption: &Profile{Offsets: cons, Burst: burstR}}
 		s.Traces[dst].Append(trace.Burst(burstR))
+
+		if rng.Intn(5) == 0 {
+			for r := range s.Traces {
+				s.Traces[r].Append(trace.Global(trace.Allreduce, 8, 0))
+			}
+		}
 	}
 	return &ProfiledSet{Original: s, Chunks: chunks, Annotations: ann}
 }
 
+// allMechanisms lists every combination of the overlapping mechanisms.
+func allMechanisms() []Mechanism {
+	var out []Mechanism
+	for m := Mechanism(0); m <= EarlySend|LateRecv|PrepostRecv; m++ {
+		out = append(out, m)
+	}
+	return out
+}
+
+// chunkOverrides are the Options.Chunks values the property tests cover:
+// the profiled granularity, then explicit overrides.
+var chunkOverrides = []int{0, 1, 3, 16, MaxChunks}
+
 func TestPropertyTransformPreservesInvariants(t *testing.T) {
 	// For random inputs and all option combinations: the output validates,
-	// per-rank instructions are conserved, and total bytes are conserved.
+	// per-rank instructions are conserved, total bytes are conserved, and
+	// the facts Transform derived equal the reference computations.
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ps := randomProfiledSet(rng)
-		for _, mech := range []Mechanism{0, EarlySend, LateRecv, BothMechanisms} {
+		for _, mech := range allMechanisms() {
 			for _, pat := range []Pattern{PatternReal, PatternLinear} {
-				out, err := Transform(ps, Options{Mechanisms: mech, Pattern: pat})
-				if err != nil {
-					return false
-				}
-				if trace.Validate(out) != nil {
-					return false
-				}
-				inStats, outStats := trace.Stats(ps.Original), trace.Stats(out)
-				if inStats.Instructions != outStats.Instructions {
-					return false
-				}
-				if inStats.Bytes != outStats.Bytes {
-					return false
-				}
-				for r := range out.Traces {
-					if out.Traces[r].TotalInstructions() != ps.Original.Traces[r].TotalInstructions() {
+				for _, chunks := range chunkOverrides {
+					opts := Options{Mechanisms: mech, Pattern: pat, Chunks: chunks}
+					out, err := Transform(ps, opts)
+					if err != nil {
+						t.Logf("%s: %v", opts.Variant(ps.Chunks), err)
 						return false
+					}
+					if err := factsMatch(out); err != nil {
+						t.Logf("%s: %v", opts.Variant(ps.Chunks), err)
+						return false
+					}
+					inStats, outStats := trace.Stats(ps.Original), trace.Stats(out)
+					if inStats.Instructions != outStats.Instructions {
+						return false
+					}
+					if inStats.Bytes != outStats.Bytes {
+						return false
+					}
+					for r := range out.Traces {
+						if out.Traces[r].TotalInstructions() != ps.Original.Traces[r].TotalInstructions() {
+							return false
+						}
 					}
 				}
 			}

@@ -73,7 +73,9 @@ const (
 // every rank. The memo relies on the set not being mutated once it has
 // validated. Concurrent first calls wait for one check instead of each
 // building its own scratch: workers replaying one set on many platforms
-// all arrive at once.
+// all arrive at once. A set vouched for with MarkValid, as
+// overlap.Transform does for the variants of tracer and tracegen traces,
+// is never checked here.
 func (s *Set) ValidateOnce() (collectives bool, err error) {
 	if st := s.checked.Load(); st != unchecked {
 		return st == validCollectives, nil
@@ -93,6 +95,24 @@ func (s *Set) ValidateOnce() (collectives bool, err error) {
 	}
 	s.checked.Store(state)
 	return collectives, nil
+}
+
+// MarkValid fills the memos of ValidateOnce and Channels for a set whose
+// facts were derived while it was written, so that its first replay
+// neither validates nor numbers it. Nothing is checked; the caller
+// guarantees that Validate(s) returns nil, that collectives reports
+// whether s contains a collective record, that c equals what Channels
+// would compute for s, and that s is not mutated afterwards. A caller that
+// breaks this makes replays of s wrong instead of failing them.
+func (s *Set) MarkValid(collectives bool, c *Channels) {
+	state := validNoCollectives
+	if collectives {
+		state = validCollectives
+	}
+	s.memoMu.Lock()
+	defer s.memoMu.Unlock()
+	s.chans.Store(c)
+	s.checked.Store(state)
 }
 
 // validate is Validate, additionally reporting whether a valid set
