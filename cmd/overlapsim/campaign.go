@@ -278,7 +278,7 @@ func runCampaign(args []string, stdout io.Writer) error {
 	ct := coord.Counters()
 	logf("chunks: %d total, %d done (%d adopted), %d leases, %d expired, %d failures, %d stale completions, %d duplicates, %d quarantined",
 		ct.Chunks, ct.Done, ct.Adopted, ct.Leases, ct.Expired, ct.Failures, ct.StaleCompletions, ct.Duplicates, ct.Quarantined)
-	fmt.Fprintf(os.Stderr, "campaign: work: %s\n", workLine(ct.Work, ap.Enabled))
+	fmt.Fprintf(os.Stderr, "campaign: work: %s\n", ct.Work.Line(ap.Enabled))
 
 	w, closeOut := outputTarget(stdout, *out)
 	if err := sweep.Write(w, f, results, ap.Enabled); err != nil {

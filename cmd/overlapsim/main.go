@@ -230,7 +230,7 @@ func runExperiments(args []string) error {
 	if err := runner.CacheStoreErr(); err != nil {
 		fmt.Fprintf(os.Stderr, "run: warning: cache not updated (next run will recompute): %v\n", err)
 	}
-	fmt.Fprintf(os.Stderr, "run: work: %s\n", workLine(runner.Stats(), false))
+	fmt.Fprintf(os.Stderr, "run: work: %s\n", runner.Stats().Line(false))
 	return nil
 }
 
@@ -490,7 +490,7 @@ func runSweep(args []string, stdout io.Writer) error {
 	if err := runner.CacheStoreErr(); err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: warning: cache not updated (next run will recompute): %v\n", err)
 	}
-	fmt.Fprintf(os.Stderr, "sweep: work: %s\n", workLine(runner.Stats(), ap.Enabled))
+	fmt.Fprintf(os.Stderr, "sweep: work: %s\n", runner.Stats().Line(ap.Enabled))
 
 	if err := sink.Close(); err != nil {
 		return err
@@ -498,20 +498,6 @@ func runSweep(args []string, stdout io.Writer) error {
 	// A failed close can mean a failed flush: report it, never exit 0 with
 	// a truncated results file.
 	return closeOut()
-}
-
-// workLine renders the work counters after the "sweep: work: ",
-// "campaign: work: " and "run: work: " prefixes. The surrogate counters
-// appear only in -approx runs, so exact-mode stderr stays byte-identical
-// to earlier releases.
-func workLine(st sweep.Counters, approx bool) string {
-	line := fmt.Sprintf("%d instrumented runs, %d trace-cache hits, %d replays, %d replay-memo hits, %d replay-store hits, %d parallel windows",
-		st.Traces, st.TraceCacheHits, st.Replays, st.ReplayMemoHits, st.ReplayStoreHits, st.ParallelWindows)
-	if approx {
-		line += fmt.Sprintf(", %d predicted points, %d spot-check replays, %d demoted families",
-			st.PredictedPoints, st.SpotCheckReplays, st.DemotedFamilies)
-	}
-	return line
 }
 
 // streamLogger is the -stream sink decorator: it narrates each completed

@@ -110,17 +110,20 @@ func (l *Lease) Indices() []int {
 }
 
 // Counters are the coordinator's campaign-health statistics.
+// Their JSON keys, like Work's, are those of serve's /stats document.
 type Counters struct {
-	Chunks           int // total chunks in the campaign
-	Done             int // chunks completed (including adopted)
-	Adopted          int // chunks adopted from surviving result files on resume
-	Leases           int // leases granted
-	Expired          int // leases that missed their heartbeat deadline
-	Failures         int // explicit failure reports from workers
-	StaleCompletions int // completions accepted after the lease had expired
-	Duplicates       int // completions discarded because the chunk was already done
-	Quarantined      int // chunks given up on after MaxAttempts
-	Work             sweep.Counters
+	Chunks           int `json:"chunks"`            // total chunks in the campaign
+	Done             int `json:"done"`              // chunks completed (including adopted)
+	Adopted          int `json:"adopted"`           // chunks adopted from surviving result files on resume
+	Leases           int `json:"leases"`            // leases granted
+	Expired          int `json:"expired"`           // leases that missed their heartbeat deadline
+	Failures         int `json:"failures"`          // explicit failure reports from workers
+	StaleCompletions int `json:"stale_completions"` // completions accepted after the lease had expired
+	Duplicates       int `json:"duplicates"`        // completions discarded because the chunk was already done
+	Quarantined      int `json:"quarantined"`       // chunks given up on after MaxAttempts
+	// Work sums the runner counters workers reported with their accepted
+	// completions; see Complete.
+	Work sweep.Counters `json:"work"`
 }
 
 // chunkState is one chunk's in-memory state; the durable subset mirrors
@@ -425,9 +428,12 @@ func (c *Coordinator) Heartbeat(worker string, chunk int) error {
 // adoption pass, never by re-running the points. Results are
 // deterministic, so a completion whose lease already expired ("stale") is
 // still accepted if the chunk has not finished elsewhere; a completion
-// for an already-done chunk is counted and discarded. Worker-side work
-// counters fold into the campaign totals in every case — the work
-// happened even when the result is redundant.
+// for an already-done chunk is counted and discarded. The worker's work
+// counters fold into the campaign totals whenever the envelope passes its
+// checks, the redundant cases included: the work happened. Work is
+// reported only here, so the totals omit chunks that failed, lost their
+// lease or were never reported, and completions refused for a bad
+// envelope.
 func (c *Coordinator) Complete(worker string, chunk int, work sweep.Counters, envelope []byte) error {
 	sf, err := sweep.ReadShard(bytes.NewReader(envelope))
 	if err != nil {
@@ -545,14 +551,6 @@ func (c *Coordinator) Counters() Counters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.counters
-}
-
-// AddWork folds locally observed runner counters (e.g. the coordinator
-// process's own in-process workers) into the campaign totals.
-func (c *Coordinator) AddWork(w sweep.Counters) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.counters.Work = c.counters.Work.Add(w)
 }
 
 // Assemble merges every chunk's result file into unsharded result order.

@@ -31,7 +31,8 @@ import (
 // latter.
 
 // ProtocolVersion gates spec compatibility between coordinator and worker.
-const ProtocolVersion = 1
+// Version 2 sends CompleteRequest.Work under serve's snake_case work keys.
+const ProtocolVersion = 2
 
 // SpecJSON is the GET /campaign/spec document: everything a bare worker
 // needs to reconstruct the sweep. Args is the raw sweep spec (the

@@ -580,8 +580,8 @@ func (s *replayer) reset(ts *trace.Set, cfg machine.Config, mips units.MIPS) {
 		s.addProcs(n)
 	}
 	s.nprocs = n
-	s.finish = resizeZeroedTime(s.finish, n)
-	s.done = resizeZeroedBool(s.done, n)
+	s.finish = resizeZeroed(s.finish, n)
+	s.done = resizeZeroed(s.done, n)
 	// Request slots: only the slots a proc's last run posted can be
 	// non-nil, so clearing those leaves its whole backing array nil and
 	// resizing needs no clearing. Procs that need more room share one new
@@ -645,29 +645,11 @@ func (s *replayer) addProcs(n int) {
 	}
 }
 
-// resizeZeroed returns a zero-filled int slice of length n, reusing the
+// resizeZeroed returns a zero-filled slice of length n, reusing the
 // given backing array when it is large enough.
-func resizeZeroed(s []int, n int) []int {
+func resizeZeroed[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func resizeZeroedTime(s []units.Time, n int) []units.Time {
-	if cap(s) < n {
-		return make([]units.Time, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-func resizeZeroedBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)

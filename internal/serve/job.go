@@ -81,38 +81,10 @@ func (j *job) State() JobState {
 	return j.state
 }
 
-// WorkJSON mirrors the CLI's `sweep: work:` counters in the status and
-// stats documents, so the HTTP and CLI views of avoided work read alike.
-type WorkJSON struct {
-	Traces          int64 `json:"traces"`
-	TraceCacheHits  int64 `json:"trace_cache_hits"`
-	Replays         int64 `json:"replays"`
-	ReplayMemoHits  int64 `json:"replay_memo_hits"`
-	ReplayStoreHits int64 `json:"replay_store_hits"`
-	// Deprecated: BatchedReplays is always 0 and omitted; replays are no
-	// longer batched.
-	BatchedReplays  int64 `json:"batched_replays,omitempty"`
-	ParallelWindows int64 `json:"parallel_windows"`
-	// Surrogate fast path counters; omitted when zero so exact-mode
-	// documents are unchanged from earlier releases.
-	PredictedPoints  int64 `json:"predicted_points,omitempty"`
-	SpotCheckReplays int64 `json:"spot_check_replays,omitempty"`
-	DemotedFamilies  int64 `json:"demoted_families,omitempty"`
-}
-
-func workJSON(c sweep.Counters) WorkJSON {
-	return WorkJSON{
-		Traces:           c.Traces,
-		TraceCacheHits:   c.TraceCacheHits,
-		Replays:          c.Replays,
-		ReplayMemoHits:   c.ReplayMemoHits,
-		ReplayStoreHits:  c.ReplayStoreHits,
-		ParallelWindows:  c.ParallelWindows,
-		PredictedPoints:  c.PredictedPoints,
-		SpotCheckReplays: c.SpotCheckReplays,
-		DemotedFamilies:  c.DemotedFamilies,
-	}
-}
+// WorkJSON is the `work` object of the status and stats documents: the
+// runner's counters under their JSON keys, so the HTTP and CLI views of
+// avoided work read alike.
+type WorkJSON = sweep.Counters
 
 // JobStatus is the document GET /sweeps/{id} returns (and GET /sweeps
 // lists). Work is present once the job reaches a terminal state: it is
@@ -148,7 +120,7 @@ func (j *job) Status() JobStatus {
 		Error:     j.errst,
 	}
 	if j.state.Terminal() {
-		w := workJSON(j.work)
+		w := j.work
 		st.Work = &w
 	}
 	return st

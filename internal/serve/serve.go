@@ -425,13 +425,7 @@ func (s *Server) runJob(w http.ResponseWriter, jb *job, ctx context.Context) {
 		jb.finish(JobDone, "", work)
 	}
 	s.noteFinished(jb)
-	approxNote := ""
-	if jb.approx.enabled {
-		approxNote = fmt.Sprintf(", %d predicted points, %d spot-check replays, %d demoted families",
-			work.PredictedPoints, work.SpotCheckReplays, work.DemotedFamilies)
-	}
-	s.logf("%s: %s: %d/%d points; work: %d traces, %d replays, %d store hits%s",
-		jb.id, status, jb.completed.Load(), jb.points, work.Traces, work.Replays, work.ReplayStoreHits, approxNote)
+	s.logf("%s: %s: %d/%d points; work: %s", jb.id, status, jb.completed.Load(), jb.points, work.Line(jb.approx.enabled))
 	h.Set(trailerStatus, status)
 	if st := jb.Status(); st.Error != "" {
 		h.Set(trailerError, st.Error)
@@ -513,7 +507,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			st.Jobs.Queued++
 		}
 	}
-	st.Work = workJSON(s.work)
+	st.Work = s.work
 	s.mu.Unlock()
 	st.UptimeSeconds = int64(time.Since(s.start).Seconds())
 	WriteJSON(w, http.StatusOK, st)

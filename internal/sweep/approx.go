@@ -350,7 +350,7 @@ func (r *Runner) approxFamily(f *family, covered []bool) []row {
 		if err != nil {
 			return nil
 		}
-		r.ctSpotChecks.Add(1)
+		r.add(Counters{SpotCheckReplays: 1})
 		if surrogate.RelErr(float64(results[pos].TOriginal), float64(exact.TOriginal)) > maxErr ||
 			surrogate.RelErr(float64(results[pos].TOverlap), float64(exact.TOverlap)) > maxErr {
 			demote = true
@@ -359,7 +359,7 @@ func (r *Runner) approxFamily(f *family, covered []bool) []row {
 	}
 
 	if demote {
-		r.ctDemoted.Add(1)
+		r.add(Counters{DemotedFamilies: 1})
 	}
 	var rows []row
 	var predicted int64
@@ -375,7 +375,7 @@ func (r *Runner) approxFamily(f *family, covered []bool) []row {
 			predicted++
 		}
 	}
-	r.ctPredicted.Add(predicted)
+	r.add(Counters{PredictedPoints: predicted})
 	return rows
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"overlapsim/internal/apps"
 	"overlapsim/internal/core"
@@ -74,102 +73,29 @@ type Runner struct {
 	traces  memo.Map[pipeKey, *Workload]
 	replays memo.Map[memoKey, replaystore.Result]
 
+	// mu guards the first failed cache write and the work tally.
 	mu       sync.Mutex
 	storeErr error
+	work     Counters
 
 	// pending counts, per variant, the points of in-flight runs that have
 	// yet to finish, plus one per Retain still held; see hold and release.
 	pendMu  sync.Mutex
 	pending map[variantKey]int
-
-	ctTraces     atomic.Int64
-	ctTraceHits  atomic.Int64
-	ctReplays    atomic.Int64
-	ctMemoHits   atomic.Int64
-	ctStoreHits  atomic.Int64
-	ctWindows    atomic.Int64
-	ctPredicted  atomic.Int64
-	ctSpotChecks atomic.Int64
-	ctDemoted    atomic.Int64
-}
-
-// Counters is a snapshot of the runner's work and cache-hit accounting —
-// the observable evidence that the caching layers actually cut work.
-type Counters struct {
-	// Traces counts instrumented application runs executed by this runner.
-	Traces int64
-	// TraceCacheHits counts workloads served from the persistent cache.
-	TraceCacheHits int64
-	// Replays counts DES replays actually simulated.
-	Replays int64
-	// ReplayMemoHits counts replays answered from the in-memory memo.
-	ReplayMemoHits int64
-	// ReplayStoreHits counts replays answered from the persistent store —
-	// work a previous process already paid for. A warm re-run of an
-	// identical sweep shows Traces == 0 and Replays == 0 here.
-	ReplayStoreHits int64
-	// Deprecated: BatchedReplays is always 0; replays are no longer
-	// batched.
-	BatchedReplays int64
-	// ParallelWindows counts conservative-window rounds executed by the
-	// parallel replay engine; 0 means every replay ran sequentially.
-	ParallelWindows int64
-	// PredictedPoints counts grid points answered by surrogate
-	// interpolation instead of replay (-approx); 0 in exact mode.
-	PredictedPoints int64
-	// SpotCheckReplays counts the predicted points the error gate
-	// replayed exactly to validate their families.
-	SpotCheckReplays int64
-	// DemotedFamilies counts interpolation families whose spot checks
-	// exceeded the error bound and were demoted to full replay.
-	DemotedFamilies int64
-}
-
-// Add returns the fieldwise sum of two counter snapshots — used to fold
-// per-worker work accounting into campaign totals.
-func (c Counters) Add(o Counters) Counters {
-	return Counters{
-		Traces:           c.Traces + o.Traces,
-		TraceCacheHits:   c.TraceCacheHits + o.TraceCacheHits,
-		Replays:          c.Replays + o.Replays,
-		ReplayMemoHits:   c.ReplayMemoHits + o.ReplayMemoHits,
-		ReplayStoreHits:  c.ReplayStoreHits + o.ReplayStoreHits,
-		ParallelWindows:  c.ParallelWindows + o.ParallelWindows,
-		PredictedPoints:  c.PredictedPoints + o.PredictedPoints,
-		SpotCheckReplays: c.SpotCheckReplays + o.SpotCheckReplays,
-		DemotedFamilies:  c.DemotedFamilies + o.DemotedFamilies,
-	}
-}
-
-// Sub returns the fieldwise difference c - o: the work done between two
-// snapshots of the same runner.
-func (c Counters) Sub(o Counters) Counters {
-	return Counters{
-		Traces:           c.Traces - o.Traces,
-		TraceCacheHits:   c.TraceCacheHits - o.TraceCacheHits,
-		Replays:          c.Replays - o.Replays,
-		ReplayMemoHits:   c.ReplayMemoHits - o.ReplayMemoHits,
-		ReplayStoreHits:  c.ReplayStoreHits - o.ReplayStoreHits,
-		ParallelWindows:  c.ParallelWindows - o.ParallelWindows,
-		PredictedPoints:  c.PredictedPoints - o.PredictedPoints,
-		SpotCheckReplays: c.SpotCheckReplays - o.SpotCheckReplays,
-		DemotedFamilies:  c.DemotedFamilies - o.DemotedFamilies,
-	}
 }
 
 // Stats returns a snapshot of the runner's counters.
 func (r *Runner) Stats() Counters {
-	return Counters{
-		Traces:           r.ctTraces.Load(),
-		TraceCacheHits:   r.ctTraceHits.Load(),
-		Replays:          r.ctReplays.Load(),
-		ReplayMemoHits:   r.ctMemoHits.Load(),
-		ReplayStoreHits:  r.ctStoreHits.Load(),
-		ParallelWindows:  r.ctWindows.Load(),
-		PredictedPoints:  r.ctPredicted.Load(),
-		SpotCheckReplays: r.ctSpotChecks.Load(),
-		DemotedFamilies:  r.ctDemoted.Load(),
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.work
+}
+
+// add folds d into the runner's work tally.
+func (r *Runner) add(d Counters) {
+	r.mu.Lock()
+	r.work = r.work.Add(d)
+	r.mu.Unlock()
 }
 
 // pipeKey identifies one traced workload: the application at a full
@@ -218,11 +144,11 @@ func (r *Runner) Workload(app string, cfg apps.Config, chunks int) (*Workload, e
 			if err != nil {
 				return nil, err
 			}
-			r.ctTraces.Add(1)
+			r.add(Counters{Traces: 1})
 			return tracer.Trace(a, tracer.Options{Chunks: chunks})
 		})
 		if hit {
-			r.ctTraceHits.Add(1)
+			r.add(Counters{TraceCacheHits: 1})
 		}
 		r.noteStoreErr(storeErr)
 		if err != nil {
@@ -381,16 +307,16 @@ func (w *Workload) Replay(opts *overlap.Options, m machine.Config) (replaystore.
 		if store != nil {
 			storeKey = store.Key(key.app, key.ranks, key.size, key.iters, key.variant, key.platform)
 			if sr := store.Load(storeKey); sr != nil {
-				r.ctStoreHits.Add(1)
+				r.add(Counters{ReplayStoreHits: 1})
 				return *sr, nil
 			}
 		}
-		r.ctReplays.Add(1)
+		r.add(Counters{Replays: 1})
 		var sum [1]replay.Summary
 		if _, err := simulate(ts, []machine.Config{m}, sum[:], replayWidth(key.ranks)); err != nil {
 			return replaystore.Result{}, err
 		}
-		r.ctWindows.Add(sum[0].Windows)
+		r.add(Counters{ParallelWindows: sum[0].Windows})
 		res := replaystore.Result{Total: sum[0].Total, Steps: sum[0].Steps, Blocked: sum[0].Blocked}
 		if store != nil {
 			r.noteStoreErr(store.Store(storeKey, res))
@@ -398,7 +324,7 @@ func (w *Workload) Replay(opts *overlap.Options, m machine.Config) (replaystore.
 		return res, nil
 	})
 	if hit {
-		r.ctMemoHits.Add(1)
+		r.add(Counters{ReplayMemoHits: 1})
 	}
 	return res, err
 }
