@@ -10,7 +10,13 @@ CACHE ?= trace-cache
 DIR ?= campaign-work
 ARGS ?= -apps pingpong -bws 64MB/s,256MB/s -chunks 4,8 -size 512 -iters 2
 
-.PHONY: all build test race bench bench-smoke bench-json bench-compare campaign serve lint fmt fuzz
+# End-to-end A/B knobs (see the e2e-ab target).
+REF ?=
+PAIRS ?= 5
+SECONDS ?= 10
+WORKLOADS ?=
+
+.PHONY: all build test race bench bench-smoke bench-json bench-compare e2e-ab campaign serve lint fmt fuzz
 
 # Per-target fuzzing budget for the fuzz target (Go duration).
 FUZZTIME ?= 20s
@@ -58,6 +64,16 @@ bench-json:
 bench-compare: bench-json
 	$(GO) run ./cmd/benchjson compare docs/bench-baseline.json BENCH.json \
 		-threshold 300% -allocs-threshold 10%
+
+# End-to-end A/B against a git ref: PAIRS alternating pairs of
+# overlapbench runs (SECONDS each, same seed within a pair) per workload,
+# in a worktree of REF and in this tree. Prints each end-to-end metric's
+# medians, the ref's IQR and the change's win count, and fails if a run
+# was not correct. WORKLOADS defaults to every workload in
+# BENCHMARK.json, e.g.:
+#   make e2e-ab REF=HEAD~1 PAIRS=6 SECONDS=10 WORKLOADS="paper-cold serve-mixed"
+e2e-ab:
+	bash scripts/e2e-ab.sh -r "$(REF)" -p "$(PAIRS)" -s "$(SECONDS)" -w "$(WORKLOADS)"
 
 # One-command local scale-out: a fault-tolerant `overlapsim campaign`
 # coordinator feeding N spawned worker processes through leases with

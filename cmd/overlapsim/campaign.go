@@ -25,44 +25,66 @@ import (
 	"overlapsim/internal/sweep/replaystore"
 )
 
+// sweepSpec is what a sweep computes: its grid, base platform and
+// workload scale. sweep, campaign and worker read it from one flag group.
+type sweepSpec struct {
+	grid        sweep.Grid
+	base        machine.Config
+	size, iters int
+}
+
+// registerSweepSpec adds the sweep-spec flag group to fs: the grid axes,
+// -size, -iters and the platform flags. The returned function resolves
+// and validates them once fs is parsed.
+func registerSweepSpec(fs *flag.FlagSet) func() (sweepSpec, error) {
+	axes := cliflag.RegisterSweepAxes(fs)
+	size := fs.Int("size", 0, "problem size for every app (0 = app default)")
+	iters := fs.Int("iters", 0, "iterations for every app (0 = app default)")
+	mf := cliflag.RegisterMachine(fs)
+	return func() (sweepSpec, error) {
+		base, err := mf.Config()
+		if err != nil {
+			return sweepSpec{}, err
+		}
+		grid, err := axes.Grid()
+		if err != nil {
+			return sweepSpec{}, err
+		}
+		if err := grid.Validate(); err != nil {
+			return sweepSpec{}, err
+		}
+		return sweepSpec{grid: grid, base: base, size: *size, iters: *iters}, nil
+	}
+}
+
 // parseSweepSpec parses a campaign's sweep specification — the arguments
 // after `--` on the campaign command line, distributed verbatim to
 // workers over GET /campaign/spec. Coordinator and every worker run the
 // spec through this one parser, and the sweep signature double-checks
 // that they agreed.
-func parseSweepSpec(spec []string) (sweep.Grid, machine.Config, int, int, error) {
+func parseSweepSpec(args []string) (sweepSpec, error) {
 	fs := flag.NewFlagSet("sweep spec", flag.ContinueOnError)
-	axes := cliflag.RegisterSweepAxes(fs)
-	size := fs.Int("size", 0, "problem size for every app (0 = app default)")
-	iters := fs.Int("iters", 0, "iterations for every app (0 = app default)")
-	mf := cliflag.RegisterMachine(fs)
-	if err := fs.Parse(spec); err != nil {
-		return sweep.Grid{}, machine.Config{}, 0, 0, err
+	resolve := registerSweepSpec(fs)
+	if err := fs.Parse(args); err != nil {
+		return sweepSpec{}, err
 	}
 	if fs.NArg() != 0 {
-		return sweep.Grid{}, machine.Config{}, 0, 0, fmt.Errorf("sweep spec takes no positional arguments (got %q)", fs.Args())
+		return sweepSpec{}, fmt.Errorf("sweep spec takes no positional arguments (got %q)", fs.Args())
 	}
-	cfg, err := mf.Config()
-	if err != nil {
-		return sweep.Grid{}, machine.Config{}, 0, 0, err
-	}
-	grid, err := axes.Grid()
-	if err != nil {
-		return sweep.Grid{}, machine.Config{}, 0, 0, err
-	}
-	if err := grid.Validate(); err != nil {
-		return sweep.Grid{}, machine.Config{}, 0, 0, err
-	}
-	return grid, cfg, *size, *iters, nil
+	return resolve()
 }
 
-// campaignRunner builds a fresh runner over the shared cache directory.
-// Each worker gets its own runner so per-chunk work accounting stays
-// attributable; the disk-level caches still share everything.
-func campaignRunner(cfg machine.Config, size, iters, pool int, cacheDir string, ap *cliflag.Approx, warn func(string)) *sweep.Runner {
-	r := sweep.NewRunner(cfg)
-	r.Size = size
-	r.Iters = iters
+// signature is the sweep signature of the spec.
+func (s sweepSpec) signature() string { return sweep.Signature(s.grid, s.base, s.size, s.iters) }
+
+// runner builds a fresh runner for the spec, over cacheDir's trace cache
+// and replay store when cacheDir is set. Each campaign worker gets its
+// own runner so per-chunk work accounting stays attributable; the
+// disk-level caches still share everything.
+func (s sweepSpec) runner(pool int, cacheDir string, ap *cliflag.Approx, warn func(string)) *sweep.Runner {
+	r := sweep.NewRunner(s.base)
+	r.Size = s.size
+	r.Iters = s.iters
 	r.Engine = sweep.Engine{Workers: pool}
 	ap.Apply(r)
 	if cacheDir != "" {
@@ -110,7 +132,7 @@ func runCampaign(args []string, stdout io.Writer) error {
 	}
 	// Everything after `--` is the sweep spec; the flag package stops
 	// there, so fs.Args() is exactly the spec.
-	grid, base, size, iters, err := parseSweepSpec(fs.Args())
+	spec, err := parseSweepSpec(fs.Args())
 	if err != nil {
 		return err
 	}
@@ -126,8 +148,8 @@ func runCampaign(args []string, stdout io.Writer) error {
 	}
 	warn := func(msg string) { logf("warning: %s", msg) }
 
-	sig := sweep.Signature(grid, base, size, iters)
-	total := grid.Size()
+	sig := spec.signature()
+	total := spec.grid.Size()
 	ccfg := campaign.Config{
 		Signature:   sig,
 		Total:       total,
@@ -209,8 +231,8 @@ func runCampaign(args []string, stdout io.Writer) error {
 				w := &campaign.Worker{
 					Board:     &campaign.LocalBoard{C: coord, Worker: id},
 					ID:        id,
-					Runner:    campaignRunner(base, size, iters, *workerPool, *cacheDir, ap, warn),
-					Grid:      grid,
+					Runner:    spec.runner(*workerPool, *cacheDir, ap, warn),
+					Grid:      spec.grid,
 					Signature: sig,
 					Total:     total,
 					NumChunks: ct0(coord),
@@ -374,14 +396,14 @@ func runWorker(args []string) error {
 	if err != nil {
 		return err
 	}
-	grid, base, size, iters, err := parseSweepSpec(spec.Args)
+	ss, err := parseSweepSpec(spec.Args)
 	if err != nil {
 		return fmt.Errorf("parsing the coordinator's sweep spec: %w", err)
 	}
 	// The signature is the skew tripwire: if this build expands the spec
 	// differently than the coordinator's, running would waste work and the
 	// completions would be rejected anyway — refuse up front.
-	if sig := sweep.Signature(grid, base, size, iters); sig != spec.Signature {
+	if sig := ss.signature(); sig != spec.Signature {
 		return fmt.Errorf("sweep spec disagreement: coordinator signed %s, this worker computes %s (mismatched builds?)", spec.Signature, sig)
 	}
 	logf("joined campaign %s: %d points, %d chunks", spec.Signature, spec.Total, spec.Chunks)
@@ -389,8 +411,8 @@ func runWorker(args []string) error {
 	w := &campaign.Worker{
 		Board:     client,
 		ID:        *id,
-		Runner:    campaignRunner(base, size, iters, *pool, *cacheDir, ap, warn),
-		Grid:      grid,
+		Runner:    ss.runner(*pool, *cacheDir, ap, warn),
+		Grid:      ss.grid,
 		Signature: spec.Signature,
 		Total:     spec.Total,
 		NumChunks: spec.Chunks,

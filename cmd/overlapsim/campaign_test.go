@@ -80,20 +80,20 @@ func TestRunCampaignResume(t *testing.T) {
 // arguments and unknown flags are rejected (ContinueOnError surfaces them
 // as errors, not os.Exit), and a valid spec round-trips.
 func TestParseSweepSpec(t *testing.T) {
-	grid, _, size, iters, err := parseSweepSpec(campaignSpec)
+	spec, err := parseSweepSpec(campaignSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := grid.Size(); got != 8 {
+	if got := spec.grid.Size(); got != 8 {
 		t.Errorf("grid size %d, want 8", got)
 	}
-	if size != 256 || iters != 2 {
-		t.Errorf("size/iters = %d/%d, want 256/2", size, iters)
+	if spec.size != 256 || spec.iters != 2 {
+		t.Errorf("size/iters = %d/%d, want 256/2", spec.size, spec.iters)
 	}
-	if _, _, _, _, err := parseSweepSpec([]string{"-apps", "pingpong", "stray"}); err == nil {
+	if _, err := parseSweepSpec([]string{"-apps", "pingpong", "stray"}); err == nil {
 		t.Error("positional argument accepted")
 	}
-	if _, _, _, _, err := parseSweepSpec([]string{"-apps", "no-such-app"}); err == nil {
+	if _, err := parseSweepSpec([]string{"-apps", "no-such-app"}); err == nil {
 		t.Error("unknown app accepted")
 	}
 }

@@ -100,7 +100,6 @@ import (
 	"overlapsim/internal/overlap"
 	"overlapsim/internal/stats"
 	"overlapsim/internal/sweep"
-	"overlapsim/internal/sweep/replaystore"
 	"overlapsim/internal/units"
 )
 
@@ -297,9 +296,7 @@ func runStudy(args []string) error {
 // AND replay results are shared across processes.
 func runSweep(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
-	axes := cliflag.RegisterSweepAxes(fs)
-	size := fs.Int("size", 0, "problem size for every app (0 = app default)")
-	iters := fs.Int("iters", 0, "iterations for every app (0 = app default)")
+	resolve := registerSweepSpec(fs)
 	workers := fs.Int("workers", 0, "worker-pool size (0 = one per CPU); results are identical for any value")
 	format := fs.String("format", "table", "output format: table, csv or json")
 	out := fs.String("o", "", "write results to this file instead of stdout")
@@ -312,7 +309,6 @@ func runSweep(args []string, stdout io.Writer) error {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the sweep ends")
 	ap := cliflag.RegisterApprox(fs)
-	mf := cliflag.RegisterMachine(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -322,20 +318,12 @@ func runSweep(args []string, stdout io.Writer) error {
 	if err := ap.Validate(); err != nil {
 		return err
 	}
-	cfg, err := mf.Config()
-	if err != nil {
-		return err
-	}
 	f, err := sweep.ParseFormat(*format)
 	if err != nil {
 		return err
 	}
-
-	grid, err := axes.Grid()
+	spec, err := resolve()
 	if err != nil {
-		return err
-	}
-	if err := grid.Validate(); err != nil {
 		return err
 	}
 
@@ -399,17 +387,9 @@ func runSweep(args []string, stdout io.Writer) error {
 	}
 
 	warn := func(msg string) { fmt.Fprintln(os.Stderr, "sweep: warning:", msg) }
-	runner := sweep.NewRunner(cfg)
-	runner.Size = *size
-	runner.Iters = *iters
-	runner.Engine = sweep.Engine{Workers: *workers}
-	ap.Apply(runner)
-	if *cacheDir != "" {
-		runner.Cache = &sweep.TraceCache{Dir: *cacheDir, Warn: warn}
-		runner.Store = &replaystore.Store{Dir: *cacheDir, Warn: warn}
-	}
+	runner := spec.runner(*workers, *cacheDir, ap, warn)
 
-	total := grid.Size()
+	total := spec.grid.Size()
 	indices := shard.Indices(total)
 	if *progress {
 		runner.Engine.Progress = func(done, n int) {
@@ -433,12 +413,12 @@ func runSweep(args []string, stdout io.Writer) error {
 	var ordered *sweep.OrderedSink
 	switch {
 	case !shard.IsZero():
-		sig := sweep.Signature(grid, cfg, *size, *iters)
+		sig := spec.signature()
 		ss := sweep.NewShardSink(w, sig, total, shard, indices)
 		ss.SetApprox(ap.Enabled)
 		sink = ss
 	case *streamOrdered:
-		ordered = sweep.NewOrderedSink(w, f, grid.Expand(), indices)
+		ordered = sweep.NewOrderedSink(w, f, spec.grid.Expand(), indices)
 		ordered.SetApprox(ap.Enabled)
 		sink = ordered
 	default:
@@ -465,7 +445,7 @@ func runSweep(args []string, stdout io.Writer) error {
 	// the flushed grid-order prefix.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := runner.RunIndicesSinkContext(ctx, grid, indices, run); err != nil {
+	if err := runner.RunIndicesSinkContext(ctx, spec.grid, indices, run); err != nil {
 		if logger != nil && ctx.Err() != nil {
 			fmt.Fprintf(os.Stderr, "sweep: interrupted; %d finished points were streamed above\n", logger.n)
 		}

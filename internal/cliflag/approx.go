@@ -32,7 +32,7 @@ func RegisterApprox(fs *flag.FlagSet) *Approx {
 	fs.Float64Var(&a.MaxErr, "approx-maxerr", sweep.DefaultApproxMaxErr,
 		"relative error bound for -approx predictions; families observed beyond it are demoted to full replay")
 	fs.Float64Var(&a.SpotCheck, "approx-spotcheck", sweep.DefaultApproxSpotCheck,
-		"fraction of predicted points per family to spot-replay for the -approx error gate (at least one per family)")
+		"fraction in (0,1] of predicted points per family to spot-replay for the -approx error gate (at least one per family)")
 	return a
 }
 
@@ -42,8 +42,8 @@ func (a *Approx) Validate() error {
 	if a.MaxErr <= 0 {
 		return fmt.Errorf("-approx-maxerr must be positive (got %g)", a.MaxErr)
 	}
-	if a.SpotCheck < 0 || a.SpotCheck > 1 {
-		return fmt.Errorf("-approx-spotcheck must be in [0,1] (got %g)", a.SpotCheck)
+	if a.SpotCheck <= 0 || a.SpotCheck > 1 {
+		return fmt.Errorf("-approx-spotcheck must be in (0,1] (got %g)", a.SpotCheck)
 	}
 	return nil
 }

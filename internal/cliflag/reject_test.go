@@ -1,6 +1,7 @@
 package cliflag
 
 import (
+	"flag"
 	"strings"
 	"testing"
 
@@ -47,6 +48,38 @@ func TestAxisRejectionMessages(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("args %v: error %q does not contain %q", c.args, err, c.frag)
+		}
+	}
+}
+
+// The surrogate knobs reject values the runner would not honour, naming
+// the flag: a spot-check fraction of 0 would otherwise read as "use the
+// default" and spot-check 5% anyway.
+func TestApproxRejectionMessages(t *testing.T) {
+	cases := []struct {
+		args []string
+		frag string // empty: accepted
+	}{
+		{[]string{"-approx-spotcheck", "0"}, "-approx-spotcheck must be in (0,1] (got 0)"},
+		{[]string{"-approx-spotcheck", "-0.1"}, "-approx-spotcheck must be in (0,1]"},
+		{[]string{"-approx-spotcheck", "1.5"}, "-approx-spotcheck must be in (0,1]"},
+		{[]string{"-approx-maxerr", "0"}, "-approx-maxerr must be positive"},
+		{[]string{"-approx-spotcheck", "0.0001"}, ""},
+		{[]string{"-approx-spotcheck", "1"}, ""},
+		{nil, ""},
+	}
+	for _, c := range cases {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		a := RegisterApprox(fs)
+		if err := fs.Parse(c.args); err != nil {
+			t.Fatal(err)
+		}
+		err := a.Validate()
+		switch {
+		case c.frag == "" && err != nil:
+			t.Errorf("args %v: %v", c.args, err)
+		case c.frag != "" && (err == nil || !strings.Contains(err.Error(), c.frag)):
+			t.Errorf("args %v: error %v, want one containing %q", c.args, err, c.frag)
 		}
 	}
 }

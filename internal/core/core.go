@@ -78,7 +78,9 @@ func (e *Environment) FromProfiled(ps *overlap.ProfiledSet) (*Study, error) {
 
 // FromTrace wraps a bare original trace with no measured profiles; the
 // real-pattern transform then falls back to its conservative defaults while
-// the linear-pattern transform works fully.
+// the linear-pattern transform works fully. Its variants fail to build
+// unless the trace holds only blocking point-to-point records (see
+// overlap.Transform).
 func (e *Environment) FromTrace(ts *trace.Set) (*Study, error) {
 	ann := make([]map[int]overlap.Annotation, ts.NRanks())
 	for i := range ann {

@@ -5,9 +5,8 @@
 // In the paper each MPI process runs on its own Valgrind virtual machine;
 // here each rank runs in its own goroutine against this runtime. The
 // runtime provides the MPI subset the traced applications need: blocking
-// and non-blocking point-to-point messages with tag matching, and the
-// common collectives. Payloads are float64 slices, the element type of all
-// the proxy kernels.
+// point-to-point messages with tag matching, and the common collectives.
+// Payloads are float64 slices, the element type of all the proxy kernels.
 //
 // Message matching is deterministic: a receive matches the oldest pending
 // message with the requested source and tag, and collective results depend
@@ -221,65 +220,4 @@ func (r *Rank) recvMessage(src, tag int) (Message, error) {
 			return Message{}, fmt.Errorf("%w (rank %d waiting for src=%d tag=%d)", ErrTimeout, r.id, src, tag)
 		}
 	}
-}
-
-// Sendrecv performs a combined exchange: sends sendData to dst and receives
-// into recvBuf from src, without deadlocking.
-func (r *Rank) Sendrecv(dst, sendTag int, sendData []float64, src, recvTag int, recvBuf []float64) error {
-	if err := r.Send(dst, sendTag, sendData); err != nil {
-		return err
-	}
-	return r.Recv(src, recvTag, recvBuf)
-}
-
-// Request is a handle for a non-blocking operation, completed by Wait.
-type Request struct {
-	rank *Rank
-	// For receives:
-	isRecv bool
-	src    int
-	tag    int
-	buf    []float64
-	done   bool
-}
-
-// Isend starts a non-blocking send. Because the runtime's sends are eager
-// and buffered, the data is captured immediately and the request completes
-// at once; Wait is still required for symmetry with real MPI programs.
-func (r *Rank) Isend(dst, tag int, data []float64) (*Request, error) {
-	if err := r.Send(dst, tag, data); err != nil {
-		return nil, err
-	}
-	return &Request{rank: r, done: true}, nil
-}
-
-// Irecv posts a non-blocking receive. The match happens at Wait time; the
-// runtime preserves FIFO matching per (source, tag).
-func (r *Rank) Irecv(src, tag int, buf []float64) (*Request, error) {
-	if src != AnySource && (src < 0 || src >= r.world.n) {
-		return nil, fmt.Errorf("mpi: rank %d: irecv from invalid rank %d", r.id, src)
-	}
-	return &Request{rank: r, isRecv: true, src: src, tag: tag, buf: buf}, nil
-}
-
-// Wait blocks until the request completes. Waiting twice is an error.
-func (req *Request) Wait() error {
-	if req.done {
-		if req.isRecv {
-			return fmt.Errorf("mpi: request waited twice")
-		}
-		return nil
-	}
-	req.done = true
-	return req.rank.Recv(req.src, req.tag, req.buf)
-}
-
-// WaitAll completes all given requests, returning the first error.
-func WaitAll(reqs ...*Request) error {
-	for _, q := range reqs {
-		if err := q.Wait(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -213,79 +213,6 @@ func contains(s, sub string) bool {
 		}())
 }
 
-func TestSendrecvRing(t *testing.T) {
-	const n = 8
-	w := newTestWorld(t, n)
-	err := w.Run(func(r *Rank) error {
-		next := (r.ID() + 1) % n
-		prev := (r.ID() + n - 1) % n
-		buf := make([]float64, 1)
-		if err := r.Sendrecv(next, 0, []float64{float64(r.ID())}, prev, 0, buf); err != nil {
-			return err
-		}
-		if buf[0] != float64(prev) {
-			return fmt.Errorf("ring: got %v, want %d", buf[0], prev)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIsendIrecvWait(t *testing.T) {
-	w := newTestWorld(t, 2)
-	err := w.Run(func(r *Rank) error {
-		if r.ID() == 0 {
-			req, err := r.Isend(1, 3, []float64{5})
-			if err != nil {
-				return err
-			}
-			return req.Wait()
-		}
-		buf := make([]float64, 1)
-		req, err := r.Irecv(0, 3, buf)
-		if err != nil {
-			return err
-		}
-		if err := req.Wait(); err != nil {
-			return err
-		}
-		if buf[0] != 5 {
-			return fmt.Errorf("irecv payload = %v", buf[0])
-		}
-		if err := req.Wait(); err == nil {
-			return errors.New("double wait on recv request not detected")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestWaitAll(t *testing.T) {
-	w := newTestWorld(t, 3)
-	err := w.Run(func(r *Rank) error {
-		if r.ID() == 0 {
-			var reqs []*Request
-			for dst := 1; dst <= 2; dst++ {
-				q, err := r.Isend(dst, 0, []float64{float64(dst)})
-				if err != nil {
-					return err
-				}
-				reqs = append(reqs, q)
-			}
-			return WaitAll(reqs...)
-		}
-		buf := make([]float64, 1)
-		return r.Recv(0, 0, buf)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBarrier(t *testing.T) {
 	const n = 4
 	w := newTestWorld(t, n)
@@ -456,7 +383,10 @@ func TestDeterministicHaloExchange(t *testing.T) {
 			for iter := 0; iter < 2; iter++ {
 				next := (r.ID() + 1) % n
 				prev := (r.ID() + n - 1) % n
-				if err := r.Sendrecv(next, iter, []float64{val}, prev, iter, buf); err != nil {
+				if err := r.Send(next, iter, []float64{val}); err != nil {
+					return err
+				}
+				if err := r.Recv(prev, iter, buf); err != nil {
 					return err
 				}
 				val = math.Sqrt(val*buf[0]) + 1

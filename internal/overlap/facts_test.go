@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"overlapsim/internal/machine"
-	"overlapsim/internal/replay"
 	"overlapsim/internal/trace"
 	"overlapsim/internal/units"
 )
@@ -127,7 +125,7 @@ func TestTransformLocalCheckCatchesBrokenSplit(t *testing.T) {
 }
 
 func TestPutRejectsUnpostedWait(t *testing.T) {
-	sc := &scratch{derive: true, req: []int32{reqUnposted, 0, reqWaited}}
+	sc := &scratch{req: []int32{reqUnposted, 0, reqWaited}}
 	for _, req := range []int32{0, 2} {
 		if err := sc.put(&trace.Trace{}, 0, &injection{kind: trace.KindWait, req: req}); err == nil {
 			t.Errorf("wait for request %d: no error", req)
@@ -138,42 +136,42 @@ func TestPutRejectsUnpostedWait(t *testing.T) {
 	}
 }
 
-// An original carrying non-blocking records gets a variant without
-// facts: here its request ids collide with the chunk records' fresh ones,
-// and the replay reports that as it does for any invalid set.
-func TestTransformNonBlockingOriginalValidatesOnReplay(t *testing.T) {
-	s := trace.NewSet("nb", "original", 2, 1000)
-	s.Traces[0].Append(trace.Burst(100), trace.ISend(1, 7, 64, 1), trace.Send(1, 2, 4096), trace.Wait(1))
-	s.Traces[1].Append(trace.IRecv(0, 7, 64, 1), trace.Recv(0, 2, 4096), trace.Wait(1), trace.Burst(100))
-	if err := trace.Validate(s); err != nil {
-		t.Fatalf("original invalid: %v", err)
-	}
-	ps := &ProfiledSet{Original: s, Chunks: 4, Annotations: []map[int]Annotation{{}, {}}}
-	out, err := Transform(ps, Options{Mechanisms: BothMechanisms, Pattern: PatternLinear})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = replay.Simulate(out, machine.Default())
-	if err == nil || !strings.Contains(err.Error(), "duplicate request id") {
-		t.Fatalf("replay error = %v, want a duplicate request id error", err)
+// Transform rejects an original holding non-blocking records, whatever
+// its request ids: they would pass through beside the chunk records' fresh
+// ids, colliding with them from 1 and sharing chunk channels from 1000.
+// The error names the rank and record, and no variant reaches replay.
+func TestTransformRejectsNonBlockingOriginal(t *testing.T) {
+	for _, req := range []int{1, 1000} {
+		s := trace.NewSet("nb", "original", 2, 1000)
+		s.Traces[0].Append(trace.ISend(1, 5, 64, req), trace.Wait(req), trace.Send(1, 0, 128))
+		s.Traces[1].Append(trace.IRecv(0, 5, 64, req), trace.Wait(req), trace.Recv(0, 0, 128))
+		if err := trace.Validate(s); err != nil {
+			t.Fatalf("original invalid: %v", err)
+		}
+		ps := &ProfiledSet{Original: s, Chunks: 8, Annotations: []map[int]Annotation{{}, {}}}
+		out, err := Transform(ps, Options{Mechanisms: BothMechanisms, Pattern: PatternLinear})
+		want := fmt.Sprintf("rank 0: record 0 (IS 1 5 64 %d)", req)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("request id %d: Transform error = %v, want one naming %q", req, err, want)
+		}
+		if out != nil {
+			t.Errorf("request id %d: Transform returned a variant", req)
+		}
 	}
 }
 
-// An original tag chunkTag cannot map without overflow gives a variant
-// without facts, which still validates and numbers itself correctly.
-func TestTransformOutOfRangeTagIsNotDerived(t *testing.T) {
-	s := trace.NewSet("bigtag", "original", 2, 1000)
-	s.Traces[0].Append(trace.Burst(100), trace.Send(1, maxTag+1, 64))
-	s.Traces[1].Append(trace.Recv(0, maxTag+1, 64), trace.Burst(100))
-	ps := &ProfiledSet{Original: s, Chunks: 4, Annotations: []map[int]Annotation{{}, {}}}
-	out, err := Transform(ps, Options{Mechanisms: BothMechanisms, Pattern: PatternLinear})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.Validate(out.Clone()); err != nil {
-		t.Fatalf("variant invalid: %v", err)
-	}
-	if c, _, _ := memoFacts(out); c.N != 0 {
-		t.Errorf("variant with tag %d arrived numbered (N=%d)", maxTag+1, c.N)
+// Transform rejects an original tag chunkTag cannot map without overflow,
+// naming the rank and record.
+func TestTransformRejectsOutOfRangeTag(t *testing.T) {
+	for _, tag := range []int{maxTag + 1, minTag - 1} {
+		s := trace.NewSet("bigtag", "original", 2, 1000)
+		s.Traces[0].Append(trace.Burst(100), trace.Send(1, tag, 64))
+		s.Traces[1].Append(trace.Recv(0, tag, 64), trace.Burst(100))
+		ps := &ProfiledSet{Original: s, Chunks: 4, Annotations: []map[int]Annotation{{}, {}}}
+		_, err := Transform(ps, Options{Mechanisms: BothMechanisms, Pattern: PatternLinear})
+		want := fmt.Sprintf("rank 0: record 1 (S 1 %d 64): tag outside", tag)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("tag %d: Transform error = %v, want one containing %q", tag, err, want)
+		}
 	}
 }

@@ -28,12 +28,12 @@
 // and with it the byte-identity gates and the benchmark's reference
 // outputs, so it belongs in a change of its own.
 //
-// A variant of a tracer or tracegen trace arrives pre-validated and
+// Transform takes originals of blocking point-to-point records, as the
+// paper defines automatic overlap and as the tracer and tracegen emit
+// them, and rejects any other. Every variant arrives pre-validated and
 // pre-numbered: Transform derives its replay facts (validity, the
 // collectives flag and trace.Channels) while it writes the records, so
-// the replayer neither validates nor numbers it. Transform states the
-// originals whose variants instead validate and number themselves on
-// first replay.
+// the replayer neither validates nor numbers it.
 package overlap
 
 import (
@@ -209,16 +209,16 @@ func (o Options) Variant(defaultChunks int) string {
 // Transform builds the overlapped (potential) trace set for the given
 // options. The input set is not modified.
 //
-// The variant usually arrives with its replay facts filled in
+// The original must validate, hold no ISend, IRecv or Wait record and use
+// only tags chunkTag maps injectively; the tracer and tracegen emit only
+// such originals, and Transform rejects any other (see blockingOriginal).
+// The variant arrives with its replay facts filled in
 // (trace.Set.MarkValid): it is marked valid, with the original's
 // collectives flag, and numbered with the channels and request slots
 // trace.Set.Channels would compute. Transform derives them while it
-// writes the records, when the original validates, holds no ISend, IRecv
-// or Wait record and uses only tags chunkTag maps injectively. The tracer
-// and tracegen emit only such originals. The variant is then valid by
-// construction, given the local invariant Transform checks as it writes
-// (see checkSplit and scratch.put). Any other original gives a variant
-// without facts, which validates and numbers itself on first replay.
+// writes the records; the variant is valid by construction, given the
+// local invariant Transform checks as it writes (see checkSplit and
+// scratch.put).
 func Transform(ps *ProfiledSet, opts Options) (*trace.Set, error) {
 	if ps == nil || ps.Original == nil {
 		return nil, fmt.Errorf("overlap: nil profiled set")
@@ -233,45 +233,46 @@ func Transform(ps *ProfiledSet, opts Options) (*trace.Set, error) {
 	if len(ps.Annotations) != ps.Original.NRanks() {
 		return nil, fmt.Errorf("overlap: %d annotation maps for %d ranks", len(ps.Annotations), ps.Original.NRanks())
 	}
+	collectives, err := blockingOriginal(ps.Original)
+	if err != nil {
+		return nil, err
+	}
 	sc := scratchPool.Get().(*scratch)
 	defer sc.free()
-	collectives, derive := derivable(ps.Original)
-	sc.start(ps.Original, chunks, derive)
+	sc.start(ps.Original, chunks)
 	out := trace.NewSet(ps.Original.Name, opts.Variant(ps.Chunks), ps.Original.NRanks(), ps.Original.MIPS)
 	for rank := range ps.Original.Traces {
 		if err := sc.transformRank(&out.Traces[rank], &ps.Original.Traces[rank], rank, ps.Annotations[rank], opts); err != nil {
 			return nil, fmt.Errorf("overlap: rank %d: %w", rank, err)
 		}
 	}
-	if derive {
-		out.MarkValid(collectives, sc.channels(out))
-	}
+	out.MarkValid(collectives, sc.channels(out))
 	return out, nil
 }
 
-// derivable reports whether Transform may derive a variant's facts from
-// the original (see Transform), and the original's collectives flag.
-// Non-blocking records are excluded because they pass through unchanged
-// with request ids that the chunk records' fresh ones may collide with.
-func derivable(s *trace.Set) (collectives, ok bool) {
-	collectives, err := s.ValidateOnce()
-	if err != nil {
-		return false, false
+// blockingOriginal checks that Transform accepts s (see Transform) and
+// returns its collectives flag. Non-blocking records are rejected because
+// they would pass through unchanged with request ids that the chunk
+// records' fresh ones may collide with, and out-of-range tags because two
+// original channels could then share a chunk channel.
+func blockingOriginal(s *trace.Set) (collectives bool, err error) {
+	if collectives, err = s.ValidateOnce(); err != nil {
+		return false, fmt.Errorf("overlap: %w", err)
 	}
 	for i := range s.Traces {
 		recs := s.Traces[i].Records
 		for j := range recs {
 			switch r := &recs[j]; r.Kind {
 			case trace.KindISend, trace.KindIRecv, trace.KindWait:
-				return false, false
+				return false, fmt.Errorf("overlap: rank %d: record %d (%s): the original must hold only blocking point-to-point records", i, j, r)
 			case trace.KindSend, trace.KindRecv:
 				if r.Tag < minTag || r.Tag > maxTag {
-					return false, false
+					return false, fmt.Errorf("overlap: rank %d: record %d (%s): tag outside [%d, %d]", i, j, r, minTag, maxTag)
 				}
 			}
 		}
 	}
-	return collectives, true
+	return collectives, nil
 }
 
 // injection is one chunk record of a transformed rank: an ISend, IRecv
@@ -306,8 +307,7 @@ type scratch struct {
 
 	recs []trace.Record // the original records of the rank being written
 
-	// Fact derivation, done only when derive is set.
-	derive  bool
+	// Fact derivation.
 	orig    *trace.Channels
 	origIDs []int32 // the original channels of the rank being written
 	chans   []int32 // origChannel*chunks + c -> variant channel, -1 if unseen
@@ -328,15 +328,11 @@ const (
 )
 
 // start prepares the scratch for transforming s with the given chunk count.
-func (sc *scratch) start(s *trace.Set, chunks int, derive bool) {
+func (sc *scratch) start(s *trace.Set, chunks int) {
 	sc.chunks = chunks
-	sc.derive = derive
 	sc.n = 0
 	sc.ids = sc.ids[:0]
 	sc.slots = sc.slots[:0]
-	if !derive {
-		return
-	}
 	sc.orig = s.Channels()
 	sc.chans = resize(sc.chans, sc.orig.N*chunks)
 	for i := range sc.chans {
@@ -377,9 +373,7 @@ func resize[T any](s []T, n int) []T {
 func (sc *scratch) transformRank(out, t *trace.Trace, rank int, ann map[int]Annotation, opts Options) error {
 	recs := t.Records
 	sc.recs = recs
-	if sc.derive {
-		sc.origIDs = sc.orig.IDs[rank]
-	}
+	sc.origIDs = sc.orig.IDs[rank]
 	sc.inj = sc.inj[:0]
 	add := func(at, pri int, offset int64, kind trace.Kind, src, c int, size units.Bytes, req int) {
 		sc.inj = append(sc.inj, injection{offset: offset, size: size, at: int32(at), src: int32(src),
@@ -469,13 +463,11 @@ func (sc *scratch) transformRank(out, t *trace.Trace, rank int, ann map[int]Anno
 	}
 	// Now ends[i] is where record i's group ends and record i+1's begins.
 
-	if sc.derive {
-		sc.req = resize(sc.req, nextReq)
-		for i := range sc.req {
-			sc.req[i] = reqUnposted
-		}
-		sc.posted, sc.waits = 0, 0
+	sc.req = resize(sc.req, nextReq)
+	for i := range sc.req {
+		sc.req[i] = reqUnposted
 	}
+	sc.posted, sc.waits = 0, 0
 	out.Records = make([]trace.Record, 0, bound)
 	base := len(sc.ids)
 	var lo int32
@@ -512,9 +504,6 @@ func (sc *scratch) transformRank(out, t *trace.Trace, rank int, ann map[int]Anno
 			out.Append(*r)
 		}
 	}
-	if !sc.derive {
-		return nil
-	}
 	sc.pad(out, base)
 	if sc.waits != sc.posted {
 		return fmt.Errorf("%d chunk receives posted but %d waited", sc.posted, sc.waits)
@@ -523,8 +512,8 @@ func (sc *scratch) transformRank(out, t *trace.Trace, rank int, ann map[int]Anno
 	return nil
 }
 
-// put appends the chunk record of an injection to out and, when deriving,
-// its Channels.IDs entry, checking that every Wait consumes a request its
+// put appends the chunk record of an injection to out and its
+// Channels.IDs entry, checking that every Wait consumes a request its
 // rank posted earlier and has not waited yet. base is where the rank's
 // IDs begin.
 func (sc *scratch) put(out *trace.Trace, base int, in *injection) error {
@@ -534,9 +523,6 @@ func (sc *scratch) put(out *trace.Trace, base int, in *injection) error {
 		r := &sc.recs[in.src]
 		out.Records = append(out.Records, trace.Record{Kind: in.kind, Peer: r.Peer,
 			Tag: chunkTag(r.Tag, int(in.c)), Size: in.size, Req: int(in.req)})
-	}
-	if !sc.derive {
-		return nil
 	}
 	var id int32
 	switch in.kind {
@@ -626,7 +612,7 @@ func prevBurst(recs []trace.Record, i int) int {
 		switch recs[j].Kind {
 		case trace.KindBurst:
 			return j
-		case trace.KindSend, trace.KindISend, trace.KindMarker:
+		case trace.KindSend, trace.KindMarker:
 			// Other sends off the same burst are fine to skip.
 		default:
 			// A receive, wait or collective breaks the production
@@ -664,7 +650,7 @@ func prepostTarget(recs []trace.Record, i int) int {
 			return j
 		case trace.KindCollective:
 			return -1
-		case trace.KindRecv, trace.KindIRecv:
+		case trace.KindRecv:
 			if r.Peer == rec.Peer && r.Tag == rec.Tag {
 				return -1
 			}
@@ -797,7 +783,7 @@ const (
 // chunkTag derives the wire tag of chunk c of a message with the given
 // original tag. For 0 <= c < MaxChunks it is injective on tags in
 // [minTag, maxTag], negative ones included, where tag*MaxChunks + c
-// cannot overflow. Transform bounds the chunk count by MaxChunks; it
-// derives a variant's channel numbering only when every tag is in range,
-// since outside it two original channels could share a chunk channel.
+// cannot overflow. Transform bounds the chunk count by MaxChunks and
+// rejects originals with a tag outside that range, since there two
+// original channels could share a chunk channel.
 func chunkTag(tag, c int) int { return tag*MaxChunks + c }

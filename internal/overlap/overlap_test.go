@@ -437,6 +437,37 @@ func randomProfiledSet(rng *rand.Rand) *ProfiledSet {
 	return &ProfiledSet{Original: s, Chunks: chunks, Annotations: ann}
 }
 
+// randomOriginal is randomProfiledSet with, on most sets, one message
+// appended at the end of its two ranks that Transform may or may not
+// accept: a blocking message tagged at or just past the ends of the
+// chunk-tag range, a non-blocking one, or one left unmatched. reject
+// reports whether Transform must refuse the set.
+func randomOriginal(rng *rand.Rand) (ps *ProfiledSet, reject bool) {
+	ps = randomProfiledSet(rng)
+	s := ps.Original
+	src := rng.Intn(s.NRanks())
+	dst := (src + 1 + rng.Intn(s.NRanks()-1)) % s.NRanks()
+	send, recv := &s.Traces[src], &s.Traces[dst]
+	size := units.Bytes(rng.Intn(1<<12) + 1)
+	switch rng.Intn(8) {
+	case 0, 1:
+		tag := []int{minTag, maxTag, minTag - 1, maxTag + 1}[rng.Intn(4)]
+		send.Append(trace.Burst(100), trace.Send(dst, tag, size))
+		recv.Append(trace.Recv(src, tag, size), trace.Burst(100))
+		return ps, tag < minTag || tag > maxTag
+	case 2, 3:
+		req := []int{1, 2, 1000, rng.Intn(1 << 20)}[rng.Intn(4)]
+		tag := rng.Intn(4) - 1
+		send.Append(trace.ISend(dst, tag, size, req), trace.Burst(100), trace.Wait(req))
+		recv.Append(trace.IRecv(src, tag, size, req), trace.Wait(req), trace.Burst(100))
+		return ps, true
+	case 4:
+		send.Append(trace.Send(dst, 0, size))
+		return ps, true
+	}
+	return ps, false
+}
+
 // allMechanisms lists every combination of the overlapping mechanisms.
 func allMechanisms() []Mechanism {
 	var out []Mechanism
@@ -451,18 +482,25 @@ func allMechanisms() []Mechanism {
 var chunkOverrides = []int{0, 1, 3, 16, MaxChunks}
 
 func TestPropertyTransformPreservesInvariants(t *testing.T) {
-	// For random inputs and all option combinations: the output validates,
-	// per-rank instructions are conserved, total bytes are conserved, and
-	// the facts Transform derived equal the reference computations.
+	// For random originals and all option combinations: Transform returns
+	// an error exactly when the original is not a valid set of blocking,
+	// in-range messages. Otherwise the output validates, per-rank
+	// instructions are conserved, total bytes are conserved, and the facts
+	// Transform derived equal the reference computations.
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ps := randomProfiledSet(rng)
+		ps, reject := randomOriginal(rand.New(rand.NewSource(seed)))
 		for _, mech := range allMechanisms() {
 			for _, pat := range []Pattern{PatternReal, PatternLinear} {
 				for _, chunks := range chunkOverrides {
 					opts := Options{Mechanisms: mech, Pattern: pat, Chunks: chunks}
 					out, err := Transform(ps, opts)
-					if err != nil {
+					switch {
+					case reject && err == nil:
+						t.Logf("%s: Transform accepted an original it must reject", opts.Variant(ps.Chunks))
+						return false
+					case reject:
+						continue
+					case err != nil:
 						t.Logf("%s: %v", opts.Variant(ps.Chunks), err)
 						return false
 					}
@@ -487,7 +525,7 @@ func TestPropertyTransformPreservesInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
 }

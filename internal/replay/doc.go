@@ -44,8 +44,8 @@
 // (Simulate, SimulatePar, SimulateBatch) draws replayers from an internal
 // pool, so every caller reuses warm scratch automatically, and checks its
 // input with trace.Set.ValidateOnce, so a set replayed many times is
-// validated once (an overlap.Transform variant of a traced workload
-// arrives validated and numbered, so never). Messages match on per-channel FIFO queues held in a
+// validated once (an overlap.Transform variant arrives validated and
+// numbered, so never). Messages match on per-channel FIFO queues held in a
 // slice indexed by the set's dense channel ids (trace.Set.Channels, also
 // computed once per set), sized to the trace being replayed: a post finds
 // its queue without hashing, and a replayer keeps queues for one trace's

@@ -75,10 +75,8 @@
 //     on the Summary path (replay.SimulateBatch with one platform), which
 //     builds no timelines, and each trace set validates once however
 //     often the workers alternate between sets (trace.Set.ValidateOnce).
-//     An overlapped variant of a traced workload does not validate at
-//     all: overlap.Transform hands it over already validated and
-//     channel-numbered. Only a variant of an original with non-blocking
-//     records (a trace file, not the tracer) validates on first replay.
+//     An overlapped variant does not validate at all: overlap.Transform
+//     hands it over already validated and channel-numbered.
 //   - Runner.Store (*replaystore.Store) persists the replay memo's
 //     entries on disk under the same key (platform hashed losslessly), so
 //     a warm re-run of an identical sweep does zero replays on top of

@@ -64,7 +64,8 @@ type Runner struct {
 	Approx bool
 	// ApproxMaxErr is the error-bound gate: a family whose spot-checked
 	// relative error exceeds it is demoted to full replay. 0 means
-	// DefaultApproxMaxErr.
+	// DefaultApproxMaxErr. The bound is statistical: only the spot checks
+	// are compared with an exact replay, not every predicted point.
 	ApproxMaxErr float64
 	// ApproxSpotCheck is the fraction of predicted points that are spot-
 	// replayed per family (at least one). 0 means DefaultApproxSpotCheck.

@@ -41,8 +41,8 @@ func PostChannel(id int32) (ch int32, waited bool) {
 // memoized on the set, for consumers that match messages on every replay.
 // Like ValidateOnce it relies on the set not being mutated afterwards, and
 // concurrent first calls wait for one computation. A set filled in with
-// MarkValid, such as an overlap.Transform variant of a tracer or tracegen
-// trace, arrives numbered and computes nothing here.
+// MarkValid, as every overlap.Transform variant is, arrives numbered and
+// computes nothing here.
 func (s *Set) Channels() *Channels {
 	if c := s.chans.Load(); c != nil {
 		return c

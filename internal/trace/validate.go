@@ -74,8 +74,8 @@ const (
 // validated. Concurrent first calls wait for one check instead of each
 // building its own scratch: workers replaying one set on many platforms
 // all arrive at once. A set vouched for with MarkValid, as
-// overlap.Transform does for the variants of tracer and tracegen traces,
-// is never checked here.
+// overlap.Transform does for every variant it returns, is never checked
+// here.
 func (s *Set) ValidateOnce() (collectives bool, err error) {
 	if st := s.checked.Load(); st != unchecked {
 		return st == validCollectives, nil
