@@ -28,6 +28,8 @@
 // TestTypedEventSteadyStateAllocs guard pins that budget at exactly zero
 // allocations per schedule/dispatch cycle on a warm engine.
 //
-// The replayer builds rank state machines and network resource schedulers
-// (see Resource) on top of the engine.
+// The replayer (internal/replay) builds its rank state machines on top of
+// the engine and arbitrates network contention itself, in its bus and link
+// arbiter; Resource is a standalone server-pool model the replayer does
+// not use.
 package des

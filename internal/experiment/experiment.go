@@ -21,8 +21,13 @@
 // the Runner's workload for an app, traced once per suite, and the
 // experiments, IntermediateBandwidth and IsoBandwidth replay through its
 // memo, so a (trace, platform) pair replays once per suite and an error,
-// or a recorded panic, is what every later caller gets. Only F1 replays
-// with timelines (Workload.Study.Compare), to render them.
+// or a recorded panic, is what every later caller gets. Every experiment
+// but F1 computes its tables through one fan-out on the suite's engine:
+// each row, or each app × column cell, is its own job, and rows render in
+// order whatever the worker count. A failing row fails its experiment as
+// "sweep: job N: …", and a panicking one is recovered and reported the
+// same way. Only F1 replays with timelines (Workload.Study.Compare), to
+// render them, and runs serially.
 package experiment
 
 import (
@@ -124,8 +129,11 @@ type Suite struct {
 	Chunks int
 	// Quick shrinks the workloads for fast runs (tests, smoke benches).
 	Quick bool
-	// Workers bounds the sweep worker pool the experiments fan out on;
-	// 0 means one worker per CPU. Results are identical for any value.
+	// Workers bounds the sweep worker pool that every experiment but F1
+	// computes its rows (or cells) on; 0 means one worker per CPU. Results
+	// are identical for any value. A failing row fails its experiment as
+	// "sweep: job N: …", with N the row's (or cell's) index; a panicking
+	// one is reported the same way instead of crashing the process.
 	Workers int
 	// Cache, when non-nil, persists profiled trace sets across processes,
 	// so repeated experiment runs skip the instrumented runs. Results are

@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -14,16 +15,12 @@ import (
 )
 
 // TestExperimentsWorkerCountInvariant is the determinism contract of the
-// sweep rewiring: every grid-based experiment renders byte-identical tables
-// no matter how many workers replay its points.
+// suite's fan-out: every experiment renders byte-identical output no
+// matter how many workers compute its rows.
 func TestExperimentsWorkerCountInvariant(t *testing.T) {
-	for _, id := range []string{"e2", "e2f", "e3", "a1", "a2", "a3"} {
-		t.Run(id, func(t *testing.T) {
+	for _, d := range All {
+		t.Run(d.ID, func(t *testing.T) {
 			t.Parallel()
-			d, err := Find(id)
-			if err != nil {
-				t.Fatal(err)
-			}
 			outputs := make([]bytes.Buffer, 3)
 			for i, workers := range []int{1, 2, 8} {
 				s := NewSuite()
@@ -129,5 +126,38 @@ func TestSuitePanickedFillStaysFailed(t *testing.T) {
 	mustPanic("intermediate", func() { IntermediateBandwidth(st, s.Machine) })
 	if bw, err := IntermediateBandwidth(st, s.Machine); err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Errorf("intermediate after a panicked search = %v, %v; want the recorded panic", bw, err)
+	}
+}
+
+// TestRowPanicFailsExperiment: E1, B1 and S1 compute their rows on the
+// suite's engine like E2 does, so a row whose workload trace panics fails
+// the experiment as that row's job error instead of crashing the process.
+// The panic is injected through the trace cache's Warn hook, which the
+// trace fill calls when it meets sweep3d's corrupt entry: row 2 of E1 and
+// B1 (bt, cg, sweep3d), and row 0 of S1 (its 4-rank grid is the suite's
+// own sweep3d workload).
+func TestRowPanicFailsExperiment(t *testing.T) {
+	for _, tc := range []struct{ id, want string }{
+		{"e1", "sweep: job 2: panic: cache hook broken"},
+		{"b1", "sweep: job 2: panic: cache hook broken"},
+		{"s1", "sweep: job 0: panic: cache hook broken"},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			dir := t.TempDir()
+			s := quickSuite()
+			s.Cache = &sweep.TraceCache{Dir: dir, Warn: func(string) { panic("cache hook broken") }}
+			cfg := s.AppConfig("sweep3d")
+			key := s.Cache.Key("sweep3d", cfg.Ranks, s.Chunks, cfg.Size, cfg.Iterations)
+			if err := os.WriteFile(filepath.Join(dir, key+".trace"), []byte("corrupt"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			d, err := Find(tc.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Run(s, io.Discard); err == nil || err.Error() != tc.want {
+				t.Errorf("%s = %v; want %q", tc.id, err, tc.want)
+			}
+		})
 	}
 }

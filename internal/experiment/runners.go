@@ -56,15 +56,10 @@ func Find(id string) (Def, error) {
 // renders the qualitative comparison the Paraver stage provides.
 func RunF1(s *Suite, w io.Writer) error {
 	name := "pingpong"
-	st, err := s.Study(name)
+	st, _, m, err := s.atIntermediate(name)
 	if err != nil {
 		return err
 	}
-	bw, err := IntermediateBandwidth(st, s.Machine)
-	if err != nil {
-		return err
-	}
-	m := s.Machine.WithBandwidth(bw)
 	cmp, err := st.Study.Compare(m, bothLinear)
 	if err != nil {
 		return err
@@ -82,67 +77,48 @@ func RunF1(s *Suite, w io.Writer) error {
 // it.
 func RunE1(s *Suite, w io.Writer) error {
 	fmt.Fprintln(w, "E1: speedup of automatic overlap at intermediate bandwidth, real vs ideal patterns")
-	tb := stats.NewTable("app", "bandwidth", "real-pattern", "ideal-pattern", "verdict")
-	for _, name := range paperAppsOf(s) {
-		st, err := s.Study(name)
+	names := paperAppsOf(s)
+	return s.table(w, []string{"app", "bandwidth", "real-pattern", "ideal-pattern", "verdict"}, len(names), func(i int) ([]string, error) {
+		st, bw, m, err := s.atIntermediate(names[i])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		bw, err := IntermediateBandwidth(st, s.Machine)
-		if err != nil {
-			return err
-		}
-		m := s.Machine.WithBandwidth(bw)
 		real, err := st.ReplayPair(bothReal, m)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ideal, err := st.ReplayPair(bothLinear, m)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		verdict := "real<<ideal"
 		if stats.PercentGain(real.Speedup) > stats.PercentGain(ideal.Speedup)/2 {
 			verdict = "comparable"
 		}
-		tb.AddRow(name, fmtBW(bw), fmtPct(stats.PercentGain(real.Speedup)), fmtPct(stats.PercentGain(ideal.Speedup)), verdict)
-	}
-	return tb.Render(w)
+		return []string{names[i], fmtBW(bw),
+			fmtPct(stats.PercentGain(real.Speedup)), fmtPct(stats.PercentGain(ideal.Speedup)), verdict}, nil
+	})
 }
 
 // RunE2 reproduces finding 2: the per-application speedup table at
 // intermediate bandwidth with ideal patterns, next to the paper's reported
-// values. The per-app grid fans out on the suite's sweep engine; rows come
-// back in app order regardless of the worker count.
+// values.
 func RunE2(s *Suite, w io.Writer) error {
 	fmt.Fprintln(w, "E2: speedup at intermediate bandwidth with ideal (sequential) patterns")
 	names := paperAppsOf(s)
-	rows, err := sweep.Map(s.engine(), len(names), func(i int) ([]string, error) {
-		name := names[i]
-		st, err := s.Study(name)
+	return s.table(w, []string{"app", "bandwidth", "T-original", "T-overlap", "speedup", "paper"}, len(names), func(i int) ([]string, error) {
+		st, bw, m, err := s.atIntermediate(names[i])
 		if err != nil {
 			return nil, err
 		}
-		bw, err := IntermediateBandwidth(st, s.Machine)
+		res, err := st.ReplayPair(bothLinear, m)
 		if err != nil {
 			return nil, err
 		}
-		res, err := st.ReplayPair(bothLinear, s.Machine.WithBandwidth(bw))
-		if err != nil {
-			return nil, err
-		}
-		return []string{name, fmtBW(bw),
+		return []string{names[i], fmtBW(bw),
 			units.Duration(res.TOriginal).String(), units.Duration(res.TOverlap).String(),
-			fmtPct(stats.PercentGain(res.Speedup)), fmtPct(PaperE2[name])}, nil
+			fmtPct(stats.PercentGain(res.Speedup)), fmtPct(PaperE2[names[i]])}, nil
 	})
-	if err != nil {
-		return err
-	}
-	tb := stats.NewTable("app", "bandwidth", "T-original", "T-overlap", "speedup", "paper")
-	for _, row := range rows {
-		tb.AddRow(row...)
-	}
-	return tb.Render(w)
 }
 
 // RunE2f reproduces the implied per-app figure: speedup of the overlapped
@@ -151,35 +127,21 @@ func RunE2(s *Suite, w io.Writer) error {
 func RunE2f(s *Suite, w io.Writer) error {
 	fmt.Fprintln(w, "E2f: ideal-pattern overlap speedup vs bandwidth")
 	grid := bandwidthGrid()
-	names := paperAppsOf(s)
-	// The full app × bandwidth cross product, expressed as a sweep grid
-	// and simulated point-by-point on the worker pool.
-	pts := sweep.Grid{Apps: names, Bandwidths: grid}.Expand()
-	cells, err := sweep.Map(s.engine(), len(pts), func(i int) (string, error) {
-		p := pts[i]
-		st, err := s.Study(p.App)
+	header := []string{"app"}
+	for _, bw := range grid {
+		header = append(header, fmtBW(bw))
+	}
+	return s.appTable(w, header, func(name string, j int) (string, error) {
+		st, err := s.Study(name)
 		if err != nil {
 			return "", err
 		}
-		res, err := st.ReplayPair(bothLinear, s.Machine.WithBandwidth(p.Bandwidth))
+		res, err := st.ReplayPair(bothLinear, s.Machine.WithBandwidth(grid[j]))
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("%.2f", res.Speedup), nil
 	})
-	if err != nil {
-		return err
-	}
-	header := []string{"app"}
-	for _, bw := range grid {
-		header = append(header, fmtBW(bw))
-	}
-	tb := stats.NewTable(header...)
-	for ai, name := range names {
-		row := append([]string{name}, cells[ai*len(grid):(ai+1)*len(grid)]...)
-		tb.AddRow(row...)
-	}
-	return tb.Render(w)
 }
 
 // RunE3 reproduces finding 3: the bandwidth the overlapped execution needs
@@ -189,9 +151,8 @@ func RunE3(s *Suite, w io.Writer) error {
 	ref := 32 * units.GBPerSec
 	fmt.Fprintf(w, "E3: bandwidth needed by the overlapped execution to match the original at %s\n", ref)
 	names := paperAppsOf(s)
-	rows, err := sweep.Map(s.engine(), len(names), func(i int) ([]string, error) {
-		name := names[i]
-		st, err := s.Study(name)
+	return s.table(w, []string{"app", "T-target", "iso-bandwidth", "reduction"}, len(names), func(i int) ([]string, error) {
+		st, err := s.Study(names[i])
 		if err != nil {
 			return nil, err
 		}
@@ -204,54 +165,29 @@ func RunE3(s *Suite, w io.Writer) error {
 			return nil, err
 		}
 		if !ok {
-			return []string{name, units.Duration(origRef.Total).String(), "unreachable", "-"}, nil
+			return []string{names[i], units.Duration(origRef.Total).String(), "unreachable", "-"}, nil
 		}
-		return []string{name, units.Duration(origRef.Total).String(), fmtBW(iso),
+		return []string{names[i], units.Duration(origRef.Total).String(), fmtBW(iso),
 			fmt.Sprintf("%.0fx", float64(ref)/float64(iso))}, nil
 	})
-	if err != nil {
-		return err
-	}
-	tb := stats.NewTable("app", "T-target", "iso-bandwidth", "reduction")
-	for _, row := range rows {
-		tb.AddRow(row...)
-	}
-	return tb.Render(w)
 }
 
 // RunA1 studies each overlapping mechanism separately, the capability the
 // paper's tracing tool explicitly provides (section II-B).
 func RunA1(s *Suite, w io.Writer) error {
 	fmt.Fprintln(w, "A1: overlap mechanisms in isolation (ideal patterns, intermediate bandwidth)")
-	names := paperAppsOf(s)
 	mechs := []overlap.Mechanism{0, overlap.EarlySend, overlap.LateRecv, overlap.BothMechanisms}
-	pts := sweep.Grid{Apps: names, Mechanisms: mechs}.Expand()
-	cells, err := sweep.Map(s.engine(), len(pts), func(i int) (string, error) {
-		p := pts[i]
-		st, err := s.Study(p.App)
+	return s.appTable(w, []string{"app", "chunk-only", "early-send", "late-recv", "both"}, func(name string, j int) (string, error) {
+		st, _, m, err := s.atIntermediate(name)
 		if err != nil {
 			return "", err
 		}
-		bw, err := IntermediateBandwidth(st, s.Machine)
-		if err != nil {
-			return "", err
-		}
-		res, err := st.ReplayPair(overlap.Options{Mechanisms: p.Mechanisms, Pattern: overlap.PatternLinear},
-			s.Machine.WithBandwidth(bw))
+		res, err := st.ReplayPair(overlap.Options{Mechanisms: mechs[j], Pattern: overlap.PatternLinear}, m)
 		if err != nil {
 			return "", err
 		}
 		return fmtPct(stats.PercentGain(res.Speedup)), nil
 	})
-	if err != nil {
-		return err
-	}
-	tb := stats.NewTable("app", "chunk-only", "early-send", "late-recv", "both")
-	for ai, name := range names {
-		row := append([]string{name}, cells[ai*len(mechs):(ai+1)*len(mechs)]...)
-		tb.AddRow(row...)
-	}
-	return tb.Render(w)
 }
 
 // RunA2 sweeps the partial-message granularity, with and without a
@@ -259,42 +195,26 @@ func RunA1(s *Suite, w io.Writer) error {
 // posting cost more often, so a real platform has an optimum.
 func RunA2(s *Suite, w io.Writer) error {
 	chunkCounts := []int{1, 2, 4, 8, 16, 32}
-	names := paperAppsOf(s)
+	header := []string{"app"}
+	for _, c := range chunkCounts {
+		header = append(header, fmt.Sprintf("c=%d", c))
+	}
 	for _, ovh := range []units.Duration{0, 2 * units.Microsecond} {
 		fmt.Fprintf(w, "A2: chunk-count sweep (ideal patterns, intermediate bandwidth, CPU overhead %v)\n", ovh)
-		pts := sweep.Grid{Apps: names, Chunks: chunkCounts}.Expand()
-		cells, err := sweep.Map(s.engine(), len(pts), func(i int) (string, error) {
-			p := pts[i]
-			st, err := s.Study(p.App)
+		err := s.appTable(w, header, func(name string, j int) (string, error) {
+			st, _, m, err := s.atIntermediate(name)
 			if err != nil {
 				return "", err
 			}
-			bw, err := IntermediateBandwidth(st, s.Machine)
-			if err != nil {
-				return "", err
-			}
-			m := s.Machine.WithBandwidth(bw)
 			m.CPUOverhead = ovh
 			res, err := st.ReplayPair(overlap.Options{
-				Mechanisms: overlap.BothMechanisms, Pattern: overlap.PatternLinear, Chunks: p.Chunks}, m)
+				Mechanisms: overlap.BothMechanisms, Pattern: overlap.PatternLinear, Chunks: chunkCounts[j]}, m)
 			if err != nil {
 				return "", err
 			}
 			return fmtPct(stats.PercentGain(res.Speedup)), nil
 		})
 		if err != nil {
-			return err
-		}
-		header := []string{"app"}
-		for _, c := range chunkCounts {
-			header = append(header, fmt.Sprintf("c=%d", c))
-		}
-		tb := stats.NewTable(header...)
-		for ai, name := range names {
-			row := append([]string{name}, cells[ai*len(chunkCounts):(ai+1)*len(chunkCounts)]...)
-			tb.AddRow(row...)
-		}
-		if err := tb.Render(w); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)
@@ -306,105 +226,70 @@ func RunA2(s *Suite, w io.Writer) error {
 // threshold, on the sweep3d study.
 func RunA3(s *Suite, w io.Writer) error {
 	name := "sweep3d"
-	st, err := s.Study(name)
+	st, bw, base, err := s.atIntermediate(name)
 	if err != nil {
 		return err
 	}
-	bw, err := IntermediateBandwidth(st, s.Machine)
-	if err != nil {
-		return err
-	}
-	base := s.Machine.WithBandwidth(bw)
-
 	// Each parameter axis is a one-dimensional sweep over platform
-	// variants: fan the replays out, then render rows in axis order.
-	paramSweep := func(n int, machineAt func(i int) machine.Config, labelAt func(i int) string) ([][]string, error) {
-		return sweep.Map(s.engine(), n, func(i int) ([]string, error) {
-			res, err := st.ReplayPair(bothLinear, machineAt(i))
+	// variants: set(m, i) applies the axis's value i to m and labels it.
+	axis := func(header string, n int, set func(m *machine.Config, i int) string) error {
+		return s.table(w, []string{header, "T-original", "T-overlap", "speedup"}, n, func(i int) ([]string, error) {
+			m := base
+			label := set(&m, i)
+			res, err := st.ReplayPair(bothLinear, m)
 			if err != nil {
 				return nil, err
 			}
-			return []string{labelAt(i), units.Duration(res.TOriginal).String(),
+			return []string{label, units.Duration(res.TOriginal).String(),
 				units.Duration(res.TOverlap).String(), fmtPct(stats.PercentGain(res.Speedup))}, nil
 		})
-	}
-	renderParam := func(header string, rows [][]string) error {
-		tb := stats.NewTable(header, "T-original", "T-overlap", "speedup")
-		for _, row := range rows {
-			tb.AddRow(row...)
-		}
-		return tb.Render(w)
 	}
 
 	fmt.Fprintf(w, "A3: network-parameter ablation on %s at %s\n", name, fmtBW(bw))
 	busCounts := []int{1, 2, 4, 8, 0}
-	rows, err := paramSweep(len(busCounts),
-		func(i int) machine.Config { return base.WithBuses(busCounts[i]) },
-		func(i int) string {
-			if busCounts[i] == 0 {
-				return "inf"
-			}
-			return fmt.Sprintf("%d", busCounts[i])
-		})
+	err = axis("buses", len(busCounts), func(m *machine.Config, i int) string {
+		*m = m.WithBuses(busCounts[i])
+		if busCounts[i] == 0 {
+			return "inf"
+		}
+		return fmt.Sprintf("%d", busCounts[i])
+	})
 	if err != nil {
-		return err
-	}
-	if err := renderParam("buses", rows); err != nil {
 		return err
 	}
 
 	thresholds := []units.Bytes{0, units.KB, 32 * units.KB, -1}
-	rows, err = paramSweep(len(thresholds),
-		func(i int) machine.Config {
-			m := base
-			m.EagerThreshold = thresholds[i]
-			return m
-		},
-		func(i int) string {
-			switch thresholds[i] {
-			case 0:
-				return "rendezvous-all"
-			case -1:
-				return "eager-all"
-			}
-			return thresholds[i].String()
-		})
+	err = axis("eager-threshold", len(thresholds), func(m *machine.Config, i int) string {
+		m.EagerThreshold = thresholds[i]
+		switch thresholds[i] {
+		case 0:
+			return "rendezvous-all"
+		case -1:
+			return "eager-all"
+		}
+		return thresholds[i].String()
+	})
 	if err != nil {
-		return err
-	}
-	if err := renderParam("eager-threshold", rows); err != nil {
 		return err
 	}
 
 	overheads := []units.Duration{0, units.Microsecond, 2 * units.Microsecond, 4 * units.Microsecond}
-	rows, err = paramSweep(len(overheads),
-		func(i int) machine.Config {
-			m := base
-			m.CPUOverhead = overheads[i]
-			return m
-		},
-		func(i int) string { return overheads[i].String() })
-	if err != nil {
-		return err
-	}
-	return renderParam("cpu-overhead", rows)
+	return axis("cpu-overhead", len(overheads), func(m *machine.Config, i int) string {
+		m.CPUOverhead = overheads[i]
+		return overheads[i].String()
+	})
 }
 
 // RunB1 compares the Sancho et al. closed-form predictions with the
 // simulated results at the intermediate bandwidth.
 func RunB1(s *Suite, w io.Writer) error {
 	fmt.Fprintln(w, "B1: analytic (Sancho et al.) vs simulated overlap benefit, intermediate bandwidth")
-	tb := stats.NewTable("app", "bandwidth", "analytic", "simulated-ideal", "simulated-real")
-	for _, name := range paperAppsOf(s) {
-		st, err := s.Study(name)
+	names := paperAppsOf(s)
+	return s.table(w, []string{"app", "bandwidth", "analytic", "simulated-ideal", "simulated-real"}, len(names), func(i int) ([]string, error) {
+		st, bw, m, err := s.atIntermediate(names[i])
 		if err != nil {
-			return err
+			return nil, err
 		}
-		bw, err := IntermediateBandwidth(st, s.Machine)
-		if err != nil {
-			return err
-		}
-		m := s.Machine.WithBandwidth(bw)
 		mips := m.MIPS
 		if mips == 0 {
 			mips = st.Study.Original().MIPS
@@ -412,18 +297,17 @@ func RunB1(s *Suite, w io.Writer) error {
 		model := analytic.FromStats(trace.Stats(st.Study.Original()), mips)
 		ideal, err := st.ReplayPair(bothLinear, m)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		real, err := st.ReplayPair(bothReal, m)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		tb.AddRow(name, fmtBW(bw),
+		return []string{names[i], fmtBW(bw),
 			fmtPct(stats.PercentGain(model.Speedup(m))),
 			fmtPct(stats.PercentGain(ideal.Speedup)),
-			fmtPct(stats.PercentGain(real.Speedup)))
-	}
-	return tb.Render(w)
+			fmtPct(stats.PercentGain(real.Speedup))}, nil
+	})
 }
 
 // RunS1 extends the study in the paper's future-work direction: how the
@@ -439,27 +323,81 @@ func RunS1(s *Suite, w io.Writer) error {
 		rankCounts = []int{4, 16}
 		size = 256
 	}
-	tb := stats.NewTable("ranks", "grid", "bandwidth", "T-original", "T-overlap", "speedup")
-	for _, ranks := range rankCounts {
+	return s.table(w, []string{"ranks", "grid", "bandwidth", "T-original", "T-overlap", "speedup"}, len(rankCounts), func(i int) ([]string, error) {
+		ranks := rankCounts[i]
 		st, err := s.workload("sweep3d", apps.Config{Ranks: ranks, Size: size, Iterations: iters})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		bw, err := IntermediateBandwidth(st, s.Machine)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := st.ReplayPair(bothLinear, s.Machine.WithBandwidth(bw))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		side := 1
 		for side*side < ranks {
 			side++
 		}
-		tb.AddRow(fmt.Sprint(ranks), fmt.Sprintf("%dx%d", side, side), fmtBW(bw),
+		return []string{fmt.Sprint(ranks), fmt.Sprintf("%dx%d", side, side), fmtBW(bw),
 			units.Duration(res.TOriginal).String(), units.Duration(res.TOverlap).String(),
-			fmtPct(stats.PercentGain(res.Speedup)))
+			fmtPct(stats.PercentGain(res.Speedup))}, nil
+	})
+}
+
+// atIntermediate returns the app's workload, its intermediate bandwidth
+// and the suite's platform at that bandwidth.
+func (s *Suite) atIntermediate(name string) (*sweep.Workload, units.Bandwidth, machine.Config, error) {
+	st, err := s.Study(name)
+	if err != nil {
+		return nil, 0, machine.Config{}, err
+	}
+	bw, err := IntermediateBandwidth(st, s.Machine)
+	if err != nil {
+		return nil, 0, machine.Config{}, err
+	}
+	return st, bw, s.Machine.WithBandwidth(bw), nil
+}
+
+// table computes n rows on the suite's engine, row i by row(i), and
+// renders them under header in row order, whatever the worker count. A
+// failing row fails the table as "sweep: job i: …"; a panicking one is
+// recovered and reported the same way.
+func (s *Suite) table(w io.Writer, header []string, n int, row func(i int) ([]string, error)) error {
+	rows, err := sweep.Map(s.engine(), n, row)
+	if err != nil {
+		return err
+	}
+	return render(w, header, rows)
+}
+
+// appTable renders the app × column table of the suite's evaluation apps:
+// header names the app column and then the columns, and cell(app, j)
+// computes column j of the app's row. Each cell is its own job on the
+// suite's engine, so a failing one reports as "sweep: job i: …" with i
+// its row-major index.
+func (s *Suite) appTable(w io.Writer, header []string, cell func(app string, j int) (string, error)) error {
+	names, cols := paperAppsOf(s), len(header)-1
+	cells, err := sweep.Map(s.engine(), len(names)*cols, func(i int) (string, error) {
+		return cell(names[i/cols], i%cols)
+	})
+	if err != nil {
+		return err
+	}
+	rows := make([][]string, len(names))
+	for ai, name := range names {
+		rows[ai] = append([]string{name}, cells[ai*cols:(ai+1)*cols]...)
+	}
+	return render(w, header, rows)
+}
+
+// render writes rows as a table under header.
+func render(w io.Writer, header []string, rows [][]string) error {
+	tb := stats.NewTable(header...)
+	for _, row := range rows {
+		tb.AddRow(row...)
 	}
 	return tb.Render(w)
 }
