@@ -10,13 +10,19 @@ CACHE ?= trace-cache
 DIR ?= campaign-work
 ARGS ?= -apps pingpong -bws 64MB/s,256MB/s -chunks 4,8 -size 512 -iters 2
 
-# End-to-end A/B knobs (see the e2e-ab target).
+# The hot-path benchmarks bench-json records and bench-ab compares.
+BENCH_RE := BenchmarkEngine$$|BenchmarkEngineTyped$$|BenchmarkSimulatePipeline$$|BenchmarkReplayerReuse$$|BenchmarkReplayBT$$|BenchmarkReplayGen64Seq$$|BenchmarkReplayGen64Par4$$|BenchmarkReplayBatchWarm$$|BenchmarkReplayContended$$|BenchmarkSweepDenseExact$$|BenchmarkSweepDenseApprox$$|BenchmarkSweepWarmStore$$|BenchmarkTransformBT$$|BenchmarkVariantFactsBT$$
+BENCH_PKGS := ./internal/des ./internal/replay ./internal/sweep .
+
+# End-to-end and microbenchmark A/B knobs (see the e2e-ab and bench-ab
+# targets).
 REF ?=
+ROUNDS ?= 5
 PAIRS ?= 5
 SECONDS ?= 10
 WORKLOADS ?=
 
-.PHONY: all build test race bench bench-smoke bench-json bench-compare e2e-ab campaign serve lint fmt fuzz
+.PHONY: all build test race bench bench-smoke bench-json bench-compare bench-ab e2e-ab campaign serve lint fmt fuzz
 
 # Per-target fuzzing budget for the fuzz target (Go duration).
 FUZZTIME ?= 20s
@@ -51,8 +57,7 @@ bench-smoke:
 # stall during a short timed loop cannot fail bench-compare on its own.
 bench-json:
 	$(GO) test -run '^$$' -count 5 -benchtime 100x -benchmem \
-		-bench 'BenchmarkEngine$$|BenchmarkEngineTyped$$|BenchmarkSimulatePipeline$$|BenchmarkReplayerReuse$$|BenchmarkReplayBT$$|BenchmarkReplayGen64Seq$$|BenchmarkReplayGen64Par4$$|BenchmarkReplayBatchWarm$$|BenchmarkReplayContended$$|BenchmarkSweepDenseExact$$|BenchmarkSweepDenseApprox$$|BenchmarkTransformBT$$|BenchmarkVariantFactsBT$$' \
-		./internal/des ./internal/replay ./internal/sweep . > BENCH.txt
+		-bench '$(BENCH_RE)' $(BENCH_PKGS) > BENCH.txt
 	$(GO) run ./cmd/benchjson -baseline docs/bench-baseline.json -o BENCH.json < BENCH.txt
 	@echo wrote BENCH.json
 
@@ -74,6 +79,17 @@ bench-compare: bench-json
 #   make e2e-ab REF=HEAD~1 PAIRS=6 SECONDS=10 WORKLOADS="paper-cold serve-mixed"
 e2e-ab:
 	bash scripts/e2e-ab.sh -r "$(REF)" -p "$(PAIRS)" -s "$(SECONDS)" -w "$(WORKLOADS)"
+
+# Same-host microbenchmark A/B against a git ref: ROUNDS alternating
+# rounds of the bench-json benchmarks at its -benchtime 100x, from `go
+# test -c` binaries built in a worktree of REF and in this tree. `benchjson
+# ab` prints per-benchmark median ns/op and allocs/op, the ref's IQR and
+# the change's wins, and flags a median beyond the ref's own spread; fails
+# only if a build or a run fails. The cross-host gate stays bench-compare.
+# E.g.:
+#   make bench-ab REF=HEAD~1 ROUNDS=8
+bench-ab:
+	bash scripts/bench-ab.sh -r "$(REF)" -n "$(ROUNDS)" -b '$(BENCH_RE)' -p "$(BENCH_PKGS)"
 
 # One-command local scale-out: a fault-tolerant `overlapsim campaign`
 # coordinator feeding N spawned worker processes through leases with

@@ -8,6 +8,7 @@
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchjson -baseline docs/bench-baseline.json -o BENCH.json
 //	benchjson compare old.json new.json -threshold 10%
+//	benchjson ab ref.txt new.txt
 //
 // Lines that are not benchmark results (package headers, PASS/ok trailers)
 // are ignored; repeated results of one benchmark (-count N) fold into
@@ -25,6 +26,11 @@
 // machine-independent signal, which is why it has its own, tighter knob.
 // Flags may come before or after the file arguments. Records in either the
 // report or the baseline shape are accepted.
+//
+// ab reads two sides' raw `go test -bench` outputs, each holding several
+// rounds of the same benchmarks from one host, and prints per-benchmark
+// medians, the ref's spread and the rounds the change won (see
+// scripts/bench-ab.sh, `make bench-ab`). It gates nothing.
 package main
 
 import (
@@ -73,8 +79,12 @@ type Report struct {
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "compare" {
-		if err := runCompare(os.Args[2:], os.Stdout); err != nil {
+	if len(os.Args) > 1 && (os.Args[1] == "compare" || os.Args[1] == "ab") {
+		sub := runCompare
+		if os.Args[1] == "ab" {
+			sub = runAB
+		}
+		if err := sub(os.Args[2:], os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(1)
 		}

@@ -14,16 +14,17 @@
 //
 // Study is the one traced-study type: every traced workload of the sweep
 // Runner (sweep.Workload), and so every sweep point and experiment, holds
-// one. It caches its variants in a memo.Map keyed by variant name, the
-// memo the Runner uses for workloads and replays: variants build in
-// parallel, one transform per name, and a failed or panicked transform
-// stays failed. ReleaseVariant drops one variant, and a later Variant
-// transforms it again. The sweep Runner releases a variant once no
-// in-flight run has a pending point that replays it and nothing retains
-// it; a campaign worker retains its whole grid while it runs, so no lease
-// transforms a variant an earlier lease built. The experiment Suite
-// replays outside any sweep run and releases nothing: its variants live
-// as long as their study.
+// one. It caches its variants in a memo.Map keyed by the transform
+// options (chunk count resolved), the memo the Runner uses for workloads
+// and replays: variants build in parallel, one transform per variant, and
+// a failed or panicked transform stays failed. ReleaseVariant drops one
+// variant, and a later Variant transforms it again. The sweep Runner calls Variant only on a replay
+// miss, so after a release a later run transforms only on a replay miss.
+// It releases a variant once no in-flight run has a pending point that
+// replays it and nothing retains it; a campaign worker retains its whole
+// grid while it runs, so no lease transforms a variant an earlier lease
+// built. The experiment Suite replays outside any sweep run and releases
+// nothing: its variants live as long as their study.
 package core
 
 import (
@@ -94,7 +95,7 @@ func (e *Environment) FromTrace(ts *trace.Set) (*Study, error) {
 // on many platforms at once. A literal with Profiled set is ready to use.
 type Study struct {
 	Profiled *overlap.ProfiledSet
-	variants memo.Map[string, *trace.Set] // by variant name
+	variants memo.Map[overlap.Options, *trace.Set] // by resolved options
 }
 
 // Original returns the non-overlapped trace.
@@ -103,7 +104,7 @@ func (s *Study) Original() *trace.Set { return s.Profiled.Original }
 // Variant returns (building and caching on first use) the overlapped trace
 // for the given transformation options.
 func (s *Study) Variant(opts overlap.Options) (*trace.Set, error) {
-	ts, _, err := s.variants.Get(opts.Variant(s.Profiled.Chunks), "transform", func() (*trace.Set, error) {
+	ts, _, err := s.variants.Get(s.resolved(opts), "transform", func() (*trace.Set, error) {
 		return overlap.Transform(s.Profiled, opts)
 	})
 	return ts, err
@@ -114,7 +115,17 @@ func (s *Study) Variant(opts overlap.Options) (*trace.Set, error) {
 // running finishes for the callers waiting on it; the next Variant builds
 // it again.
 func (s *Study) ReleaseVariant(opts overlap.Options) {
-	s.variants.Delete(opts.Variant(s.Profiled.Chunks))
+	s.variants.Delete(s.resolved(opts))
+}
+
+// resolved is opts with the chunk count resolved as Transform resolves
+// it, so options that build the same variant share one memo key. Keying
+// on options rather than the variant name formats no name on a lookup.
+func (s *Study) resolved(opts overlap.Options) overlap.Options {
+	if opts.Chunks == 0 {
+		opts.Chunks = s.Profiled.Chunks
+	}
+	return opts
 }
 
 // SimulateOriginal replays the original trace on the platform.

@@ -205,6 +205,67 @@ func TestServeResultsFileFailureKeepsRequest(t *testing.T) {
 	}
 }
 
+// panicWriter is a response writer whose first body write panics, as a
+// broken encoder or connection write would; later writes succeed.
+type panicWriter struct {
+	*httptest.ResponseRecorder
+	panicked bool
+}
+
+func (w *panicWriter) Write(p []byte) (int, error) {
+	if !w.panicked {
+		w.panicked = true
+		panic("boom in body write")
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestServeBodyWritePanicFailsJob: a body write that panics while the
+// sink accepts a result fails that one job, with the panic in its status
+// and its stack in the log, and the daemon answers the next request in
+// full.
+func TestServeBodyWritePanicFailsJob(t *testing.T) {
+	var mu sync.Mutex
+	var logs []string
+	s := New(Config{Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	h := s.Handler()
+	h.ServeHTTP(&panicWriter{ResponseRecorder: httptest.NewRecorder()},
+		httptest.NewRequest(http.MethodPost, "/sweeps", strings.NewReader(testBody)))
+
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	if st := getStatus(t, ts.URL, "job-1"); st.State != JobFailed || !strings.Contains(st.Error, "panic: boom in body write") {
+		t.Errorf("job-1 status %+v, want failed with the panic", st)
+	}
+	resp := postSweep(t, ts.URL, testBody)
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := batchCSV(t); !bytes.Equal(body, want) {
+		t.Errorf("the request after the panic got:\n%s\n--- want:\n%s", body, want)
+	}
+	if got := resp.Trailer.Get("X-Overlapsim-Status"); got != "ok" {
+		t.Errorf("status trailer %q (error %q), want ok", got, resp.Trailer.Get("X-Overlapsim-Error"))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	stacks := 0
+	for _, line := range logs {
+		if strings.HasPrefix(line, "job-1: sweep: emit job ") && strings.Contains(line, "goroutine") {
+			stacks++
+		}
+	}
+	if stacks != 1 {
+		t.Errorf("%d log lines carry job-1's panic stack, want 1:\n%s", stacks, strings.Join(logs, "\n"))
+	}
+}
+
 // TestServeListAndJSONFormat covers GET /sweeps and the non-default format.
 func TestServeListAndJSONFormat(t *testing.T) {
 	s := New(Config{CacheDir: t.TempDir()})

@@ -7,6 +7,7 @@ import (
 
 	"overlapsim/internal/machine"
 	"overlapsim/internal/overlap"
+	"overlapsim/internal/sweep/replaystore"
 	"overlapsim/internal/units"
 )
 
@@ -82,3 +83,40 @@ func BenchmarkSweepDenseExact(b *testing.B) { benchDense(b, false) }
 // plus spot checks replay, interpolation fills the rest (~21% of the exact
 // replay count at the default 2% error bound).
 func BenchmarkSweepDenseApprox(b *testing.B) { benchDense(b, true) }
+
+// BenchmarkSweepWarmStore times the Runner's share of a warm serve
+// request: a fresh Runner over a primed trace cache and replay store runs
+// a serve-mixed-shaped grid (one 16-rank gen workload, 4 bandwidths,
+// chunks 4 and 8, 2 mechanisms), so every replay is a store hit. An
+// iteration that replays fails the benchmark: it would be timing the cold
+// path.
+func BenchmarkSweepWarmStore(b *testing.B) {
+	g := Grid{
+		Apps:       []string{"gen:ring,ranks=16,iters=6,jit=0.1,seed=1"},
+		Bandwidths: []units.Bandwidth{64 * units.MBPerSec, 256 * units.MBPerSec, units.GBPerSec, 4 * units.GBPerSec},
+		Chunks:     []int{4, 8},
+		Mechanisms: []overlap.Mechanism{overlap.EarlySend, overlap.BothMechanisms},
+	}
+	dir := b.TempDir()
+	newRunner := func() *Runner {
+		r := NewRunner(machine.Default())
+		r.Engine = Engine{Workers: 2}
+		r.Cache = &TraceCache{Dir: dir}
+		r.Store = &replaystore.Store{Dir: dir}
+		return r
+	}
+	if _, err := newRunner().Run(g); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := newRunner()
+		if _, err := r.Run(g); err != nil {
+			b.Fatal(err)
+		}
+		if n := r.Stats().Replays; n != 0 {
+			b.Fatalf("warm sweep iteration replayed %d times", n)
+		}
+	}
+}

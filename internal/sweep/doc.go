@@ -68,7 +68,8 @@
 //     load-else-trace-and-store path.
 //   - Workload.Replay memoizes completed replays by (app, resolved
 //     ranks, size, iters, trace variant, platform), plus the profiled
-//     chunk count for overlapped variants. The original trace's variant
+//     chunk count for overlapped variants. The key names the variant
+//     without building it, so a hit transforms nothing. The original trace's variant
 //     is independent of the mechanism/pattern/chunk axes, so sweeping
 //     those axes pays for the original replay once instead of once per
 //     point — roughly halving the replays of such grids. A fill replays
@@ -83,7 +84,7 @@
 //     zero instrumented runs.
 //
 // The workloads, the replays and core.Study's variants (one transform
-// per variant name) are each a memo.Map: one fill per key, with the lock
+// per variant) are each a memo.Map: one fill per key, with the lock
 // released while it runs; errors are memoized, and a panicking fill is
 // recorded as a "... panicked" error before the panic is re-raised.
 //
@@ -93,7 +94,10 @@
 // that never ran, when its run returns), and a variant whose tally
 // reaches zero is released from its study. So a variant lives until no
 // in-flight run has a pending point that replays it, and a later run
-// transforms it again, without tracing or replaying anything twice.
+// transforms only on a replay miss, without tracing or replaying anything
+// twice: Workload.Replay keys a replay by the variant's name, not its
+// records, and builds the variant only when neither the memo nor the
+// store holds the replay.
 // Runner.Retain adds one count per variant of a grid until its caller
 // lets go: a campaign worker retains its grid for its lifetime, so its
 // leases, each a run of a few points, transform each variant once. The

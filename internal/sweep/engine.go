@@ -47,7 +47,8 @@ func (e *JobError) Error() string { return fmt.Sprintf("sweep: job %d: %v", e.In
 func (e *JobError) Unwrap() error { return e.Err }
 
 // PanicError is a job that panicked. The engine recovers the panic on the
-// worker and reports it as that index's *JobError, so one crashing point
+// worker and reports it as that index's *JobError (a panic while
+// delivering the result, as its *SinkError), so one crashing point or sink
 // fails its sweep instead of the whole process (a serve daemon keeps
 // serving). Stack is the panicking goroutine's stack, kept out of Error so
 // status lines stay one line.
@@ -59,7 +60,8 @@ type PanicError struct {
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
 // SinkError reports a failed delivery: the emit callback (typically a Sink
-// writing results somewhere) returned an error for the given index. Unlike
+// writing results somewhere) returned an error for the given index, or
+// emit or the Progress callback panicked (Err is then a *PanicError). Unlike
 // a JobError the simulation itself succeeded; the output path is broken, so
 // the sweep stops claiming new work.
 type SinkError struct {
@@ -96,10 +98,10 @@ func Map[T any](e Engine, n int, fn func(i int) (T, error)) ([]T, error) {
 // Emit calls arrive in completion order, which is unordered across indices
 // and depends on the worker count. They are serialized (an emit callback
 // needs no locking of its own) and happen before the Progress callback
-// observes the completion. An emit error stops the sweep the same way a
-// job failure does (claimed jobs finish but are no longer delivered) and is
-// reported as a *SinkError, so a sink that fails mid-run cannot silently
-// drop results.
+// observes the completion. An emit error, or a panic in emit or Progress,
+// stops the sweep the same way a job failure does (claimed jobs finish but
+// are no longer delivered) and is reported as a *SinkError, so a sink that
+// fails mid-run cannot silently drop results, nor crash the process.
 //
 // On failure EachContext returns a *JobError wrapping the error of the
 // lowest failing index. Jobs not yet claimed when a failure is observed
@@ -151,14 +153,19 @@ func EachContext[T any](ctx context.Context, e Engine, n int, fn func(i int) (T,
 		if sinkErr != nil {
 			return
 		}
-		if err := emit(i, v); err != nil {
+		err := recovered(func() error {
+			if err := emit(i, v); err != nil {
+				return err
+			}
+			completed++
+			if e.Progress != nil {
+				e.Progress(completed, n)
+			}
+			return nil
+		})
+		if err != nil {
 			sinkErr = &SinkError{Index: i, Err: err}
 			failed.Store(true)
-			return
-		}
-		completed++
-		if e.Progress != nil {
-			e.Progress(completed, n)
 		}
 	}
 	wg.Add(workers)
@@ -202,10 +209,19 @@ func EachContext[T any](ctx context.Context, e Engine, n int, fn func(i int) (T,
 
 // runJob calls fn(i), converting a panic into a *PanicError.
 func runJob[T any](fn func(i int) (T, error), i int) (v T, err error) {
+	err = recovered(func() (err error) {
+		v, err = fn(i)
+		return err
+	})
+	return v, err
+}
+
+// recovered calls f, converting a panic into a *PanicError.
+func recovered(f func() error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Value: p, Stack: debug.Stack()}
 		}
 	}()
-	return fn(i)
+	return f()
 }

@@ -142,8 +142,8 @@ func TestRunReleasesVariants(t *testing.T) {
 }
 
 // TestReleaseRerunIdentical: a second run of the same grid on the same
-// Runner transforms the released variants again but traces and replays
-// nothing, and renders byte-identically; its variants are released too.
+// Runner finds every replay in the memo, so it transforms, traces and
+// replays nothing, and renders byte-identically; nothing stays pending.
 func TestReleaseRerunIdentical(t *testing.T) {
 	r := releaseRunner(3)
 	g := releaseGrid()
@@ -152,6 +152,7 @@ func TestReleaseRerunIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	vt := trackVariants(t)
+	builds := countBuilds(t)
 	before := r.Stats()
 	second, err := r.Run(g)
 	if err != nil {
@@ -165,6 +166,9 @@ func TestReleaseRerunIdentical(t *testing.T) {
 	}
 	if vt.registered.Load() != 0 {
 		t.Errorf("rerun replayed %d variants, want none", vt.registered.Load())
+	}
+	if n := builds.Load(); n != 0 {
+		t.Errorf("rerun transformed %d variants, want none", n)
 	}
 	assertNothingPending(t, r)
 }

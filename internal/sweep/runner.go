@@ -283,26 +283,24 @@ type memoKey struct {
 // for the next process — once per fill, off the replay hot path. The
 // store key has no room for the profiled granularity, so a variant whose
 // chunk count differs from it stays in memory.
+//
+// The key names the variant without building it (see replayKey), so the
+// study's transform runs only on a replay miss, after the store misses
+// too: a later run transforms only on a replay miss, and a memo or store
+// hit transforms, validates and numbers nothing. A variant that cannot
+// be built fails with the study's error and counts no replay-memo hit,
+// however often it is asked for: the failure is the study's, not a replay.
 func (w *Workload) Replay(opts *overlap.Options, m machine.Config) (replaystore.Result, error) {
-	ps := w.Study.Profiled
-	ts := ps.Original
-	key := memoKey{app: w.key.app, size: w.key.cfg.Size, iters: w.key.cfg.Iterations, platform: m}
-	store := w.r.Store
-	if opts != nil {
-		var err error
-		if ts, err = w.Study.Variant(*opts); err != nil {
-			return replaystore.Result{}, err
-		}
-		key.chunks = ps.Chunks
-		if opts.Chunks != 0 && opts.Chunks != ps.Chunks {
-			store = nil
-		}
-	}
-	key.ranks, key.variant = ts.NRanks(), ts.Variant
-	// The platform name is presentation (it is rewritten by WithBandwidth);
-	// drop it so label differences cannot split otherwise equal platforms.
-	key.platform.Name = ""
+	key, store := w.replayKey(opts, m)
 	r := w.r
+	building := false // true while this call's fill builds the variant
+	defer func() {
+		// A build that panicked is forgotten, so the next call asks the
+		// study again and gets its recorded failure.
+		if building {
+			r.replays.Delete(key)
+		}
+	}()
 	res, hit, err := r.replays.Get(key, "replay", func() (replaystore.Result, error) {
 		var storeKey string
 		if store != nil {
@@ -310,6 +308,16 @@ func (w *Workload) Replay(opts *overlap.Options, m machine.Config) (replaystore.
 			if sr := store.Load(storeKey); sr != nil {
 				r.add(Counters{ReplayStoreHits: 1})
 				return *sr, nil
+			}
+		}
+		ts := w.Study.Original()
+		if opts != nil {
+			var err error
+			building = true
+			ts, err = buildVariant(w.Study, *opts)
+			building = false
+			if err != nil {
+				return replaystore.Result{}, buildError{err}
 			}
 		}
 		r.add(Counters{Replays: 1})
@@ -324,10 +332,41 @@ func (w *Workload) Replay(opts *overlap.Options, m machine.Config) (replaystore.
 		}
 		return res, nil
 	})
+	if be, ok := err.(buildError); ok {
+		return res, be.err
+	}
 	if hit {
 		r.add(Counters{ReplayMemoHits: 1})
 	}
 	return res, err
+}
+
+// buildError is a replay-memo fill that failed building its variant; Replay
+// returns the wrapped study error to every caller that shares the fill.
+type buildError struct{ err error }
+
+func (e buildError) Error() string { return e.err.Error() }
+
+// replayKey is the key Replay memoizes the replay of opts on m under, and
+// the store that backs it (nil when the variant's chunk count differs
+// from the profiled one). It names the variant the way overlap.Transform
+// names its output, so it needs no variant built.
+func (w *Workload) replayKey(opts *overlap.Options, m machine.Config) (memoKey, *replaystore.Store) {
+	orig := w.Study.Original()
+	key := memoKey{app: w.key.app, ranks: orig.NRanks(), size: w.key.cfg.Size, iters: w.key.cfg.Iterations,
+		variant: orig.Variant, platform: m}
+	store := w.r.Store
+	if opts != nil {
+		chunks := w.Study.Profiled.Chunks
+		key.variant, key.chunks = opts.Variant(chunks), chunks
+		if opts.Chunks != 0 && opts.Chunks != chunks {
+			store = nil
+		}
+	}
+	// The platform name is presentation (it is rewritten by WithBandwidth);
+	// drop it so label differences cannot split otherwise equal platforms.
+	key.platform.Name = ""
+	return key, store
 }
 
 // replayWidth is the parallel replay width a memo fill asks for: one shard
@@ -341,6 +380,10 @@ func replayWidth(ranks int) int { return min(runtime.GOMAXPROCS(0), ranks/16) }
 // simulate is the replay a memo fill runs: the Summary path, since a sweep
 // consumes no timelines. Tests swap it to inject a panicking replay.
 var simulate = replay.SimulateBatch
+
+// buildVariant is how a memo fill gets its overlapped variant: the study's
+// memoized transform. Tests swap it to count the variants a run builds.
+var buildVariant = (*core.Study).Variant
 
 // machineFor applies the point's platform overrides to the base config: the
 // bandwidth axis first (a negative value, BaseBandwidth, keeps the base
@@ -471,7 +514,8 @@ func (r *Runner) RunIndicesSinkContext(ctx context.Context, g Grid, indices []in
 // whose job never ran (a cancelled or failed run) lets go when the run
 // returns. The last point to let go of a variant releases it (see
 // release). Workloads and replay results stay memoized, so a later run
-// transforms the variant again but traces and replays nothing twice.
+// traces and replays nothing twice, and transforms only on a replay miss:
+// a point whose replays the memo answers builds no variant.
 func (r *Runner) run(ctx context.Context, g Grid, indices []int, sink Sink) error {
 	if err := g.Validate(); err != nil {
 		return err
@@ -528,8 +572,9 @@ func (r *Runner) run(ctx context.Context, g Grid, indices []int, sink Sink) erro
 	e.Progress = nil
 	delivered, sinkPos := 0, 0
 	deliver := func(pos int, res Result) error {
+		// A failing or panicking Accept reports the position it was given.
+		sinkPos = pos
 		if err := sink.Accept(indices[pos], res); err != nil {
-			sinkPos = pos
 			return err
 		}
 		delivered++

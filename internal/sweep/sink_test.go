@@ -395,6 +395,48 @@ func TestEachContextEmitErrorStopsClaiming(t *testing.T) {
 	}
 }
 
+// TestRunSinkAcceptPanicFailsRun: a sink whose Accept panics fails its
+// run with a *SinkError wrapping a *PanicError at the point it was handed,
+// instead of crashing the process from a worker goroutine, and the Runner
+// stays usable.
+func TestRunSinkAcceptPanicFailsRun(t *testing.T) {
+	g := sinkGrid()
+	for _, workers := range []int{1, 4} {
+		r := newScaleoutRunner(t)
+		r.Engine = Engine{Workers: workers}
+		err := r.RunSink(g, sinkFunc(func(i int, _ Result) error {
+			if i == 1 {
+				panic("boom in Accept")
+			}
+			return nil
+		}))
+		var se *SinkError
+		var pe *PanicError
+		if !errors.As(err, &se) || se.Index != 1 || !errors.As(err, &pe) || pe.Value != "boom in Accept" || len(pe.Stack) == 0 {
+			t.Fatalf("workers=%d: err = %v, want *SinkError{Index: 1} wrapping the recovered panic", workers, err)
+		}
+		if _, err := r.Run(g); err != nil {
+			t.Fatalf("workers=%d: run after the panic: %v", workers, err)
+		}
+	}
+}
+
+// TestEachContextProgressPanic: a panicking Progress callback is a failed
+// delivery too, reported as that index's *SinkError.
+func TestEachContextProgressPanic(t *testing.T) {
+	e := Engine{Workers: 1, Progress: func(done, total int) {
+		if done == 3 {
+			panic("boom in Progress")
+		}
+	}}
+	err := EachContext(context.Background(), e, 10, func(i int) (int, error) { return i, nil }, discard)
+	var se *SinkError
+	var pe *PanicError
+	if !errors.As(err, &se) || se.Index != 2 || !errors.As(err, &pe) || pe.Value != "boom in Progress" {
+		t.Fatalf("err = %v, want *SinkError{Index: 2} wrapping the recovered panic", err)
+	}
+}
+
 // TestBatchSinkCloseIsFinal: a closed sink keeps failing, so a broken
 // pipeline cannot be reused by accident.
 func TestBatchSinkCloseIsFinal(t *testing.T) {

@@ -36,45 +36,26 @@ if [ -z "$ref" ]; then
 	exit 2
 fi
 
-root=$(git rev-parse --show-toplevel)
-cd "$root"
-rev=$(git rev-parse --verify "$ref^{commit}")
+. "$(dirname "$0")/ab-lib.sh"
+ab_setup e2e-ab "$ref"
 if [ -z "$workloads" ]; then
 	workloads=$(awk -F'"' '/"workloads"/ { on = 1; next } on && /^[ \t]*\]/ { exit } on && /"name"/ { print $4 }' BENCHMARK.json)
 fi
-
-tmp=$(mktemp -d "${TMPDIR:-/tmp}/e2e-ab.XXXXXX")
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/ref" 2>/dev/null || true
-	git -C "$root" worktree prune
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --quiet --detach "$tmp/ref" "$rev"
 mkdir -p "$tmp/out"
 
 # run SIDE WORKLOAD PAIR runs one benchmark process on one side, with
 # the pair number as its seed, and keeps its stdout as
 # $tmp/out/WORKLOAD.SIDE.PAIR.
 run() {
-	local side=$1 w=$2 i=$3 dir=$root
-	[ "$side" = ref ] && dir=$tmp/ref
+	local side=$1 w=$2 i=$3
 	echo "e2e-ab: $w pair $i/$pairs: $side" >&2
-	(cd "$dir" && CARGO_TARGET_DIR="$tmp/build-$side" \
+	(cd "$(ab_dir "$side")" && CARGO_TARGET_DIR="$tmp/build-$side" \
 		bash overlapbench/run.sh --workload "$w" --seed "$i" --seconds "$secs" --trace 0) \
 		>"$tmp/out/$w.$side.$i" || echo "e2e-ab: $w $side pair $i exited $?" >&2
 }
 
 for w in $workloads; do
-	for i in $(seq 1 "$pairs"); do
-		if [ $((i % 2)) = 1 ]; then
-			run ref "$w" "$i"
-			run new "$w" "$i"
-		else
-			run new "$w" "$i"
-			run ref "$w" "$i"
-		fi
-	done
+	ab_rounds "$pairs" run "$w"
 done
 
 echo "ref $ref ($rev) against the working tree: $pairs pairs of ${secs} s runs per workload, seeds 1..$pairs"
